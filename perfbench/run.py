@@ -6,7 +6,8 @@ Usage, from the root of a checkout::
 
 Workloads (see README.md in this directory for why each was chosen):
 
-* ``brown-cold``: ``verify brown`` on the default batch (weights 6..30),
+* ``brown-cold``: rounds of ``verify brown`` on the default batch (weights
+  6..30) and on a fixed grid of tall kernels (``--weight 36`` and ``44``),
   alternating with the steps of a ceiling scan, ``verify brown --weight w``
   for even w from 32 until a fixed time budget is spent.  Each command is a
   fresh interpreter, as a CLI user runs it.
@@ -19,10 +20,12 @@ Workloads (see README.md in this directory for why each was chosen):
 The program runs from ``src`` of the checkout; nothing is installed.  One
 child process runs at a time.  Every output is checked: fixed commands
 against the sha256 of their report at the seed commit, the rest against
-invariants.  With ``--trace 0`` the last stdout line carries the end-to-end
-metrics; with ``--trace 1`` it carries per-layer metrics from runs whose
-functions are wrapped by ``tracing.py``, next to the same work untraced.
-Lines before it report the figures named per workload (``info ...``).
+invariants.  Each timing is scaled by the machine-speed reference timed
+around it (``speed.py``).  With ``--trace 0`` the last stdout line carries
+the end-to-end metrics; with ``--trace 1`` it carries per-layer metrics from
+runs whose functions are wrapped by ``tracing.py``, next to the same work
+untraced.  Lines before it report the figures named per workload
+(``info ...``).
 """
 
 from __future__ import annotations
@@ -31,28 +34,41 @@ import argparse
 import hashlib
 import json
 import os
-import resource
+import signal
 import statistics
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
+from typing import NamedTuple
 
+import speed
 import tracing
 
 BENCH = Path(__file__).resolve().parent
 ROOT = BENCH.parent
 SRC = ROOT / "src"
-ENV = dict(os.environ, PYTHONPATH=str(SRC))
+# Children always import the package from bytecode, cached in the harness's
+# own directory, whatever the caller's environment says about bytecode; an
+# untimed first import fills the cache.
+PYCACHE = BENCH / ".cache" / "pycache"
+ENV = {name: value for name, value in os.environ.items() if name != "PYTHONDONTWRITEBYTECODE"}
+ENV.update(PYTHONPATH=str(SRC), PYTHONPYCACHEPREFIX=str(PYCACHE))
 DIGESTS = json.loads((BENCH / "digests.json").read_text())
 
 RUN_LIMIT_S = 170.0  # a child still running this long after the start is killed
-SETUP_SAMPLES = 5  # api-warm takes this many before and after its library process
+SETUP_SAMPLES = 8  # api-warm takes this many before and after its library process
 IMPORT = [sys.executable, "-c", "import depthforge.cli"]
 
 BATCH = ["verify", "brown"]
-MIN_BATCHES = 3
-SCAN_SHARE = 0.45  # of --seconds, the ceiling-scan budget; batches fill the rest
+# Tall kernels run in every brown-cold round, so the sizes the ceiling scan
+# reaches are in a bounded figure too: (w-1)w/2 rows, 630 and 946.
+GRID = [["verify", "brown", "--weight", str(w)] for w in (36, 44)]
+MIN_BROWN_ROUNDS = 4
+SETUP_PER_ROUND = 8  # brown-cold's setup_s samples per round
+SCAN_BUDGET_S = 8.0  # scaled seconds of ceiling-scan steps
+SCAN_STEPS = 2  # ceiling-scan steps per round
 SCAN_START = 32
 # The scan stops here even with budget left ("saturated"): the matrix has
 # (w-1)w/2 rows, so a fast path must not carry the scan to unbounded sizes.
@@ -131,6 +147,57 @@ def brown_report_ok(weight: int, out: bytes) -> bool:
     )
 
 
+class Child(NamedTuple):
+    out: bytes
+    err: bytes
+    code: int
+    seconds: float  # wall time
+    rss_mb: float  # peak resident set
+
+
+def spawn(argv: list[str], deadline: float) -> Child:
+    """Run one child to its end, killing it if it still runs at ``deadline``.
+
+    The child is reaped with ``wait4``, which gives its own peak RSS.
+    """
+    start = time.perf_counter()
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=ENV, cwd=ROOT)
+    streams = {}
+    readers = [threading.Thread(target=lambda f=f: streams.update({f: f.read()})) for f in (proc.stdout, proc.stderr)]
+    for reader in readers:
+        reader.start()
+    lock, state = threading.Lock(), {"running": True, "killed": False}
+
+    def kill():
+        with lock:
+            if state["running"]:  # not reaped yet, so the pid is still the child's
+                os.kill(proc.pid, signal.SIGKILL)
+                state["killed"] = True
+
+    timer = threading.Timer(max(1.0, deadline - time.monotonic()), kill)
+    timer.start()
+    try:
+        os.waitid(os.P_PID, proc.pid, os.WEXITED | os.WNOWAIT)
+    except BaseException:
+        timer.cancel()
+        proc.kill()
+        proc.wait()
+        raise
+    seconds = time.perf_counter() - start
+    with lock:
+        state["running"] = False
+    timer.cancel()
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    for reader in readers:
+        reader.join()
+    proc.stdout.close()
+    proc.stderr.close()
+    if state["killed"]:
+        raise subprocess.TimeoutExpired(argv, RUN_LIMIT_S)
+    return Child(streams[proc.stdout], streams[proc.stderr], proc.returncode, seconds, usage.ru_maxrss / 1024)
+
+
 class Run:
     """One benchmark run: runs the children and keeps the operation tally."""
 
@@ -140,35 +207,48 @@ class Run:
         self.failed = 0  # wrong answers
         self.missed = 0  # malformed input not answered with exit 2
         self.identical = True
-        self.setup_samples: list[float] = []
+        self.peak_rss_mb = 0.0  # of the fixed-work children
+        self.scan_rss_mb = 0.0  # of the ceiling-scan steps
+        self.references: list[float] = []
+        self.setup: list[tuple[float, float]] = []  # (scaled, raw) seconds
 
-    def child(self, argv: list[str]) -> tuple[bytes, bytes, int, float]:
-        start = time.perf_counter()
-        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=ENV, cwd=ROOT)
-        try:
-            out, err = proc.communicate(timeout=max(1.0, self.deadline - time.monotonic()))
-        except BaseException:
-            proc.kill()
-            proc.communicate()
-            raise
-        return out, err, proc.returncode, time.perf_counter() - start
+    def measure(self, argv: list[str], fixed: bool = True) -> tuple[Child, float]:
+        """Run one child between two reference timings; return it and its scaled time."""
+        before = speed.reference()
+        child = spawn(argv, self.deadline)
+        after = speed.reference()
+        self.references += [before, after]
+        if fixed:
+            self.peak_rss_mb = max(self.peak_rss_mb, child.rss_mb)
+        else:
+            self.scan_rss_mb = max(self.scan_rss_mb, child.rss_mb)
+        return child, speed.scale(child.seconds, before, after)
 
-    def command(self, args: list[str], traced: bool = False) -> tuple[bytes, float, dict | None]:
-        """Run one CLI command, check it, and return its report, time and trace."""
-        entry = [str(BENCH / "tracing.py")] if traced else ["-m", "depthforge.cli"]
-        out, err, code, seconds = self.child([sys.executable, *entry, *args])
-        trace = None
-        if traced:
-            lines = [l for l in err.decode(errors="replace").splitlines() if l.startswith(tracing.MARKER)]
-            trace = json.loads(lines[-1][len(tracing.MARKER):]) if lines else {}
+    def check(self, args: list[str], child: Child) -> None:
         self.attempted += 1
         if args in PROBES:
-            if code != 2 or out or b"Traceback" in err:
+            if child.code != 2 or child.out or b"Traceback" in child.err:
                 self.missed += 1
-        elif not self.report_ok(args, out, code):
+        elif not self.report_ok(args, child.out, child.code):
             self.failed += 1
-            print("wrong output (exit %d): depthforge %s" % (code, " ".join(args)), file=sys.stderr)
-        return out, seconds, trace
+            print("wrong output (exit %d): depthforge %s" % (child.code, " ".join(args)), file=sys.stderr)
+
+    def command(self, args: list[str], fixed: bool = True) -> tuple[float, float]:
+        """Run one CLI command and check it; return its scaled and raw seconds."""
+        child, scaled = self.measure([sys.executable, "-m", "depthforge.cli", *args], fixed)
+        self.check(args, child)
+        return scaled, child.seconds
+
+    def traced_command(self, args: list[str], traced: bool) -> tuple[bytes, float, dict | None]:
+        """Run one CLI command, plain or traced, unscaled; return its report, time and trace."""
+        entry = [str(BENCH / "tracing.py")] if traced else ["-m", "depthforge.cli"]
+        child = spawn([sys.executable, *entry, *args], self.deadline)
+        self.check(args, child)
+        trace = None
+        if traced:
+            lines = [l for l in child.err.decode(errors="replace").splitlines() if l.startswith(tracing.MARKER)]
+            trace = json.loads(lines[-1][len(tracing.MARKER):]) if lines else {}
+        return child.out, child.seconds, trace
 
     @staticmethod
     def report_ok(args: list[str], out: bytes, code: int) -> bool:
@@ -182,7 +262,7 @@ class Run:
     def commands(self, commands: list[list[str]], traced: bool) -> tuple[list[bytes], list[float], dict | None]:
         outs, times, traces = [], [], []
         for args in commands:
-            out, seconds, trace = self.command(args, traced)
+            out, seconds, trace = self.traced_command(args, traced)
             outs.append(out)
             times.append(seconds)
             traces.append(trace)
@@ -190,58 +270,81 @@ class Run:
 
     def sample_setup(self) -> None:
         """Time one fresh interpreter importing the CLI (samples are spread over the run)."""
-        if not self.setup_samples and self.child(IMPORT)[2] != 0:  # untimed: fills the bytecode cache
+        if not self.setup and spawn(IMPORT, self.deadline).code != 0:  # untimed: fills the bytecode cache
             raise RuntimeError("cannot import depthforge.cli from %s" % SRC)
-        self.setup_samples.append(self.child(IMPORT)[3])
+        child, scaled = self.measure(IMPORT)
+        self.setup.append((scaled, child.seconds))
 
 
 def info(name: str, value, unit: str) -> None:
     print("info %s %s %s" % (name, value, unit))
 
 
-def brown_cold(run: Run, seconds: float) -> float:
-    """Batches alternate with the ceiling scan's steps, so both span the run."""
-    budget = SCAN_SHARE * seconds
+def medians(rounds: list[list[float]]) -> list[float]:
+    """The median of each command over the rounds."""
+    return [statistics.median(times) for times in zip(*rounds)]
+
+
+def brown_cold(run: Run, seconds: float) -> tuple[float, float]:
+    """Rounds of the batch and the tall grid, each followed by ceiling-scan steps.
+
+    ``wall_s`` is the batch's median plus each grid command's median, so
+    both the small and the tall kernels are in it.  The scan's steps are
+    single runs; it ends once its budget is spent or it reaches its cap.
+    """
+    end = time.monotonic() + seconds
+    commands = [BATCH] + GRID
+    rounds, raw_rounds = [], []
     spent, reached, ceiling = 0.0, SCAN_START - 2, None
-    weight = SCAN_START
-    batch = []
-    while len(batch) < MIN_BATCHES or (ceiling is None and weight <= SCAN_CAP):
-        run.sample_setup()
-        batch.append(run.command(BATCH)[1])
-        if ceiling is not None or weight > SCAN_CAP:
-            continue
-        step = run.command(["verify", "brown", "--weight", str(weight)])[1]
-        if spent + step > budget:
-            # the weight the budget reaches, linear within the step that overran it
-            ceiling = reached + 2 * (budget - spent) / step
-        else:
-            spent, reached = spent + step, weight
-        weight += 2
+    while True:
+        started = time.monotonic()
+        for _ in range(SETUP_PER_ROUND):
+            run.sample_setup()
+        times = [run.command(args) for args in commands]
+        rounds.append([scaled for scaled, _ in times])
+        raw_rounds.append([raw for _, raw in times])
+        for _ in range(SCAN_STEPS):
+            weight = reached + 2
+            if ceiling is not None or weight > SCAN_CAP:
+                break
+            step = run.command(["verify", "brown", "--weight", str(weight)], fixed=False)[0]
+            if spent + step > SCAN_BUDGET_S:
+                # the weight the budget reaches, linear within the step that overran it
+                ceiling = reached + 2 * (SCAN_BUDGET_S - spent) / step
+            else:
+                spent, reached = spent + step, weight
+        scan_done = ceiling is not None or reached + 2 > SCAN_CAP
+        if len(rounds) >= MIN_BROWN_ROUNDS and scan_done and time.monotonic() + (time.monotonic() - started) > end:
+            break
     saturated = ceiling is None
-    info("brown_batch_s", statistics.median(batch), "s")
+    batch, *grid = medians(rounds)
+    info("brown_batch_s", batch, "s")
+    for args, value in zip(GRID, grid):
+        info("brown_w%s_s" % args[-1], value, "s")
     info("brown_ceiling_weight", float(reached) if saturated else ceiling, "weight")
     info("brown_ceiling_completed", reached, "weight")
     info("brown_ceiling_saturated", saturated, "flag")
-    info("batches", len(batch), "count")
-    return statistics.median(batch)
+    info("scan_peak_rss_mb", run.scan_rss_mb, "MB")
+    info("rounds", len(rounds), "count")
+    return sum(medians(rounds)), sum(medians(raw_rounds))
 
 
-def support_cold(run: Run, seconds: float) -> float:
+def support_cold(run: Run, seconds: float) -> tuple[float, float]:
     """Rounds of the supporting commands; wall_s sums each command's median."""
     commands = [args for _, args in SUPPORT] + PROBES
     end = time.monotonic() + seconds
-    rounds = []
-    while len(rounds) < MIN_ROUNDS or time.monotonic() + sum(rounds[-1]) / 2 < end:
+    rounds, raw_rounds = [], []
+    while len(rounds) < MIN_ROUNDS or time.monotonic() + sum(raw_rounds[-1]) / 2 < end:
         times = []
         for args in commands:
             run.sample_setup()
-            times.append(run.command(args)[1])
-        rounds.append(times)
-    medians = [statistics.median(times) for times in zip(*rounds)]
-    for (name, _), value in zip(SUPPORT, medians):
+            times.append(run.command(args))
+        rounds.append([scaled for scaled, _ in times])
+        raw_rounds.append([raw for _, raw in times])
+    for (name, _), value in zip(SUPPORT, medians(rounds)):
         info(name, value, "s")
     info("rounds", len(rounds), "count")
-    return sum(medians)
+    return sum(medians(rounds)), sum(medians(raw_rounds))
 
 
 def cold_fixed_round(workload: str) -> list[list[str]]:
@@ -268,14 +371,16 @@ def cold_traced(run: Run, workload: str, seconds: float) -> tuple[list[dict], li
 def api_warm(run: Run, seed: int, seconds: float, trace: int) -> dict:
     argv = [sys.executable, str(BENCH / "warm.py"), "--seed", str(seed)]
     argv += ["--seconds", str(seconds), "--trace", str(trace)]
-    out, err, code, _ = run.child(argv)
-    if code != 0:
-        sys.stderr.write(err.decode(errors="replace"))
-        raise RuntimeError("the api-warm process exited with status %d" % code)
-    data = json.loads(out.decode().splitlines()[-1])
+    child = spawn(argv, run.deadline)
+    run.peak_rss_mb = max(run.peak_rss_mb, child.rss_mb)
+    if child.code != 0:
+        sys.stderr.write(child.err.decode(errors="replace"))
+        raise RuntimeError("the api-warm process exited with status %d" % child.code)
+    data = json.loads(child.out.decode().splitlines()[-1])
     run.attempted += data["attempted"]
     run.failed += data["failed"]
     run.identical &= data.get("identical", True)
+    run.references += data.get("references", [])
     return data
 
 
@@ -327,25 +432,28 @@ def main(argv=None) -> int:
             metrics = layer_values(traces, plain, traced)
         else:
             if args.workload == "brown-cold":
-                wall = brown_cold(run, args.seconds)
+                wall, raw_wall = brown_cold(run, args.seconds)
             elif args.workload == "support-cold":
-                wall = support_cold(run, args.seconds)
+                wall, raw_wall = support_cold(run, args.seconds)
             else:
                 for _ in range(SETUP_SAMPLES):
                     run.sample_setup()
                 data = api_warm(run, args.seed, args.seconds - (time.monotonic() - started), 0)
                 for _ in range(SETUP_SAMPLES):
                     run.sample_setup()
-                wall = statistics.median(data["pass_s"])
+                wall, raw_wall = statistics.median(data["pass_s"]), statistics.median(data["raw_pass_s"])
                 calls_ms = data["call_ms"]
                 info("call_p50_ms", statistics.median(calls_ms), "ms")
                 info("call_p90_ms", statistics.quantiles(calls_ms, n=10)[-1], "ms")
                 info("calls_per_s", 1000 * len(calls_ms) / sum(calls_ms), "1/s")
                 info("passes", len(data["pass_s"]), "count")
+            info("raw_wall_s", raw_wall, "s")
+            info("raw_setup_s", statistics.median(raw for _, raw in run.setup), "s")
+            info("reference_s", statistics.median(run.references), "s")
             values = {
-                "setup_s": statistics.median(run.setup_samples),
+                "setup_s": statistics.median(scaled for scaled, _ in run.setup),
                 "wall_s": wall,
-                "peak_rss_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024,
+                "peak_rss_mb": run.peak_rss_mb,
                 "ok_ratio": (run.attempted - run.failed - run.missed) / run.attempted,
             }
             metrics = {name: {"value": values[name], "unit": unit} for name, unit in END_TO_END.items()}

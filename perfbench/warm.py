@@ -23,7 +23,9 @@ Every call is checked against a fact that holds for any seed:
 Usage: ``python3 perfbench/warm.py --seed N --seconds S --trace 0|1``.  Passes
 run until S seconds after the start (at least three).  It prints one JSON
 object with the timings, the operation counts and, when traced, the
-per-layer aggregates.
+per-layer aggregates.  Untraced, each pass runs between two timings of the
+machine-speed reference (``speed.py``), and its pass and call times are also
+given scaled by them; traced times are plain wall times.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from math import comb, prod
 
 from depthforge import depthlie, eisenstein, periodpoly, repcalc
 
+import speed
 import tracing
 from run import cusp_dim
 
@@ -236,10 +239,17 @@ def main(argv=None) -> int:
     out = {"pass_s": [], "call_ms": []}
     budget_end = started + args.seconds
     if not args.trace:
+        out.update(raw_pass_s=[], references=[])
         while len(out["pass_s"]) < MIN_PASSES or time.perf_counter() < budget_end:
-            latencies, _ = run_pass(generator.draw(), tally)
-            out["pass_s"].append(sum(latencies))
-            out["call_ms"].extend(1000 * t for t in latencies)
+            calls = generator.draw()
+            before = speed.reference()
+            latencies, _ = run_pass(calls, tally)
+            after = speed.reference()
+            factor = speed.scale(1.0, before, after)
+            out["pass_s"].append(factor * sum(latencies))
+            out["raw_pass_s"].append(sum(latencies))
+            out["call_ms"].extend(1000 * factor * t for t in latencies)
+            out["references"] += [before, after]
     else:
         tracer = tracing.Tracer()
         out.update(traced_pass_s=[], traces=[], identical=True)
