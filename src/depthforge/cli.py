@@ -27,6 +27,7 @@ import sys
 from fractions import Fraction
 
 from . import depthlie, eisenstein, periodpoly, repcalc
+from .exactla import parse_rational
 
 DEFAULT_MIN_WEIGHT = 6
 DEFAULT_MAX_WEIGHT = 30
@@ -378,12 +379,12 @@ def _cmd_bern_poly(args):
     case = {"n": args.n, "coeffs": [str(c) for c in poly.coeffs]}
     if args.at is not None:
         case["at"] = args.at
-        case["value"] = str(poly(Fraction(args.at)))
+        case["value"] = str(poly(parse_rational(args.at)))
     return [case], True
 
 
 def _cmd_bern_dist(args):
-    x = Fraction(args.x)
+    x = parse_rational(args.x)
     holds = eisenstein.distribution_check(args.n, args.m, x)
     case = {"n": args.n, "m": args.m, "x": str(x), "holds": holds}
     return [case], holds

@@ -3,12 +3,29 @@
 The depth-graded Lie algebra of interest is generated in each odd weight
 2m+1 >= 3 by a canonical element whose depth-1 leading term is
 
-    f_{2m+1} = ad(e0)^{2m} (e1)  =  sum_k (-1)^k C(2m, k) e0^{2m-k} e1 e0^k.
+    f_{2m+1} = ad(e0)^{2m} (e1)  =  sum_a (-1)^a C(2m, a) e0^a e1 e0^{2m-a}.
 
 For a target weight 2m+2 the Ihara brackets {f_{2i+1}, f_{2j+1}} over pairs
 i < j, i + j = m land in the depth-2, weight-(2m+2) word space spanned by
-``e0^a e1 e0^b e1 e0^c`` with a + b + c = 2m.  Writing those brackets as the
-columns of a matrix, a rational tuple (a_ij) gives a relation
+``e0^a e1 e0^b e1 e0^c`` with a + b + c = 2m.  The matrix rows follow
+:func:`depth2_word_basis`, which is (a, b) descending.
+
+:func:`bracket_matrix` computes those brackets in closed form over ``int``.
+For a depth-1 element X the Leibniz sum of ``a(X)`` over the e0 letters of
+a depth-1 word telescopes:
+
+    a(X)(e0^b e1 e0^d) = e0^b X e1 e0^d - X e0^b e1 e0^d
+                         + e0^b e1 e0^d X - e0^b e1 X e0^d,
+
+and ``{X, Y} = a(X)(Y) - a(Y)(X) + XY - YX``.  With X = sum_a x_a e0^a e1
+e0^(n-a) and Y = sum_b y_b e0^b e1 e0^(k-b), the terms ``-X e0^b ...`` and
+``XY`` cancel (likewise for Y), leaving six integer terms per product
+x_a y_b, so each column is an O(w^2) sum.  The generic word algebra in
+:mod:`depthforge.ncalg` (``ihara_bracket`` on :func:`sigma_leading`) is the
+reference the tests compare this against.
+
+Writing the brackets as the columns of a matrix, a rational tuple (a_ij)
+gives a relation
 
     sum a_ij [sigma_{2i+1}, sigma_{2j+1}] = 0   (depth-graded)
 
@@ -23,10 +40,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 
 from . import periodpoly
-from .exactla import QMatrix, as_fraction, kernel_basis
-from .ncalg import E0, E1, NCPoly, Word, ad_pow, ihara_bracket, letter
+from .exactla import QMatrix, as_fraction, certify_kernel, kernel_basis
+from .ncalg import E0, E1, NCPoly, Word, ad_pow, letter
 from .periodpoly import candidate_pairs
 
 
@@ -78,34 +96,58 @@ class PairCoefficients:
         }
 
 
+def _depth2_bracket(i: int, j: int) -> list[list[int]]:
+    """{f_{2i+1}, f_{2j+1}} as ``out[a][b]``, the coefficient of e0^a e1 e0^b e1 e0^c.
+
+    X = f_{2i+1} has x_a = (-1)^a C(2i, a) on e0^a e1 e0^(2i-a), Y likewise;
+    each comment names the term of a(X)Y or of a(Y)X (which enters with a
+    minus sign) that the product x_a y_b lands on.
+    """
+    n, k = 2 * i, 2 * j
+    out = [[0] * (n + k + 1) for _ in range(n + k + 1)]
+    for a in range(n + 1):
+        xa = (-1) ** a * comb(n, a)
+        for b in range(k + 1):
+            xy = xa * (-1) ** b * comb(k, b)
+            out[a + b][n - a] += xy  # a(X)Y: e0^b X e1 e0^(k-b)
+            out[b][k - b + a] += xy  # a(X)Y: e0^b e1 e0^(k-b) X
+            out[b][a] -= xy  # a(X)Y: -e0^b e1 X e0^(k-b)
+            out[a + b][k - b] -= xy  # a(Y)X: e0^a Y e1 e0^(n-a)
+            out[a][n - a + b] -= xy  # a(Y)X: e0^a e1 e0^(n-a) Y
+            out[a][b] += xy  # a(Y)X: -e0^a e1 Y e0^(n-a)
+    return out
+
+
 def bracket_matrix(m: int) -> QMatrix:
     """Depth-2 bracket columns over the weight-(2m+2) word basis.
 
     Columns follow ``candidate_pairs(m)`` (lexicographic pairs (i, j), i < j,
     i + j = m); rows follow :func:`depth2_word_basis`.  Column (i, j) holds
-    the depth-2 component of the Ihara bracket {f_{2i+1}, f_{2j+1}}.
+    the depth-2 component of the Ihara bracket {f_{2i+1}, f_{2j+1}},
+    computed in closed form (see the module docstring).
     """
     if m < 2:
         raise ValueError("bracket matrix needs m >= 2, got %r" % (m,))
     pairs = candidate_pairs(m)
-    words = depth2_word_basis(2 * m + 2)
-    columns = []
-    for i, j in pairs:
-        br = ihara_bracket(sigma_leading(i), sigma_leading(j)).depth_component(2)
-        columns.append([br.coefficient(w) for w in words])
+    columns = [_depth2_bracket(i, j) for i, j in pairs]
+    n = 2 * m
     return QMatrix(
-        [[col[r] for col in columns] for r in range(len(words))],
+        [[col[a][b] for col in columns] for a in range(n, -1, -1) for b in range(n - a, -1, -1)],
         cols=len(pairs),
     )
 
 
 def relation_kernel(m: int) -> list[PairCoefficients]:
-    """Canonical kernel basis of :func:`bracket_matrix`, as pair coefficients."""
+    """Canonical kernel basis of :func:`bracket_matrix`, as pair coefficients.
+
+    The basis is certified (``M v = 0`` on every row, in integers) before it
+    is returned; a failed certificate raises ``AssertionError``.
+    """
+    matrix = bracket_matrix(m)
+    basis = kernel_basis(matrix)
+    certify_kernel(matrix, basis)
     pairs = candidate_pairs(m)
-    return [
-        PairCoefficients(m, {pair: c for pair, c in zip(pairs, vec) if c})
-        for vec in kernel_basis(bracket_matrix(m))
-    ]
+    return [PairCoefficients(m, {pair: c for pair, c in zip(pairs, vec) if c}) for vec in basis]
 
 
 @dataclass

@@ -37,7 +37,7 @@ from functools import lru_cache
 from math import comb, floor, gcd, isqrt
 from typing import Mapping
 
-from .exactla import as_fraction
+from .exactla import as_fraction, parse_rational
 
 Mat = tuple[int, int, int, int]
 
@@ -367,7 +367,9 @@ class QExpansion:
 
     @classmethod
     def from_json_obj(cls, data: Mapping) -> "QExpansion":
-        return cls(int(data["weight"]), int(data["prec"]), tuple(Fraction(c) for c in data["coeffs"]))
+        if not isinstance(data, Mapping):
+            raise ValueError("a q-expansion is a JSON object, got %r" % (data,))
+        return cls(int(data["weight"]), int(data["prec"]), tuple(parse_rational(c) for c in data["coeffs"]))
 
 
 def eisenstein_qexp(weight: int, prec: int) -> QExpansion:

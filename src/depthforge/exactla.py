@@ -3,8 +3,8 @@
 Scalars are :class:`fractions.Fraction` throughout; no floats ever enter a
 computation.  ``str(Fraction)`` already produces the wire format used by the
 rest of the package (``"a/b"``, or ``"a"`` when the denominator is 1), and
-``Fraction(text)`` parses it back, so no extra (de)serialisation layer is
-needed for scalars.
+:func:`parse_rational` parses it back at every input boundary, refusing
+floats and malformed values with ``ValueError``.
 
 The row reduction here is deliberately boring: dense matrices, leftmost
 nonzero pivot, no pivot-size heuristics.  That makes :func:`rref`,
@@ -16,6 +16,9 @@ emitted byte-identically in reports).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, chain, cycle
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -32,6 +35,19 @@ def as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
+def parse_rational(x) -> Fraction:
+    """Parse a rational arriving from outside the program (JSON or a flag).
+
+    Accepts an ``int``, a ``Fraction`` or rational text such as ``"-3/4"``;
+    raises ``ValueError`` for floats, bools, any other type, malformed text
+    and a zero denominator.
+    """
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction, str)):
+        raise ValueError("expected an integer or a rational string such as \"1/3\", got %r" % (x,))
+    try:
+        return Fraction(x)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError("not a rational number: %r" % (x,)) from None
 
 
 class QMatrix:
@@ -180,3 +196,38 @@ def kernel_basis(m: QMatrix) -> list[Vector]:
     if len(pivots) + len(basis) != m.cols:
         raise AssertionError("rank-nullity violated: %d + %d != %d" % (len(pivots), len(basis), m.cols))
     return basis
+
+
+def certify_kernel(m: QMatrix, basis: Sequence[Sequence[Fraction]]) -> None:
+    """Raise ``AssertionError`` unless ``m @ v == 0`` for every ``v`` in ``basis``.
+
+    The products are taken in integers: the matrix and each vector are first
+    scaled by the lcm of their denominators, which does not change whether a
+    product is zero.
+    """
+    if not basis:
+        return
+    if any(len(v) != m.cols for v in basis):
+        raise AssertionError("a kernel vector's length differs from cols %d" % m.cols)
+    flat = list(chain.from_iterable(m.entries))
+    scale = lcm(*{x.denominator for x in flat})
+    if scale == 1:
+        entries = [x.numerator for x in flat]
+    else:
+        entries = [x.numerator * scale // x.denominator for x in flat]
+    vectors = []
+    for v in basis:
+        scale = lcm(*(x.denominator for x in v))
+        vectors.append([x.numerator * scale // x.denominator for x in v])
+    # Pack the vectors side by side, ``bits`` apart, into one integer per
+    # column: row . packed is sum_k (row . v_k) 2^(k bits), and as every
+    # |row . v_k| < 2^bits, it is zero only if every row . v_k is.
+    biggest = max(map(abs, entries), default=0)
+    bits = (biggest * max(sum(map(abs, v)) for v in vectors)).bit_length() + 1
+    packed = [sum(v[c] << (k * bits) for k, v in enumerate(vectors)) for c in range(m.cols)]
+    # The running total of the products, read at the end of each row, is
+    # zero on every row exactly when every row . packed is.
+    totals = list(accumulate(map(mul, entries, cycle(packed))))[m.cols - 1 :: m.cols]
+    failed = next((i for i, total in enumerate(totals) if total), None)
+    if failed is not None:
+        raise AssertionError("the kernel basis fails row %d of the matrix" % failed)

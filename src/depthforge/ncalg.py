@@ -30,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .exactla import as_fraction
+from .exactla import as_fraction, parse_rational
 
 E0 = 0
 E1 = 1
@@ -193,7 +193,9 @@ class NCPoly:
 
     @classmethod
     def from_json_obj(cls, data: Mapping[str, str], depth_cap: int | None = None) -> "NCPoly":
-        return cls({word_from_str(k): Fraction(v) for k, v in data.items()}, depth_cap)
+        if not isinstance(data, Mapping):
+            raise ValueError("an NCPoly is a JSON object of word -> coefficient, got %r" % (data,))
+        return cls({word_from_str(k): parse_rational(v) for k, v in data.items()}, depth_cap)
 
     def __repr__(self) -> str:
         if not self.terms:

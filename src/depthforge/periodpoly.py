@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
-from .exactla import QMatrix, as_fraction, kernel_basis, rref
+from .exactla import QMatrix, as_fraction, kernel_basis, parse_rational, rref
 
 Monomial = tuple[int, int]
 
@@ -151,11 +151,13 @@ class BivarPoly:
 
     @classmethod
     def from_json_obj(cls, data: Mapping[str, str], degree: int | None = None) -> "BivarPoly":
+        if not isinstance(data, Mapping):
+            raise ValueError("a polynomial is a JSON object of monomial -> coefficient, got %r" % (data,))
         if degree is None:
             if not data:
                 raise ValueError("degree is required for an empty polynomial")
             degree = sum(_parse_monomial(next(iter(data))))
-        return cls(degree, {k: Fraction(v) for k, v in data.items()})
+        return cls(degree, {k: parse_rational(v) for k, v in data.items()})
 
     def __repr__(self) -> str:
         if not self.coeffs:

@@ -22,6 +22,13 @@ def run_json(*args, expect_status=0, env_extra=None):
     return json.loads(proc.stdout)
 
 
+def assert_usage_error(proc):
+    """Malformed input: exit 2, a one-line message, no report and no traceback."""
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+
+
 class TestEnvelope:
     def test_schema_and_command(self):
         report = run_json("verify", "brown", "--weight", "12")
@@ -79,6 +86,16 @@ class TestPeriodCommands:
     def test_check_bad_json_is_usage_error(self):
         proc = run_cli("period", "check", "--poly", "{not json")
         assert proc.returncode == 2
+
+    def test_check_non_object_is_usage_error(self):
+        assert_usage_error(run_cli("period", "check", "--poly", "[1,2]"))
+
+    def test_check_zero_denominator_is_usage_error(self):
+        assert_usage_error(run_cli("period", "check", "--poly", '{"x^2*y^8": "1/0"}'))
+
+    def test_check_float_coefficient_is_usage_error(self):
+        poly = '{"x^8*y^2": 1.5, "x^6*y^4": -4.5, "x^4*y^6": 4.5, "x^2*y^8": -1.5}'
+        assert_usage_error(run_cli("period", "check", "--poly", poly))
 
     def test_odd_weight_is_usage_error(self):
         proc = run_cli("period", "basis", "--weight", "13")
@@ -228,6 +245,9 @@ class TestBernCommands:
     def test_dist(self):
         report = run_json("bern", "dist", "--n", "6", "--m", "4", "--x", "2/7")
         assert report["holds"] is True
+
+    def test_dist_zero_denominator_is_usage_error(self):
+        assert_usage_error(run_cli("bern", "dist", "--n", "2", "--m", "3", "--x", "1/0"))
 
 
 class TestOutputOptions:

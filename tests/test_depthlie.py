@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from depthforge import depthlie
 from depthforge.depthlie import (
     BrownReport,
     PairCoefficients,
@@ -12,6 +13,7 @@ from depthforge.depthlie import (
     sigma_leading,
     verify_brown_criterion,
 )
+from depthforge.exactla import QMatrix, kernel_basis
 from depthforge.ncalg import NCPoly, ihara_bracket
 from depthforge.periodpoly import candidate_pairs, is_period_poly, pair_to_poly
 
@@ -106,11 +108,16 @@ class TestBracketMatrix:
         assert (mat.rows, mat.cols) == (66, 2)
 
     def test_columns_are_depth2_brackets(self):
-        mat = bracket_matrix(5)
-        words = depth2_word_basis(12)
-        br = ihara_bracket(sigma_leading(1), sigma_leading(4)).depth_component(2)
-        column = [row[0] for row in mat.entries]  # first pair is (1, 4)
-        assert column == [br.coefficient(w) for w in words]
+        # the closed form against the NCPoly word algebra, column by column
+        sigma = {i: sigma_leading(i) for i in range(1, 20)}
+        for m in range(2, 21):
+            words = depth2_word_basis(2 * m + 2)
+            columns = []
+            for i, j in candidate_pairs(m):
+                br = ihara_bracket(sigma[i], sigma[j]).depth_component(2)
+                columns.append([br.coefficient(w) for w in words])
+            expected = QMatrix([[col[r] for col in columns] for r in range(len(words))], cols=len(columns))
+            assert bracket_matrix(m) == expected, "m=%d" % m
 
     def test_m_below_two_rejected(self):
         with pytest.raises(ValueError):
@@ -133,6 +140,15 @@ class TestRelationKernel:
         assert len(kernel) == 2
         for pc in kernel:
             assert is_period_poly(pair_to_poly(pc)).ok
+
+    def test_wrong_kernel_vector_rejected(self, monkeypatch):
+        def perturbed(matrix):
+            basis = kernel_basis(matrix)
+            return [basis[0][:-1] + (basis[0][-1] + 1,)]
+
+        monkeypatch.setattr(depthlie, "kernel_basis", perturbed)
+        with pytest.raises(AssertionError):
+            relation_kernel(5)
 
     @pytest.mark.parametrize("m", range(2, 9))
     def test_kernel_annihilates_matrix(self, m):

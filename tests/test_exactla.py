@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from depthforge.exactla import QMatrix, kernel_basis, rank, rref
+from depthforge.exactla import QMatrix, certify_kernel, kernel_basis, parse_rational, rank, rref
 
 
 def F(x):
@@ -52,6 +52,19 @@ class TestQMatrix:
         m = QMatrix([["2/3", "-1"], ["0", "5"]])
         assert QMatrix.from_strings(m.to_strings()) == m
         assert m.to_strings() == [["2/3", "-1"], ["0", "5"]]
+
+
+class TestParseRational:
+    @pytest.mark.parametrize(
+        "given, value", [("-3/4", F("-3/4")), ("7", F(7)), (5, F(5)), (Fraction(2, 3), Fraction(2, 3))]
+    )
+    def test_accepts_exact_values(self, given, value):
+        assert parse_rational(given) == value
+
+    @pytest.mark.parametrize("bad", [1.5, True, None, [1], "1/0", "abc", "", "nan"])
+    def test_rejects_with_value_error(self, bad):
+        with pytest.raises(ValueError):
+            parse_rational(bad)
 
 
 class TestRref:
@@ -116,6 +129,16 @@ class TestKernel:
         zero = (Fraction(0),) * m.rows
         for v in basis:
             assert m.mul_vec(v) == zero
+        certify_kernel(m, basis)
+
+    def test_certify_rejects_wrong_vector(self):
+        m = QMatrix([["1/2", 1, 0], [0, "2/3", -1]])
+        (v,) = kernel_basis(m)
+        certify_kernel(m, [v])
+        with pytest.raises(AssertionError):
+            certify_kernel(m, [v, (v[0], v[1] + Fraction(1, 5), v[2])])
+        with pytest.raises(AssertionError):
+            certify_kernel(m, [v[:2]])
 
     def test_canonical_form_free_coordinates(self):
         # each kernel vector has a 1 in "its" free column and 0 in the others
