@@ -252,6 +252,8 @@ def _cmd_verify_eigen(args):
 
 
 def _cmd_verify_cgshape(args):
+    if args.max_sym < 0 or args.max_twist < 0:
+        raise ValueError("--max-sym and --max-twist must be >= 0")
     products = 0
     components = 0
     shapes_ok = True
@@ -267,10 +269,11 @@ def _cmd_verify_cgshape(args):
                     decomp = repcalc.tensor_decompose(labels)
                     products += 1
                     components += len(decomp)
-                    if not all(c.v - c.u - 1 >= 1 for c in decomp):
+                    if not all(map(repcalc.has_positive_shift, decomp)):
                         shapes_ok = False
+                    # the forbidden Sym^(2n)(V)(2n+1) for each n the product can reach
                     for n in range(1, (n1 + n2) // 2 + 1):
-                        if not repcalc.check_no_eisenstein_component(n, labels):
+                        if repcalc.IrrepLabel(2 * n, 2 * n + 1) in decomp:
                             forbidden_absent = False
     case = {
         "max_sym": args.max_sym,

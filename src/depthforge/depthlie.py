@@ -44,7 +44,7 @@ from math import comb
 
 from . import periodpoly
 from .exactla import QMatrix, as_fraction, certify_kernel, kernel_basis
-from .ncalg import E0, E1, NCPoly, Word, ad_pow, letter
+from .ncalg import E0, E1, NCPoly, Word, ad_pow, generators
 from .periodpoly import candidate_pairs
 
 
@@ -52,8 +52,7 @@ def sigma_leading(m: int) -> NCPoly:
     """The weight-(2m+1), depth-1 leading word expansion ad(e0)^2m (e1)."""
     if m < 1:
         raise ValueError("generators start at weight 3 (m >= 1), got m=%r" % (m,))
-    e0 = letter(E0, depth_cap=None)
-    e1 = letter(E1, depth_cap=None)
+    e0, e1 = generators()
     return ad_pow(e0, 2 * m, e1)
 
 

@@ -7,10 +7,10 @@ rest of the package (``"a/b"``, or ``"a"`` when the denominator is 1), and
 floats and malformed values with ``ValueError``.
 
 The row reduction here is deliberately boring: dense matrices, leftmost
-nonzero pivot, no pivot-size heuristics.  That makes :func:`rref`,
-:func:`rank` and :func:`kernel_basis` fully deterministic, which the callers
-rely on (kernel vectors are compared against frozen expected values and
-emitted byte-identically in reports).
+nonzero pivot, no pivot-size heuristics.  That makes :func:`rref` and
+:func:`kernel_basis` fully deterministic, which the callers rely on (kernel
+vectors are compared against frozen expected values and emitted
+byte-identically in reports).
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from itertools import accumulate, chain, cycle
 from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
-
-Rational = Fraction
 
 Vector = tuple[Fraction, ...]
 
@@ -53,9 +51,9 @@ def parse_rational(x) -> Fraction:
 class QMatrix:
     """A dense matrix of Fractions with a fixed rectangular shape.
 
-    Instances are immutable; all operations return new matrices.
-    ``cols`` must be given explicitly when constructing a matrix with zero
-    rows, since the column count cannot be inferred from an empty row list.
+    Instances are immutable.  ``cols`` must be given explicitly when
+    constructing a matrix with zero rows, since the column count cannot be
+    inferred from an empty row list.
     """
 
     __slots__ = ("rows", "cols", "entries")
@@ -76,69 +74,19 @@ class QMatrix:
         self.cols = ncols
         self.entries = rows
 
-    @classmethod
-    def identity(cls, n: int) -> "QMatrix":
-        one, zero = Fraction(1), Fraction(0)
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "QMatrix":
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, QMatrix):
             return NotImplemented
         return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
 
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
-
     def __repr__(self) -> str:
         return "QMatrix(%d x %d)" % (self.rows, self.cols)
-
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        i, j = ij
-        return self.entries[i][j]
-
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
-
-    def column(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.entries)
-
-    def transpose(self) -> "QMatrix":
-        return QMatrix(zip(*self.entries), cols=self.rows) if self.rows else QMatrix(
-            [[] for _ in range(self.cols)], cols=0
-        )
-
-    def mul_vec(self, v: Sequence) -> Vector:
-        """Matrix-vector product; ``v`` must have length ``self.cols``."""
-        vec = tuple(as_fraction(x) for x in v)
-        if len(vec) != self.cols:
-            raise ValueError("vector length %d != cols %d" % (len(vec), self.cols))
-        return tuple(sum((a * b for a, b in zip(row, vec)), Fraction(0)) for row in self.entries)
-
-    def matmul(self, other: "QMatrix") -> "QMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch: %r @ %r" % (self, other))
-        out = [
-            [
-                sum((row[k] * other.entries[k][j] for k in range(self.cols)), Fraction(0))
-                for j in range(other.cols)
-            ]
-            for row in self.entries
-        ]
-        return QMatrix(out, cols=other.cols)
 
     # -- serialisation ----------------------------------------------------
 
     def to_strings(self) -> list[list[str]]:
         """Entries as rational strings (``"a/b"`` / ``"a"``), row-major."""
         return [[str(x) for x in row] for row in self.entries]
-
-    @classmethod
-    def from_strings(cls, data: Sequence[Sequence[str]], cols: int | None = None) -> "QMatrix":
-        return cls([[Fraction(s) for s in row] for row in data], cols=cols)
 
 
 def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
@@ -167,10 +115,6 @@ def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
         if r == m.rows:
             break
     return QMatrix(work, cols=m.cols), tuple(pivots)
-
-
-def rank(m: QMatrix) -> int:
-    return len(rref(m)[1])
 
 
 def kernel_basis(m: QMatrix) -> list[Vector]:

@@ -30,6 +30,8 @@ from .exactla import QMatrix, as_fraction, kernel_basis, parse_rational, rref
 
 Monomial = tuple[int, int]
 
+_ZERO = Fraction(0)
+
 _MONOMIAL_RE = re.compile(r"^x\^(\d+)\*y\^(\d+)$")
 
 
@@ -37,8 +39,9 @@ class BivarPoly:
     """Homogeneous two-variable polynomial with Fraction coefficients.
 
     ``coeffs`` maps ``(a, b)`` with ``a + b == degree`` to the coefficient of
-    ``x^a y^b``.  Zero coefficients are never stored; the zero polynomial has
-    an empty map but still carries its degree.
+    ``x^a y^b``.  Zero coefficients are never stored: the constructor drops
+    them, so arithmetic only accumulates.  The zero polynomial has an empty
+    map but still carries its degree.
     """
 
     __slots__ = ("degree", "coeffs")
@@ -46,23 +49,16 @@ class BivarPoly:
     def __init__(self, degree: int, coeffs: Mapping | Iterable | None = None):
         if degree < 0:
             raise ValueError("degree must be >= 0")
-        clean: dict[Monomial, Fraction] = {}
+        sums: dict[Monomial, Fraction] = {}
         items = coeffs.items() if isinstance(coeffs, Mapping) else (coeffs or ())
         for key, value in items:
             mono = _parse_monomial(key) if isinstance(key, str) else (int(key[0]), int(key[1]))
             a, b = mono
             if a < 0 or b < 0 or a + b != degree:
                 raise ValueError("monomial x^%d*y^%d is not homogeneous of degree %d" % (a, b, degree))
-            c = as_fraction(value)
-            if c == 0:
-                continue
-            acc = clean.get(mono, Fraction(0)) + c
-            if acc:
-                clean[mono] = acc
-            else:
-                clean.pop(mono, None)
+            sums[mono] = sums.get(mono, _ZERO) + as_fraction(value)
         self.degree = degree
-        self.coeffs = clean
+        self.coeffs = {m: c for m, c in sums.items() if c}
 
     @classmethod
     def monomial(cls, a: int, b: int, coeff=1) -> "BivarPoly":
@@ -91,11 +87,7 @@ class BivarPoly:
             raise ValueError("degree mismatch: %d vs %d" % (self.degree, other.degree))
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
-            acc = out.get(m, Fraction(0)) + c
-            if acc:
-                out[m] = acc
-            else:
-                out.pop(m, None)
+            out[m] = out.get(m, _ZERO) + c
         return BivarPoly(self.degree, out)
 
     def __sub__(self, other: "BivarPoly") -> "BivarPoly":
@@ -125,11 +117,7 @@ class BivarPoly:
                     if cj == 0:
                         continue
                     mono = (i + j, self.degree - i - j)
-                    acc = out.get(mono, Fraction(0)) + coeff * ci * cj
-                    if acc:
-                        out[mono] = acc
-                    else:
-                        out.pop(mono, None)
+                    out[mono] = out.get(mono, _ZERO) + coeff * ci * cj
         return BivarPoly(self.degree, out)
 
     def leading_normalized(self) -> "BivarPoly":

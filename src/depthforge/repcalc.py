@@ -55,26 +55,23 @@ class IrrepLabel:
 
 
 class Character:
-    """Laurent polynomial in t1, t2 with integer coefficients."""
+    """Laurent polynomial in t1, t2 with integer coefficients.
+
+    Zero coefficients are never stored: the constructor drops them, so
+    arithmetic only accumulates.
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Mapping | Iterable | None = None):
-        clean: dict[TorusMonomial, int] = {}
+        sums: dict[TorusMonomial, int] = {}
         items = coeffs.items() if isinstance(coeffs, Mapping) else (coeffs or ())
         for key, value in items:
             mono = (int(key[0]), int(key[1]))
             if value != int(value):
                 raise ValueError("character coefficients must be integers, got %r" % (value,))
-            v = int(value)
-            if not v:
-                continue
-            acc = clean.get(mono, 0) + v
-            if acc:
-                clean[mono] = acc
-            else:
-                clean.pop(mono, None)
-        self.coeffs = clean
+            sums[mono] = sums.get(mono, 0) + int(value)
+        self.coeffs = {m: c for m, c in sums.items() if c}
 
     @classmethod
     def one(cls) -> "Character":
@@ -102,11 +99,7 @@ class Character:
             return NotImplemented
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
-            acc = out.get(m, 0) + c
-            if acc:
-                out[m] = acc
-            else:
-                out.pop(m, None)
+            out[m] = out.get(m, 0) + c
         return Character(out)
 
     def __sub__(self, other: "Character") -> "Character":
@@ -121,11 +114,7 @@ class Character:
         for (a1, b1), c1 in self.coeffs.items():
             for (a2, b2), c2 in other.coeffs.items():
                 mono = (a1 + a2, b1 + b2)
-                acc = out.get(mono, 0) + c1 * c2
-                if acc:
-                    out[mono] = acc
-                else:
-                    out.pop(mono, None)
+                out[mono] = out.get(mono, 0) + c1 * c2
         return Character(out)
 
     def to_json_obj(self) -> dict[str, int]:
@@ -179,6 +168,11 @@ def character_decompose(char: Character) -> list[IrrepLabel]:
     return out
 
 
+def has_positive_shift(label: IrrepLabel) -> bool:
+    """True iff ``label`` is Sym^u(V)(u+1+w) with w >= 1."""
+    return label.v - label.u - 1 >= 1
+
+
 def check_no_eisenstein_component(n: int, factor_labels: Sequence[IrrepLabel]) -> bool:
     """Tensor the factors and test for the absence of Sym^(2n)(V)(2n+1).
 
@@ -197,8 +191,7 @@ def check_no_eisenstein_component(n: int, factor_labels: Sequence[IrrepLabel]) -
             raise ValueError("factor %s is not of the form Sym^n(V)(n+1+r), r >= 0" % (label,))
     forbidden = IrrepLabel(2 * n, 2 * n + 1)
     components = tensor_decompose(factor_labels)
-    shape_ok = all(comp.v - comp.u - 1 >= 1 for comp in components)
-    return shape_ok and forbidden not in components
+    return all(map(has_positive_shift, components)) and forbidden not in components
 
 
 def bigraded_dims(char: Character) -> dict[tuple[int, int], int]:

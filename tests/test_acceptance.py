@@ -68,13 +68,13 @@ def _random_homogeneous(rng: random.Random, weight: int) -> NCPoly:
     for _ in range(rng.randint(1, 3)):
         words.add("".join(rng.choice("01") for _ in range(weight)))
     terms = {w: Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 2)) for w in words}
-    return NCPoly(terms, depth_cap=3)
+    return NCPoly(terms)
 
 
 def test_criterion_4_bracket_structure_randomized():
     t0 = time.perf_counter()
     rng = random.Random(20240814)
-    gens = generators(depth_cap=3)
+    gens = generators()
     ok = True
     inputs_used = 0
 
@@ -108,13 +108,12 @@ def test_criterion_4_bracket_structure_randomized():
         bits_y = [1] * dy + [0] * (wy - dy)
         rng.shuffle(bits_x)
         rng.shuffle(bits_y)
-        x = NCPoly({"".join(map(str, bits_x)): 1}, depth_cap=3)
-        y = NCPoly({"".join(map(str, bits_y)): 1}, depth_cap=3)
+        x = NCPoly({"".join(map(str, bits_x)): 1})
+        y = NCPoly({"".join(map(str, bits_y)): 1})
         inputs_used += 2
         br = ihara_bracket(x, y)
         ok = ok and br.weight_component(wx + wy) == br
-        if dx + dy <= 3:
-            ok = ok and br.depth_component(dx + dy) == br
+        ok = ok and br.depth_component(dx + dy) == br
 
     elapsed = time.perf_counter() - t0
     ok = ok and inputs_used >= 100 and elapsed < 10.0

@@ -169,6 +169,12 @@ class TestVerifyCommands:
         assert report["shapes_ok"] is True
         assert report["forbidden_absent"] is True
 
+    def test_cgshape_negative_max_sym_is_usage_error(self):
+        assert_usage_error(run_cli("verify", "cgshape", "--max-sym", "-1"))
+
+    def test_cgshape_negative_max_twist_is_usage_error(self):
+        assert_usage_error(run_cli("verify", "cgshape", "--max-twist", "-1"))
+
 
 class TestEisCommands:
     def test_qexp_eisenstein(self):

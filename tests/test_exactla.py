@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from depthforge.exactla import QMatrix, certify_kernel, kernel_basis, parse_rational, rank, rref
+from depthforge.exactla import QMatrix, certify_kernel, kernel_basis, parse_rational, rref
 
 
 def F(x):
@@ -14,8 +14,8 @@ class TestQMatrix:
     def test_shape_and_entries(self):
         m = QMatrix([[1, 2], [3, 4], [5, 6]])
         assert (m.rows, m.cols) == (3, 2)
-        assert m[1, 0] == 3
-        assert m.column(1) == (F(2), F(4), F(6))
+        assert m.entries[1][0] == 3
+        assert tuple(row[1] for row in m.entries) == (F(2), F(4), F(6))
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError):
@@ -31,26 +31,9 @@ class TestQMatrix:
         with pytest.raises(TypeError):
             QMatrix([[0.5]])
 
-    def test_identity_and_matmul(self):
-        a = QMatrix([["1/2", 3], [0, "-2/7"]])
-        eye = QMatrix.identity(2)
-        assert a.matmul(eye) == a
-        assert eye.matmul(a) == a
-
-    def test_mul_vec(self):
-        m = QMatrix([[1, 1, 0], [0, 1, 1]])
-        assert m.mul_vec([1, -1, 1]) == (F(0), F(0))
-        with pytest.raises(ValueError):
-            m.mul_vec([1, 2])
-
-    def test_transpose_round_trip(self):
-        m = QMatrix([[1, 2, 3], [4, 5, 6]])
-        assert m.transpose().transpose() == m
-        assert m.transpose().rows == 3
-
     def test_string_round_trip(self):
         m = QMatrix([["2/3", "-1"], ["0", "5"]])
-        assert QMatrix.from_strings(m.to_strings()) == m
+        assert QMatrix(m.to_strings()) == m
         assert m.to_strings() == [["2/3", "-1"], ["0", "5"]]
 
 
@@ -96,8 +79,9 @@ class TestRref:
             assert list(pivots) == sorted(set(pivots))
 
     def test_zero_matrix(self):
-        reduced, pivots = rref(QMatrix.zero(3, 2))
-        assert reduced == QMatrix.zero(3, 2)
+        zero = QMatrix([[0, 0]] * 3)
+        reduced, pivots = rref(zero)
+        assert reduced == zero
         assert pivots == ()
 
 
@@ -110,10 +94,10 @@ class TestKernel:
         assert kernel_basis(QMatrix([[1, 2], [3, 4]])) == []
 
     def test_identity_kernel_trivial(self):
-        assert kernel_basis(QMatrix.identity(5)) == []
+        assert kernel_basis(QMatrix([[int(i == j) for j in range(5)] for i in range(5)])) == []
 
     def test_zero_map_kernel_is_standard_basis(self):
-        basis = kernel_basis(QMatrix.zero(2, 3))
+        basis = kernel_basis(QMatrix([[0, 0, 0]] * 2))
         assert basis == [
             (F(1), F(0), F(0)),
             (F(0), F(1), F(0)),
@@ -125,10 +109,9 @@ class TestKernel:
         rng = random.Random(100 + seed)
         m = _random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
         basis = kernel_basis(m)
-        assert rank(m) + len(basis) == m.cols
-        zero = (Fraction(0),) * m.rows
+        assert len(rref(m)[1]) + len(basis) == m.cols
         for v in basis:
-            assert m.mul_vec(v) == zero
+            assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in m.entries)
         certify_kernel(m, basis)
 
     def test_certify_rejects_wrong_vector(self):

@@ -4,21 +4,16 @@ from fractions import Fraction
 import pytest
 
 from depthforge.ncalg import (
-    E1,
     NCPoly,
     ad_pow,
-    depth_component,
     derivation_apply,
     generators,
     ihara_bracket,
-    letter,
     lie_bracket,
     nc_mul,
-    weight_component,
     word_depth,
     word_from_str,
     word_to_str,
-    word_weight,
 )
 
 # ---------------------------------------------------------------------------
@@ -84,12 +79,17 @@ def as_oracle(p: NCPoly):
     return {word_to_str(w): c for w, c in p.terms.items()}
 
 
-def random_poly(rng, max_weight=5, terms=3, cap=None):
+def truncated(p: NCPoly, cap):
+    """The image of ``p`` modulo the words of depth > cap."""
+    return NCPoly({w: c for w, c in p.terms.items() if word_depth(w) <= cap})
+
+
+def random_poly(rng, max_weight=5, terms=3):
     data = {}
     for _ in range(terms):
         w = "".join(rng.choice("01") for _ in range(rng.randint(1, max_weight)))
         data[w] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-    return NCPoly(data, depth_cap=cap)
+    return NCPoly(data)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +103,7 @@ def random_poly(rng, max_weight=5, terms=3, cap=None):
 )
 def test_word_weight_depth(text, weight, depth):
     w = word_from_str(text)
-    assert word_weight(w) == weight
+    assert len(w) == weight
     assert word_depth(w) == depth
     assert word_to_str(w) == text
 
@@ -123,33 +123,13 @@ class TestNCPoly:
         p = NCPoly({"01": 1, "10": 0})
         assert p.terms == {(0, 1): Fraction(1)}
 
-    def test_cap_drops_deep_words_at_construction(self):
-        p = NCPoly({"11": 1, "01": 2}, depth_cap=1)
-        assert p.to_json_obj() == {"01": "2"}
-
-    def test_bad_cap(self):
-        with pytest.raises(ValueError):
-            NCPoly({}, depth_cap=0)
-        with pytest.raises(ValueError):
-            NCPoly({}, depth_cap=-2)
-
     def test_mul_trivial(self):
-        e0, e1 = generators(depth_cap=None)
+        e0, e1 = generators()
         assert nc_mul(e0, e1).to_json_obj() == {"01": "1"}
 
     def test_mul_distributes(self):
-        e0, e1 = generators(depth_cap=None)
+        e0, e1 = generators()
         assert ((e0 + e1) * e1).to_json_obj() == {"01": "1", "11": "1"}
-
-    def test_mul_truncation_forced_by_cap(self):
-        e1 = letter(E1, depth_cap=1)
-        assert (e1 * e1).is_zero()
-
-    def test_result_cap_is_min(self):
-        a = NCPoly({"0": 1}, depth_cap=2)
-        b = NCPoly({"1": 1}, depth_cap=None)
-        assert (a * b).depth_cap == 2
-        assert (a + b).depth_cap == 2
 
     def test_scalar_mul(self):
         p = NCPoly({"01": "1/2"})
@@ -158,13 +138,13 @@ class TestNCPoly:
 
     def test_components(self):
         p = NCPoly({"01": 1, "11": 2, "0": 5})
-        assert weight_component(p, 2).to_json_obj() == {"01": "1", "11": "2"}
-        assert depth_component(p, 2).to_json_obj() == {"11": "2"}
-        assert depth_component(p, 3).is_zero()
+        assert p.weight_component(2).to_json_obj() == {"01": "1", "11": "2"}
+        assert p.depth_component(2).to_json_obj() == {"11": "2"}
+        assert p.depth_component(3).is_zero()
 
     def test_json_round_trip(self):
-        p = NCPoly({"00101": "3/7", "1": -2}, depth_cap=3)
-        assert NCPoly.from_json_obj(p.to_json_obj(), depth_cap=3) == p
+        p = NCPoly({"00101": "3/7", "1": -2})
+        assert NCPoly.from_json_obj(p.to_json_obj()) == p
 
     @pytest.mark.parametrize("seed", range(6))
     def test_mul_associative(self, seed):
@@ -174,10 +154,11 @@ class TestNCPoly:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_capped_equals_truncated_uncapped(self, seed):
+        # the words of depth > 2 form a two-sided ideal
         rng = random.Random(50 + seed)
         x, y = random_poly(rng), random_poly(rng)
-        capped = x.truncated(2) * y.truncated(2)
-        assert capped == (x * y).truncated(2)
+        capped = truncated(truncated(x, 2) * truncated(y, 2), 2)
+        assert capped == truncated(x * y, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -187,15 +168,15 @@ class TestNCPoly:
 
 class TestBrackets:
     def test_self_bracket_vanishes(self):
-        e0, _ = generators(depth_cap=None)
+        e0, _ = generators()
         assert lie_bracket(e0, e0).is_zero()
 
     def test_generator_bracket(self):
-        e0, e1 = generators(depth_cap=None)
+        e0, e1 = generators()
         assert lie_bracket(e0, e1).to_json_obj() == {"01": "1", "10": "-1"}
 
     def test_nested_bracket_expansion(self):
-        e0, e1 = generators(depth_cap=None)
+        e0, e1 = generators()
         nested = lie_bracket(lie_bracket(e0, e1), e1)
         assert nested.to_json_obj() == {"011": "1", "101": "-2", "110": "1"}
 
@@ -208,21 +189,21 @@ class TestBrackets:
         ],
     )
     def test_ad_pow_small(self, n, expected):
-        e0, e1 = generators(depth_cap=None)
+        e0, e1 = generators()
         assert ad_pow(e0, n, e1).to_json_obj() == expected
 
     def test_ad_pow_negative_rejected(self):
-        e0, e1 = generators(depth_cap=None)
+        e0, e1 = generators()
         with pytest.raises(ValueError):
             ad_pow(e0, -1, e1)
 
     def test_derivation_on_generators(self):
-        e0, e1 = generators(depth_cap=None)
+        e0, e1 = generators()
         assert derivation_apply(e1, e1).is_zero()
         assert derivation_apply(e1, e0).to_json_obj() == {"01": "1", "10": "-1"}
 
     def test_derivation_leibniz_on_square(self):
-        e0, e1 = generators(depth_cap=None)
+        e0, e1 = generators()
         lhs = derivation_apply(e1, e0 * e0)
         bracket = lie_bracket(e0, e1)
         assert lhs == bracket * e0 + e0 * bracket
@@ -240,20 +221,21 @@ class TestBrackets:
     def test_capped_bracket_equals_truncated_oracle(self, seed):
         rng = random.Random(333 + seed)
         x, y = random_poly(rng), random_poly(rng)
-        capped = ihara_bracket(x.truncated(2), y.truncated(2))
+        # the bracket preserves the ideal of words of depth > 2
+        capped = truncated(ihara_bracket(truncated(x, 2), truncated(y, 2)), 2)
         full = o_ihara(o_truncate(as_oracle(x), 2), o_truncate(as_oracle(y), 2))
         assert as_oracle(capped) == o_truncate(full, 2)
 
 
 class TestIharaStructure:
     def test_antisymmetry_on_generator(self):
-        e0, e1 = generators(depth_cap=None)
+        e0, e1 = generators()
         f = ad_pow(e0, 2, e1)
         assert ihara_bracket(f, f).is_zero()
 
     def test_depth2_weight8_bracket_matches_oracle(self):
         # the bracket of the weight-3 and weight-5 generator leading terms
-        e0, e1 = generators(depth_cap=None)
+        e0, e1 = generators()
         f3 = ad_pow(e0, 2, e1)
         f5 = ad_pow(e0, 4, e1)
         value = ihara_bracket(f3, f5)
@@ -266,10 +248,10 @@ class TestIharaStructure:
     @pytest.mark.parametrize("seed", range(8))
     def test_homomorphism_to_derivations(self, seed):
         rng = random.Random(4000 + seed)
-        x = random_poly(rng, max_weight=5, cap=3)
-        y = random_poly(rng, max_weight=5, cap=3)
+        x = random_poly(rng, max_weight=5)
+        y = random_poly(rng, max_weight=5)
         bracket = ihara_bracket(x, y)
-        for g in generators(depth_cap=3):
+        for g in generators():
             lhs = derivation_apply(bracket, g)
             rhs = derivation_apply(x, derivation_apply(y, g)) - derivation_apply(
                 y, derivation_apply(x, g)
@@ -279,7 +261,7 @@ class TestIharaStructure:
     @pytest.mark.parametrize("seed", range(5))
     def test_jacobi(self, seed):
         rng = random.Random(7000 + seed)
-        x, y, z = (random_poly(rng, max_weight=4, terms=2, cap=3) for _ in range(3))
+        x, y, z = (random_poly(rng, max_weight=4, terms=2) for _ in range(3))
         total = (
             ihara_bracket(x, ihara_bracket(y, z))
             + ihara_bracket(y, ihara_bracket(z, x))
@@ -290,7 +272,7 @@ class TestIharaStructure:
     @pytest.mark.parametrize("seed", range(5))
     def test_antisymmetry_random(self, seed):
         rng = random.Random(8000 + seed)
-        x, y = random_poly(rng, cap=3), random_poly(rng, cap=3)
+        x, y = random_poly(rng), random_poly(rng)
         assert ihara_bracket(x, y) == -ihara_bracket(y, x)
 
     def test_weight_and_depth_additivity(self):
