@@ -53,7 +53,6 @@ from .eisenstein import (
     distribution_check,
     divisor_power_sum,
     eisenstein_qexp,
-    frac,
     hecke_eigenvalue,
     hecke_factor,
     hecke_tp,
@@ -64,7 +63,6 @@ from .repcalc import (
     Character,
     IrrepLabel,
     bigraded_dims,
-    char_from_bigraded,
     character_decompose,
     check_no_eisenstein_component,
     irrep_char,

@@ -154,17 +154,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_period_basis(args):
-    space = periodpoly.period_space(args.weight)
-    case = {
-        "weight": space.weight,
-        "dim": space.dim,
-        "basis": [poly.to_json_obj() for poly in space.basis],
-    }
-    return [case], True
+    return [periodpoly.period_space(args.weight).to_json_obj()], True
 
 
 def _cmd_period_check(args):
-    data = json.loads(args.poly)
+    try:
+        data = json.loads(args.poly)
+    except RecursionError:
+        raise ValueError("--poly is nested too deeply") from None
     poly = periodpoly.BivarPoly.from_json_obj(data, degree=args.degree)
     result = periodpoly.is_period_poly(poly)
     case = {

@@ -16,11 +16,14 @@ Three layers live here because they share the Bernoulli substrate:
   that invariance is a checkable property rather than a chosen
   representative.  :func:`phi_line_sum` is the companion sum of the same
   integrand over all F_p-multiples of one matrix entry, and
-  :func:`check_bernoulli_sum_chain` verifies, matrix by matrix over all of
-  GL2(F_p), the rewriting of a unit-restricted double Bernoulli sum into
-  ``p B_{k+2}/(k+2)`` plus such a line sum.  The chain balances when the
-  line sum reads entry d; ``entry`` is a parameter so both variants can be
-  exercised (the c-variant fails, e.g. at the identity matrix).
+  :func:`check_bernoulli_sum_chain` verifies, for every matrix in GL2(F_p),
+  the rewriting of a unit-restricted double Bernoulli sum into
+  ``p B_{k+2}/(k+2)`` plus such a line sum.  Every term depends on the
+  matrix only through its bottom row, so the chain is evaluated once per
+  bottom row and each matrix reads the verdict of its row.  The chain
+  balances when the line sum reads entry d; ``entry`` is a parameter so both
+  variants can be exercised (the c-variant fails, e.g. at the identity
+  matrix).
 
 * Exact q-expansions: Eisenstein series E_w with a_0 = -B_w / w and
   a_n = sigma_{w-1}(n), the discriminant cusp form Delta as
@@ -34,10 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, floor, gcd, isqrt
-from typing import Mapping
+from math import comb, gcd, isqrt
 
-from .exactla import as_fraction, parse_rational
+from .exactla import as_fraction
 
 Mat = tuple[int, int, int, int]
 
@@ -95,12 +97,6 @@ def _bern_value(n: int, x: Fraction) -> Fraction:
 def bernoulli_poly_eval(n: int, x) -> Fraction:
     """Exact value B_n(x) for rational x."""
     return _bern_value(n, as_fraction(x))
-
-
-def frac(q) -> Fraction:
-    """The representative of q mod 1 in [0, 1)."""
-    t = as_fraction(q)
-    return t - floor(t)
 
 
 def distribution_check(n: int, m: int, x) -> bool:
@@ -200,15 +196,6 @@ class CosetFn:
                     return False
         return True
 
-    def to_json_obj(self) -> dict:
-        return {
-            "k": self.k,
-            "n": self.n,
-            "values": [
-                {"matrix": list(g), "value": str(v)} for g, v in sorted(self.values.items())
-            ],
-        }
-
 
 def phi_line_sum(k: int, p: int, g: Mat, entry: str = "c") -> Fraction:
     """-(p^(k+1)/(k+2)) * sum over alpha in F_p of B_{k+2}(<alpha*e/p>).
@@ -240,16 +227,6 @@ class ChainCheck:
     def __bool__(self) -> bool:
         return self.ok
 
-    def to_json_obj(self) -> dict:
-        return {
-            "k": self.k,
-            "p": self.p,
-            "entry": self.entry,
-            "ok": self.ok,
-            "checked": self.checked,
-            "first_failure": list(self.first_failure) if self.first_failure else None,
-        }
-
 
 def check_bernoulli_sum_chain(k: int, p: int, entry: str = "d") -> ChainCheck:
     """Verify, for every g in GL2(F_p), the displayed equality chain
@@ -271,31 +248,25 @@ def check_bernoulli_sum_chain(k: int, p: int, entry: str = "d") -> ChainCheck:
     prefactor = Fraction(p ** (k + 1), k + 2)
     constant = Fraction(p, k + 2) * bernoulli_number(k + 2)
 
-    # The three sums depend on g only through its bottom row; cache per (c, d)
-    # so the full GL2 sweep stays cheap at p = 7.
-    sums: dict[tuple[int, int], tuple[Fraction, Fraction, Fraction]] = {}
-
-    def row_sums(c: int, d: int) -> tuple[Fraction, Fraction, Fraction]:
-        key = (c, d)
-        if key not in sums:
+    # Every term depends on g only through its bottom row (c, d): the chain is
+    # evaluated at the first g with a new row, and each g reads that verdict.
+    holds: dict[tuple[int, int], bool] = {}
+    elements = gl2_elements(p)
+    for checked, g in enumerate(elements, start=1):
+        c, d = g[2], g[3]
+        if (c, d) not in holds:
             restricted = sum(
                 bval[(alpha * c + beta * d) % p] for alpha in range(1, p) for beta in range(p)
             )
             full = sum(bval[(alpha * c + beta * d) % p] for alpha in range(p) for beta in range(p))
             zero_slice = sum(bval[(beta * d) % p] for beta in range(p))
-            sums[key] = (restricted, full, zero_slice)
-        return sums[key]
-
-    checked = 0
-    for g in gl2_elements(p):
-        restricted, full, zero_slice = row_sums(g[2], g[3])
-        lhs = prefactor * restricted
-        middle = prefactor * (full - zero_slice)
-        rhs = constant + phi_line_sum(k, p, g, entry)
-        checked += 1
-        if not (lhs == middle == rhs):
+            lhs = prefactor * restricted
+            middle = prefactor * (full - zero_slice)
+            rhs = constant + phi_line_sum(k, p, g, entry)
+            holds[c, d] = lhs == middle == rhs
+        if not holds[c, d]:
             return ChainCheck(k, p, entry, False, checked, first_failure=g)
-    return ChainCheck(k, p, entry, True, checked)
+    return ChainCheck(k, p, entry, True, len(elements))
 
 
 # -- q-expansions and the Hecke operator ------------------------------------
@@ -330,46 +301,8 @@ class QExpansion:
             raise ValueError("expected %d coefficients, got %d" % (self.prec, len(coeffs)))
         object.__setattr__(self, "coeffs", coeffs)
 
-    def a(self, n: int) -> Fraction:
-        if not 0 <= n < self.prec:
-            raise ValueError("coefficient index %d outside precision %d" % (n, self.prec))
-        return self.coeffs[n]
-
-    def __add__(self, other: "QExpansion") -> "QExpansion":
-        if not isinstance(other, QExpansion):
-            return NotImplemented
-        if self.weight != other.weight:
-            raise ValueError("weights differ: %d vs %d" % (self.weight, other.weight))
-        prec = min(self.prec, other.prec)
-        return QExpansion(self.weight, prec, tuple(x + y for x, y in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "QExpansion") -> "QExpansion":
-        return self + (-1) * other
-
-    def __mul__(self, other):
-        if isinstance(other, QExpansion):
-            prec = min(self.prec, other.prec)
-            out = [Fraction(0)] * prec
-            for i in range(prec):
-                if self.coeffs[i] == 0:
-                    continue
-                for j in range(prec - i):
-                    out[i + j] += self.coeffs[i] * other.coeffs[j]
-            return QExpansion(self.weight + other.weight, prec, tuple(out))
-        scalar = as_fraction(other)
-        return QExpansion(self.weight, self.prec, tuple(scalar * c for c in self.coeffs))
-
-    def __rmul__(self, scalar):
-        return self * scalar
-
     def to_json_obj(self) -> dict:
         return {"weight": self.weight, "prec": self.prec, "coeffs": [str(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_json_obj(cls, data: Mapping) -> "QExpansion":
-        if not isinstance(data, Mapping):
-            raise ValueError("a q-expansion is a JSON object, got %r" % (data,))
-        return cls(int(data["weight"]), int(data["prec"]), tuple(parse_rational(c) for c in data["coeffs"]))
 
 
 def eisenstein_qexp(weight: int, prec: int) -> QExpansion:

@@ -225,8 +225,12 @@ def candidate_pairs(m: int) -> list[tuple[int, int]]:
     return [(i, m - i) for i in range(1, (m + 1) // 2)]
 
 
-def _pair_poly(i: int, j: int) -> BivarPoly:
-    return BivarPoly(2 * (i + j), {(2 * i, 2 * j): 1, (2 * j, 2 * i): -1})
+def _pair_combination(degree: int, terms: Iterable[tuple[tuple[int, int], Fraction]]) -> BivarPoly:
+    """``sum c (x^2i y^2j - x^2j y^2i)`` over the ``((i, j), c)`` in ``terms``."""
+    coeffs = []
+    for (i, j), c in terms:
+        coeffs += [((2 * i, 2 * j), c), ((2 * j, 2 * i), -c)]
+    return BivarPoly(degree, coeffs)
 
 
 def period_space(weight: int) -> PeriodSpace:
@@ -245,19 +249,13 @@ def period_space(weight: int) -> PeriodSpace:
     degree = 2 * m
     if not pairs:
         return PeriodSpace(weight, [])
-    images = [_three_term(_pair_poly(i, j)) for (i, j) in pairs]
+    images = [_three_term(_pair_combination(degree, [(pair, 1)])) for pair in pairs]
     monomials = [(degree - b, b) for b in range(degree + 1)]
     matrix = QMatrix(
         [[img.coeffs.get(mono, Fraction(0)) for img in images] for mono in monomials],
         cols=len(pairs),
     )
-    basis = []
-    for vec in kernel_basis(matrix):
-        poly = BivarPoly(degree)
-        for coeff, (i, j) in zip(vec, pairs):
-            if coeff:
-                poly = poly + coeff * _pair_poly(i, j)
-        basis.append(poly.leading_normalized())
+    basis = [_pair_combination(degree, zip(pairs, vec)).leading_normalized() for vec in kernel_basis(matrix)]
     return PeriodSpace(weight, basis)
 
 
@@ -267,10 +265,7 @@ def pair_to_poly(pc) -> BivarPoly:
     ``pc`` is anything with fields ``m`` and ``coeffs`` (an ordered-pair to
     Fraction map) -- in practice a ``depthlie.PairCoefficients``.
     """
-    poly = BivarPoly(2 * pc.m)
-    for (i, j), coeff in sorted(pc.coeffs.items()):
-        poly = poly + as_fraction(coeff) * _pair_poly(i, j)
-    return poly
+    return _pair_combination(2 * pc.m, pc.coeffs.items())
 
 
 def subspace_equal(first: Sequence[BivarPoly], second: Sequence[BivarPoly]) -> bool:

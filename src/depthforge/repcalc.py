@@ -81,9 +81,6 @@ class Character:
         """Coefficient sum: the dimension of the underlying representation."""
         return sum(self.coeffs.values())
 
-    def is_effective(self) -> bool:
-        return all(c > 0 for c in self.coeffs.values())
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -116,9 +113,6 @@ class Character:
                 mono = (a1 + a2, b1 + b2)
                 out[mono] = out.get(mono, 0) + c1 * c2
         return Character(out)
-
-    def to_json_obj(self) -> dict[str, int]:
-        return {"t1^%d*t2^%d" % m: c for m, c in sorted(self.coeffs.items())}
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -198,20 +192,8 @@ def bigraded_dims(char: Character) -> dict[tuple[int, int], int]:
     """Relabel t1^a t2^b as the bigrade (2b, a+b) with its coefficient.
 
     Rejects characters with a negative coefficient (not genuine).  The
-    relabeling is injective, so it is exactly inverted by
-    :func:`char_from_bigraded`.
+    relabeling is injective: (s, t) comes from t1^(t - s/2) t2^(s/2).
     """
     if any(c < 0 for c in char.coeffs.values()):
         raise ValueError("negative coefficient: not a genuine character")
     return {(2 * b, a + b): c for (a, b), c in char.coeffs.items()}
-
-
-def char_from_bigraded(dims: Mapping[tuple[int, int], int]) -> Character:
-    """Inverse of :func:`bigraded_dims`."""
-    coeffs = {}
-    for (s, t), c in dims.items():
-        if s % 2 != 0:
-            raise ValueError("first bigrade component must be even, got %r" % (s,))
-        b = s // 2
-        coeffs[(t - b, b)] = c
-    return Character(coeffs)

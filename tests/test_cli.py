@@ -97,6 +97,9 @@ class TestPeriodCommands:
         poly = '{"x^8*y^2": 1.5, "x^6*y^4": -4.5, "x^4*y^6": 4.5, "x^2*y^8": -1.5}'
         assert_usage_error(run_cli("period", "check", "--poly", poly))
 
+    def test_check_deeply_nested_json_is_usage_error(self):
+        assert_usage_error(run_cli("period", "check", "--poly", "[" * 20000 + "]" * 20000))
+
     def test_odd_weight_is_usage_error(self):
         proc = run_cli("period", "basis", "--weight", "13")
         assert proc.returncode == 2
