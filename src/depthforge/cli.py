@@ -213,7 +213,10 @@ def _cmd_verify_brown(args):
         low, high = args.min_weight, args.max_weight
         env_cap = os.environ.get(MAX_WEIGHT_ENV)
         if env_cap is not None:
-            high = min(high, int(env_cap))
+            cap = int(env_cap)
+            if cap <= 0 or cap % 2:
+                raise ValueError("%s must be a positive even integer, got %r" % (MAX_WEIGHT_ENV, env_cap))
+            high = min(high, cap)
         if low % 2 != 0 or low < 6 or high < low:
             raise ValueError("bad weight range [%d, %d]" % (low, high))
         cases = [_brown_case((w - 2) // 2) for w in range(low, high + 1, 2)]

@@ -89,7 +89,7 @@ def bernoulli_polynomial(n: int) -> BernPoly:
     return BernPoly(n, coeffs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)  # bounded: a long-lived caller meets ever new rationals x
 def _bern_value(n: int, x: Fraction) -> Fraction:
     return bernoulli_polynomial(n)(x)
 

@@ -1,7 +1,16 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from depthforge import cli
 
 CLI = [sys.executable, "-m", "depthforge.cli"]
 
@@ -146,8 +155,9 @@ class TestVerifyCommands:
         assert [c["weight"] for c in report["cases"]] == [6, 8]
 
     def test_brown_garbage_env_cap(self):
-        proc = run_cli("verify", "brown", env_extra={"DEPTHFORGE_MAX_WEIGHT": "many"})
-        assert proc.returncode == 2
+        # the cap must parse as a positive even integer; an odd one is not rounded down
+        for cap in ("many", "9", "0"):
+            assert_usage_error(run_cli("verify", "brown", env_extra={"DEPTHFORGE_MAX_WEIGHT": cap}))
 
     def test_bernsum_holds(self):
         report = run_json("verify", "bernsum", "--k", "2", "--p", "3")
@@ -295,3 +305,93 @@ class TestOutputOptions:
 
     def test_missing_subcommand_is_usage_error(self):
         assert run_cli("bern").returncode == 2
+
+
+# -- every command, in process, on small, malformed and hostile arguments ----
+
+INTS = st.integers(-3, 20).map(str)
+PRIMES = st.one_of(st.sampled_from(["2", "3", "5", "7", "11"]), INTS)  # most checks want a prime p
+WEIGHTS = st.one_of(st.integers(2, 10).map(lambda k: str(2 * k)), INTS)  # and an even weight
+RATIONALS = st.builds("{}/{}".format, st.integers(-5, 5), st.integers(-2, 5))  # "/0" and "/-1" included
+JUNK = st.sampled_from(["", "x", "1.5", "1e3", "--", "-", "0x10", "Sym", "٣", "1/2/3", "nan"])
+JSON_TEXT = st.sampled_from(
+    [
+        '{"x^8*y^2": "1", "x^6*y^4": "-3", "x^4*y^6": "3", "x^2*y^8": "-1"}',
+        '{"x^8*y^2": "1", "x^2*y^8": "1"}',
+        '{"x^7*y^3": 1, "x^3*y^7": -1}',
+        '{"x^10*y^0": "2/3"}',
+        '{"x^2*y^8": 1.5}',
+        '{"x^2*y^8": "1/0"}',
+        '{"x^2*y^8": true}',
+        '{"x^2*y^8": null}',
+        '{"x^2*z^8": 1}',
+        '{"x^2*y^8": 1, "x^3*y^8": 1}',
+        '{"x^2*y^8": 1',
+        "{}",
+        "[1, 2]",
+        '"x"',
+        "null",
+        "[" * 5000 + "]" * 5000,
+    ]
+)
+MALFORMED = st.one_of(RATIONALS, JUNK, JSON_TEXT)  # no int: it could lift a bound below
+LABELS = st.lists(
+    st.one_of(st.builds("Sym{}({})".format, st.integers(-1, 6), st.integers(-3, 8)), JUNK), max_size=3
+).map(",".join)
+# per command, each flag with the values drawn for it (None: a switch); the
+# test may cut the argument list short or spoil one token of it; the bounds keep every draw cheap: bernsum
+# enumerates p^4 matrices, cgshape (max_sym + 1)^2 (max_twist + 1)^2 products
+FLAGS = {
+    "period basis": {"--weight": WEIGHTS},
+    "period check": {"--poly": JSON_TEXT, "--degree": INTS},
+    "depth matrix": {"--m": INTS},
+    "depth relations": {"--m": INTS},
+    "verify brown": {"--min-weight": WEIGHTS, "--max-weight": WEIGHTS, "--weight": WEIGHTS},
+    "verify bernsum": {
+        "--k": INTS,
+        "--p": st.one_of(st.sampled_from(["3", "5", "7", "11"]), st.integers(-3, 11).map(str)),
+        "--entry": st.sampled_from(["c", "d", "e"]),
+    },
+    "verify eigen": {"--weight": WEIGHTS, "--p": PRIMES, "--prec": INTS},
+    "verify cgshape": {"--max-sym": st.integers(-3, 6).map(str), "--max-twist": st.integers(-3, 6).map(str)},
+    "eis qexp": {"--weight": WEIGHTS, "--delta": None, "--prec": INTS},
+    "eis hecke": {"--weight": WEIGHTS, "--delta": None, "--p": PRIMES, "--prec": INTS},
+    "eis factor": {"--p": PRIMES, "--weight": WEIGHTS, "--eisenstein": None, "--prec": INTS},
+    "rep decompose": {"--labels": LABELS},
+    "rep bigrade": {"--labels": LABELS},
+    "bern number": {"--n": INTS},
+    "bern poly": {"--n": INTS, "--at": RATIONALS},
+    "bern dist": {"--n": INTS, "--m": INTS, "--x": RATIONALS},
+}
+
+
+def test_fuzz_table_covers_every_command():
+    assert set(FLAGS) == set(cli.HANDLERS)
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS), ids=lambda command: command.replace(" ", "-"))
+@settings(deadline=None, max_examples=25)
+@given(data=st.data())
+def test_fuzzed_arguments_exit_0_to_3_without_traceback(command, data):
+    argv = command.split()
+    for flag, values in FLAGS[command].items():
+        if values is None:  # a switch
+            argv += data.draw(st.sampled_from([[], [flag]]))
+        else:
+            argv += [flag, data.draw(values)]
+    damage = data.draw(st.sampled_from([None, "cut", "spoil"]))
+    if damage == "cut":  # later flags left out, or a flag left without its value
+        argv = argv[: data.draw(st.integers(2, len(argv)))]
+    elif damage == "spoil" and len(argv) > 2:
+        argv[data.draw(st.integers(2, len(argv) - 1))] = data.draw(MALFORMED)
+    argv += data.draw(st.sampled_from([[], ["--format", "csv"], ["--format", "xml"]]))
+    cap = data.draw(st.one_of(st.none(), INTS, JUNK))
+    with mock.patch.dict(os.environ), redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        os.environ.pop(cli.MAX_WEIGHT_ENV, None)
+        if cap is not None:
+            os.environ[cli.MAX_WEIGHT_ENV] = cap
+        try:
+            status = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects a flag
+            status = exc.code
+    assert status in (0, 1, 2, 3), argv

@@ -52,32 +52,6 @@ class TestBivarPoly:
         with pytest.raises(ValueError):
             BivarPoly(2, {(2, 0): 1}) + BivarPoly(3, {(3, 0): 1})
 
-    def test_compose_linear_square(self):
-        # x -> x - y, y -> y turns x^2 into x^2 - 2xy + y^2
-        sq = BivarPoly(2, {(2, 0): 1})
-        out = sq.compose_linear(1, -1, 0, 1)
-        assert out.coeffs == {
-            (2, 0): Fraction(1),
-            (1, 1): Fraction(-2),
-            (0, 2): Fraction(1),
-        }
-
-    def test_compose_linear_swap(self):
-        p = BivarPoly(4, {(3, 1): 2})
-        swapped = p.compose_linear(0, 1, 1, 0)
-        assert swapped.coeffs == {(1, 3): Fraction(2)}
-
-    def test_compose_linear_is_multiplicative_on_matrices(self):
-        rng = random.Random(5)
-        p = BivarPoly(4, {(4, 0): 1, (3, 1): -2, (1, 3): 5})
-        for _ in range(5):
-            a, b, c, d = (Fraction(rng.randint(-3, 3)) for _ in range(4))
-            e, f, g, h = (Fraction(rng.randint(-3, 3)) for _ in range(4))
-            once = p.compose_linear(a, b, c, d).compose_linear(e, f, g, h)
-            # composite substitution: x -> a(ex+fy) + b(gx+hy), etc.
-            direct = p.compose_linear(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-            assert once == direct
-
     def test_leading_normalized(self):
         p = BivarPoly(10, {(8, 2): -2, (2, 8): 2})
         n = p.leading_normalized()

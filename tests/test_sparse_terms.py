@@ -4,6 +4,10 @@
 constructors; arithmetic just accumulates.  These properties compare each
 operation with a plain-dict oracle and check that no zero is stored, with
 exact cancellations (``p - p``, ``p + (-1)*p``) among the inputs.
+
+The general substitution ``x -> ax + by, y -> cx + dy`` lives here only, as
+``o_compose``: the period-polynomial identities that ``is_period_poly``
+reads off the coefficients are decided through it, in the same order.
 """
 
 from fractions import Fraction
@@ -13,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depthforge.ncalg import NCPoly, derivation_apply, nc_mul, word_to_str
-from depthforge.periodpoly import BivarPoly
+from depthforge.periodpoly import BivarPoly, _three_term, is_period_poly, period_space
 from depthforge.repcalc import Character
 
 rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
@@ -95,8 +99,8 @@ def o_compose(f, degree, a, b, c, d):
 
 
 @settings(deadline=None)
-@given(st.data(), st.integers(0, 5), rationals, st.tuples(*[st.integers(-2, 2)] * 4))
-def test_bivarpoly_arithmetic_matches_oracle(data, degree, scalar, subst):
+@given(st.data(), st.integers(0, 5), rationals)
+def test_bivarpoly_arithmetic_matches_oracle(data, degree, scalar):
     a, b = data.draw(bivar_dicts(degree)), data.draw(bivar_dicts(degree))
     p, q = BivarPoly(degree, a), BivarPoly(degree, b)
     a, b = nonzero(a), nonzero(b)
@@ -104,12 +108,59 @@ def test_bivarpoly_arithmetic_matches_oracle(data, degree, scalar, subst):
     assert bivar_terms(p + q) == o_add(a, b)
     assert bivar_terms(p - q) == o_add(a, b, scales=[1, -1])
     assert bivar_terms(scalar * p) == o_add(a, scales=[scalar])
-    assert bivar_terms(p.compose_linear(*subst)) == o_compose(a, degree, *subst)
     assert bivar_terms(p - p) == {}
     assert bivar_terms(p + (-1) * p) == {}
-    # x -> -x, y -> -y multiplies a degree-d polynomial by (-1)^d
-    flipped = p.compose_linear(-1, 0, 0, -1)
-    assert bivar_terms(flipped - (-1) ** degree * p) == {}
+
+
+@st.composite
+def period_candidates(draw):
+    """``(degree, coeffs)``: a pair combination, a period-space combination or
+    any polynomial of odd degree, sometimes perturbed by one monomial, so that
+    each identity fails sometimes."""
+    m = draw(st.integers(2, 8))
+    degree = 2 * m
+    base = draw(st.sampled_from(["pairs", "periods", "odd degree"]))
+    if base == "odd degree":  # all x-exponents of one parity, so exactly one of x and y is odd
+        degree += 1
+        exponents = st.sampled_from(range(draw(st.integers(0, 1)), degree, 2))
+        f = draw(st.dictionaries(exponents.map(lambda a: (a, degree - a)), rationals.filter(bool), min_size=1, max_size=3))
+    elif base == "pairs":
+        pairs = draw(st.dictionaries(st.integers(1, m - 1), rationals, max_size=3))
+        f = o_add(*[{(2 * i, 2 * (m - i)): 1, (2 * (m - i), 2 * i): -1} for i in pairs], scales=list(pairs.values()))
+    else:
+        basis = period_space(degree + 2).basis
+        f = o_add(*[b.coeffs for b in basis], scales=draw(st.lists(rationals, min_size=len(basis), max_size=len(basis))))
+    if draw(st.booleans()):
+        a = draw(st.one_of(st.just(degree), st.integers(0, degree)))  # x^degree alone breaks f(x,0) = 0
+        f = o_add(f, {(a, degree - a): draw(rationals)})
+    return degree, f
+
+
+def o_three_term(f, degree):
+    return o_add(f, o_compose(f, degree, 1, -1, 1, 0), o_compose(f, degree, 0, -1, 1, -1))
+
+
+def o_period_verdict(f, degree):
+    """``is_period_poly``'s ``(ok, failed)``, each identity decided by substitution."""
+    if o_compose(f, degree, 1, 0, 0, 0):
+        return False, "f(x,0) = 0"
+    if o_compose(f, degree, -1, 0, 0, 1) != f or o_compose(f, degree, 1, 0, 0, -1) != f:
+        return False, "evenness in each variable"
+    if o_add(f, o_compose(f, degree, 0, 1, 1, 0)):
+        return False, "antisymmetry f(x,y) + f(y,x) = 0"
+    if o_three_term(f, degree):
+        return False, "three-term relation f(x,y) + f(x-y,x) + f(-y,x-y) = 0"
+    return True, None
+
+
+@settings(deadline=None)
+@given(period_candidates())
+def test_period_identities_match_substitution_oracle(case):
+    degree, f = case
+    p = BivarPoly(degree, f)
+    assert bivar_terms(_three_term(p)) == o_three_term(f, degree)
+    check = is_period_poly(p)
+    assert (check.ok, check.failed) == o_period_verdict(f, degree)
 
 
 @settings(deadline=None)
