@@ -13,7 +13,9 @@ Reports are deterministic (byte-identical for identical configs): JSON with
 a top-level ``"schema": 1``, or CSV with one row per case via ``--format
 csv``.  Exit status: 0 all checks passed, 1 a verification failed, 2 invalid
 flags or values, 3 output could not be written.  The environment variable
-``DEPTHFORGE_MAX_WEIGHT`` caps the batch weight range of ``verify brown``.
+``DEPTHFORGE_MAX_WEIGHT`` caps the batch weight range of ``verify brown``,
+and ``period check`` refuses a polynomial of degree above
+``MAX_PERIOD_DEGREE`` (1000).
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ from .exactla import parse_rational
 DEFAULT_MIN_WEIGHT = 6
 DEFAULT_MAX_WEIGHT = 30
 MAX_WEIGHT_ENV = "DEPTHFORGE_MAX_WEIGHT"
+# period check expands the three-term relation in O(degree^2) binomial terms
+MAX_PERIOD_DEGREE = 1000
 
 STATEMENTS = {
     "period basis": "basis of the space of restricted even period polynomials",
@@ -163,6 +167,8 @@ def _cmd_period_check(args):
     except RecursionError:
         raise ValueError("--poly is nested too deeply") from None
     poly = periodpoly.BivarPoly.from_json_obj(data, degree=args.degree)
+    if poly.degree > MAX_PERIOD_DEGREE:
+        raise ValueError("degree %d is above the cap of %d for period check" % (poly.degree, MAX_PERIOD_DEGREE))
     result = periodpoly.is_period_poly(poly)
     case = {
         "degree": poly.degree,

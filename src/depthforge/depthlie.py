@@ -24,6 +24,16 @@ x_a y_b, so each column is an O(w^2) sum.  The generic word algebra in
 :mod:`depthforge.ncalg` (``ihara_bracket`` on :func:`sigma_leading`) is the
 reference the tests compare this against.
 
+:func:`relation_kernel` solves for the kernel on the last 2m+1 rows only,
+the words ``e1 e0^b e1 e0^c`` that begin with ``e1`` (a = 0).  A depth-2 Lie
+element is determined by its coefficients at y0 = 0, which are exactly these
+words (Brown, *Depth-graded motivic multiple zeta values*, arXiv:1301.3053),
+so those rows carry the whole kernel.  The code does not rely on that: the
+basis is certified against every row of the full integer matrix.  Dropping
+rows can only enlarge a kernel, so a passing certificate proves the two
+kernels equal, and since the canonical basis depends only on the kernel, it
+is the basis the full matrix would give.
+
 Writing the brackets as the columns of a matrix, a rational tuple (a_ij)
 gives a relation
 
@@ -117,6 +127,16 @@ def _depth2_bracket(i: int, j: int) -> list[list[int]]:
     return out
 
 
+def _bracket_rows(m: int) -> tuple[list[tuple[int, ...]], int]:
+    """The integer rows of :func:`bracket_matrix` and its column count."""
+    if m < 2:
+        raise ValueError("bracket matrix needs m >= 2, got %r" % (m,))
+    columns = [_depth2_bracket(i, j) for i, j in candidate_pairs(m)]
+    n = 2 * m
+    rows = [tuple(col[a][b] for col in columns) for a in range(n, -1, -1) for b in range(n - a, -1, -1)]
+    return rows, len(columns)
+
+
 def bracket_matrix(m: int) -> QMatrix:
     """Depth-2 bracket columns over the weight-(2m+2) word basis.
 
@@ -125,26 +145,20 @@ def bracket_matrix(m: int) -> QMatrix:
     the depth-2 component of the Ihara bracket {f_{2i+1}, f_{2j+1}},
     computed in closed form (see the module docstring).
     """
-    if m < 2:
-        raise ValueError("bracket matrix needs m >= 2, got %r" % (m,))
-    pairs = candidate_pairs(m)
-    columns = [_depth2_bracket(i, j) for i, j in pairs]
-    n = 2 * m
-    return QMatrix(
-        [[col[a][b] for col in columns] for a in range(n, -1, -1) for b in range(n - a, -1, -1)],
-        cols=len(pairs),
-    )
+    rows, cols = _bracket_rows(m)
+    return QMatrix(rows, cols=cols)
 
 
 def relation_kernel(m: int) -> list[PairCoefficients]:
     """Canonical kernel basis of :func:`bracket_matrix`, as pair coefficients.
 
-    The basis is certified (``M v = 0`` on every row, in integers) before it
+    The basis is solved on the last 2m+1 rows, the words that begin with
+    ``e1``, and certified (``M v = 0`` on every row, in integers) before it
     is returned; a failed certificate raises ``AssertionError``.
     """
-    matrix = bracket_matrix(m)
-    basis = kernel_basis(matrix)
-    certify_kernel(matrix, basis)
+    rows, cols = _bracket_rows(m)
+    basis = kernel_basis(QMatrix(rows[-(2 * m + 1) :], cols=cols))
+    certify_kernel(rows, cols, basis)
     pairs = candidate_pairs(m)
     return [PairCoefficients(m, {pair: c for pair, c in zip(pairs, vec) if c}) for vec in basis]
 

@@ -16,7 +16,7 @@ byte-identically in reports).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, chain, cycle
+from itertools import chain
 from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -94,7 +94,8 @@ def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
 
     Deterministic policy: scan columns left to right, take the first row at or
     below the current one with a nonzero entry, swap it up, scale the pivot to
-    1 and clear the whole column.
+    1 and clear the whole column.  The pivot row is zero left of column c, so
+    only columns c onwards are touched.
     """
     work = [list(row) for row in m.entries]
     pivots: list[int] = []
@@ -105,11 +106,12 @@ def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
             continue
         work[r], work[sel] = work[sel], work[r]
         inv = 1 / work[r][c]
-        work[r] = [x * inv for x in work[r]]
+        pivot = [x * inv for x in work[r][c:]]
+        work[r][c:] = pivot
         for i in range(m.rows):
             if i != r and work[i][c] != 0:
                 f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+                work[i][c:] = [x - f * y for x, y in zip(work[i][c:], pivot)]
         pivots.append(c)
         r += 1
         if r == m.rows:
@@ -142,36 +144,27 @@ def kernel_basis(m: QMatrix) -> list[Vector]:
     return basis
 
 
-def certify_kernel(m: QMatrix, basis: Sequence[Sequence[Fraction]]) -> None:
-    """Raise ``AssertionError`` unless ``m @ v == 0`` for every ``v`` in ``basis``.
+def certify_kernel(rows: Sequence[Sequence[int]], cols: int, basis: Sequence[Sequence[Fraction]]) -> None:
+    """Raise ``AssertionError`` unless ``row . v == 0`` for every row and every ``v`` in ``basis``.
 
-    The products are taken in integers: the matrix and each vector are first
-    scaled by the lcm of their denominators, which does not change whether a
-    product is zero.
+    ``rows`` are the integer rows of a matrix with ``cols`` columns.  Each
+    vector is scaled by the lcm of its denominators, which does not change
+    whether a product is zero, so every product is taken in integers.
     """
     if not basis:
         return
-    if any(len(v) != m.cols for v in basis):
-        raise AssertionError("a kernel vector's length differs from cols %d" % m.cols)
-    flat = list(chain.from_iterable(m.entries))
-    scale = lcm(*{x.denominator for x in flat})
-    if scale == 1:
-        entries = [x.numerator for x in flat]
-    else:
-        entries = [x.numerator * scale // x.denominator for x in flat]
+    if any(len(v) != cols for v in basis):
+        raise AssertionError("a kernel vector's length differs from cols %d" % cols)
     vectors = []
     for v in basis:
         scale = lcm(*(x.denominator for x in v))
         vectors.append([x.numerator * scale // x.denominator for x in v])
     # Pack the vectors side by side, ``bits`` apart, into one integer per
     # column: row . packed is sum_k (row . v_k) 2^(k bits), and as every
-    # |row . v_k| < 2^bits, it is zero only if every row . v_k is.
-    biggest = max(map(abs, entries), default=0)
+    # |row . v_k| < 2^(bits-1), it is zero only if every row . v_k is.
+    biggest = max(map(abs, chain.from_iterable(rows)), default=0)
     bits = (biggest * max(sum(map(abs, v)) for v in vectors)).bit_length() + 1
-    packed = [sum(v[c] << (k * bits) for k, v in enumerate(vectors)) for c in range(m.cols)]
-    # The running total of the products, read at the end of each row, is
-    # zero on every row exactly when every row . packed is.
-    totals = list(accumulate(map(mul, entries, cycle(packed))))[m.cols - 1 :: m.cols]
-    failed = next((i for i, total in enumerate(totals) if total), None)
+    packed = [sum(v[c] << (k * bits) for k, v in enumerate(vectors)) for c in range(cols)]
+    failed = next((i for i, row in enumerate(rows) if sum(map(mul, row, packed))), None)
     if failed is not None:
         raise AssertionError("the kernel basis fails row %d of the matrix" % failed)

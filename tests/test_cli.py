@@ -109,6 +109,18 @@ class TestPeriodCommands:
     def test_check_deeply_nested_json_is_usage_error(self):
         assert_usage_error(run_cli("period", "check", "--poly", "[" * 20000 + "]" * 20000))
 
+    def test_check_degree_above_cap_is_usage_error(self):
+        at_cap = json.dumps({"x^998*y^2": 1, "x^2*y^998": -1})
+        assert run_json("period", "check", "--poly", at_cap, expect_status=1)["degree"] == 1000
+        for args in (
+            ["--poly", json.dumps({"x^8000*y^2": 1, "x^2*y^8000": -1})],
+            ["--poly", json.dumps({"x^999*y^2": 1, "x^2*y^999": -1})],
+            ["--poly", "{}", "--degree", "1002"],
+        ):
+            proc = run_cli("period", "check", *args)
+            assert_usage_error(proc)
+            assert "cap of %d" % cli.MAX_PERIOD_DEGREE in proc.stderr
+
     def test_odd_weight_is_usage_error(self):
         proc = run_cli("period", "basis", "--weight", "13")
         assert proc.returncode == 2

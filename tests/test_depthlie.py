@@ -158,6 +158,16 @@ class TestRelationKernel:
             vec = [pc.coeffs.get(p, Fraction(0)) for p in pairs]
             assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in mat.entries)
 
+    def test_e1_rows_give_the_full_kernel(self):
+        # the full-matrix RREF survives only here, as the oracle
+        for m in range(2, 31):
+            pairs = candidate_pairs(m)
+            expected = [
+                PairCoefficients(m, {pair: c for pair, c in zip(pairs, vec) if c})
+                for vec in kernel_basis(bracket_matrix(m))
+            ]
+            assert relation_kernel(m) == expected, "m=%d" % m
+
 
 class TestBrownCriterion:
     def test_weight12(self):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -112,16 +113,32 @@ class TestKernel:
         assert len(rref(m)[1]) + len(basis) == m.cols
         for v in basis:
             assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in m.entries)
-        certify_kernel(m, basis)
+        # each row scaled by the lcm of its denominators: integers, same kernel
+        rows = [[int(x * lcm(*(y.denominator for y in row))) for x in row] for row in m.entries]
+        certify_kernel(rows, m.cols, basis)
 
     def test_certify_rejects_wrong_vector(self):
-        m = QMatrix([["1/2", 1, 0], [0, "2/3", -1]])
-        (v,) = kernel_basis(m)
-        certify_kernel(m, [v])
+        rows = [[1, 2, 0], [0, 2, -3]]
+        (v,) = kernel_basis(QMatrix(rows))
+        certify_kernel(rows, 3, [v])
         with pytest.raises(AssertionError):
-            certify_kernel(m, [v, (v[0], v[1] + Fraction(1, 5), v[2])])
+            certify_kernel(rows, 3, [v, (v[0], v[1] + Fraction(1, 5), v[2])])
         with pytest.raises(AssertionError):
-            certify_kernel(m, [v[:2]])
+            certify_kernel(rows, 3, [v[:2]])
+
+    # kernel (1, 1, 1, 1); each row meets the next one in a single column
+    CHAIN = [[1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1]]
+
+    def test_certify_names_a_failing_first_row(self):
+        good, bad = (F(1), F(1), F(1), F(1)), (F(2), F(1), F(1), F(1))
+        certify_kernel(self.CHAIN, 4, [good])
+        with pytest.raises(AssertionError, match=r"fails row 0 of"):
+            certify_kernel(self.CHAIN, 4, [good, bad])
+
+    def test_certify_names_a_failing_last_row(self):
+        good, bad = (F(1), F(1), F(1), F(1)), (F(1), F(1), F(1), F("3/2"))
+        with pytest.raises(AssertionError, match=r"fails row 2 of"):
+            certify_kernel(self.CHAIN, 4, [good, bad])
 
     def test_canonical_form_free_coordinates(self):
         # each kernel vector has a 1 in "its" free column and 0 in the others
