@@ -34,6 +34,7 @@ Three layers live here because they share the Bernoulli substrate:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -131,20 +132,11 @@ def mat_neg(g: Mat, n: int) -> Mat:
     return tuple((-t) % n for t in g)  # type: ignore[return-value]
 
 
-@lru_cache(maxsize=None)
 def gl2_elements(n: int) -> tuple[Mat, ...]:
     """All invertible 2x2 matrices over Z/nZ, in row-major tuple order."""
     if n < 2:
         raise ValueError("level must be >= 2")
-    rng = range(n)
-    return tuple(
-        (a, b, c, d)
-        for a in rng
-        for b in rng
-        for c in rng
-        for d in rng
-        if gcd((a * d - b * c) % n, n) == 1
-    )
+    return tuple(g for g in itertools.product(range(n), repeat=4) if is_invertible(g, n))
 
 
 def units(n: int) -> list[int]:

@@ -89,34 +89,35 @@ class QMatrix:
         return [[str(x) for x in row] for row in self.entries]
 
 
-def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
-    """Reduced row echelon form and the tuple of pivot column indices.
+def rref(rows: Sequence[Sequence], cols: int) -> tuple[list[list[Fraction]], tuple[int, ...]]:
+    """Reduced row echelon form of ``rows`` (``cols`` wide) and its pivot columns.
 
-    Deterministic policy: scan columns left to right, take the first row at or
-    below the current one with a nonzero entry, swap it up, scale the pivot to
-    1 and clear the whole column.  The pivot row is zero left of column c, so
-    only columns c onwards are touched.
+    Entries are coerced with :func:`as_fraction`, so ints become Fractions and
+    floats raise ``TypeError``.  Deterministic policy: scan columns left to
+    right, take the first row at or below the current one with a nonzero
+    entry, swap it up, scale the pivot to 1 and clear the whole column.  The
+    pivot row is zero left of column c, so only columns c onwards are touched.
     """
-    work = [list(row) for row in m.entries]
+    work = [[as_fraction(x) for x in row] for row in rows]
     pivots: list[int] = []
     r = 0
-    for c in range(m.cols):
-        sel = next((i for i in range(r, m.rows) if work[i][c] != 0), None)
+    for c in range(cols):
+        sel = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
         if sel is None:
             continue
         work[r], work[sel] = work[sel], work[r]
         inv = 1 / work[r][c]
         pivot = [x * inv for x in work[r][c:]]
         work[r][c:] = pivot
-        for i in range(m.rows):
+        for i in range(len(work)):
             if i != r and work[i][c] != 0:
                 f = work[i][c]
                 work[i][c:] = [x - f * y for x, y in zip(work[i][c:], pivot)]
         pivots.append(c)
         r += 1
-        if r == m.rows:
+        if r == len(work):
             break
-    return QMatrix(work, cols=m.cols), tuple(pivots)
+    return work, tuple(pivots)
 
 
 def kernel_basis(m: QMatrix) -> list[Vector]:
@@ -128,7 +129,7 @@ def kernel_basis(m: QMatrix) -> list[Vector]:
     this normalisation the basis is unique, so results can be compared and
     serialised verbatim.
     """
-    reduced, pivots = rref(m)
+    reduced, pivots = rref(m.entries, m.cols)
     pivot_set = set(pivots)
     free_cols = [c for c in range(m.cols) if c not in pivot_set]
     basis: list[Vector] = []
@@ -136,7 +137,7 @@ def kernel_basis(m: QMatrix) -> list[Vector]:
         v = [Fraction(0)] * m.cols
         v[f] = Fraction(1)
         for r, p in enumerate(pivots):
-            v[p] = -reduced.entries[r][f]
+            v[p] = -reduced[r][f]
         basis.append(tuple(v))
     # rank-nullity, checked on every call: cheap and catches bookkeeping bugs
     if len(pivots) + len(basis) != m.cols:

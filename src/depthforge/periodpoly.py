@@ -269,11 +269,9 @@ def subspace_equal(first: Sequence[BivarPoly], second: Sequence[BivarPoly]) -> b
         raise ValueError("all polynomials must share one degree")
     monomials = [(degree - b, b) for b in range(degree + 1)]
 
-    def row_space(group: Sequence[BivarPoly]) -> tuple:
-        rows = [[p.coeffs.get(mono, Fraction(0)) for mono in monomials] for p in group if not p.is_zero()]
-        if not rows:
-            return ()
-        reduced, pivots = rref(QMatrix(rows, cols=len(monomials)))
-        return tuple(reduced.entries[r] for r in range(len(pivots)))
+    def row_space(group: Sequence[BivarPoly]) -> list:
+        rows = [[p.coeffs.get(mono, 0) for mono in monomials] for p in group]
+        reduced, pivots = rref(rows, len(monomials))
+        return reduced[: len(pivots)]
 
     return row_space(first) == row_space(second)

@@ -15,13 +15,13 @@ from depthforge import cli
 CLI = [sys.executable, "-m", "depthforge.cli"]
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, timeout=120):
     env = dict(os.environ)
     env.pop("DEPTHFORGE_MAX_WEIGHT", None)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, env=env, timeout=120
+        CLI + list(args), capture_output=True, text=True, env=env, timeout=timeout
     )
 
 
@@ -181,6 +181,14 @@ class TestVerifyCommands:
         report = run_json("verify", "bernsum", "--k", "2", "--p", "3", "--entry", "c", expect_status=1)
         assert report["holds"] is False
         assert report["first_failure"] == [0, 1, 1, 0]
+
+    def test_bernsum_p_above_cap_is_usage_error(self):
+        # refused before any work: uncapped, p = 37 enumerates ~1.9M matrices
+        # and p = 1000003 about 10^24, so a short timeout catches a lost cap
+        for p in ("37", "1000003"):
+            proc = run_cli("verify", "bernsum", "--k", "2", "--p", p, timeout=10)
+            assert_usage_error(proc)
+            assert "cap of %d" % cli.MAX_BERNSUM_P in proc.stderr
 
     def test_eigen(self):
         report = run_json("verify", "eigen", "--weight", "12", "--p", "2", "--prec", "60")

@@ -53,22 +53,22 @@ class TestParseRational:
 
 class TestRref:
     def test_rank_one_matrix(self):
-        reduced, pivots = rref(QMatrix([[2, 4], [1, 2]]))
-        assert reduced == QMatrix([[1, 2], [0, 0]])
+        reduced, pivots = rref([[2, 4], [1, 2]], 2)
+        assert reduced == [[1, 2], [0, 0]]
         assert pivots == (0,)
 
     def test_already_reduced(self):
-        m = QMatrix([[1, 0, -1], [0, 1, 1]])
-        reduced, pivots = rref(m)
-        assert reduced == m
+        rows = [[1, 0, -1], [0, 1, 1]]
+        reduced, pivots = rref(rows, 3)
+        assert reduced == rows
         assert pivots == (0, 1)
 
     def test_idempotent(self):
         rng = random.Random(7)
         for _ in range(25):
             m = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-            reduced, pivots = rref(m)
-            again, pivots2 = rref(reduced)
+            reduced, pivots = rref(m.entries, m.cols)
+            again, pivots2 = rref(reduced, m.cols)
             assert again == reduced
             assert pivots2 == pivots
 
@@ -76,14 +76,27 @@ class TestRref:
         rng = random.Random(11)
         for _ in range(25):
             m = _random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-            _, pivots = rref(m)
+            _, pivots = rref(m.entries, m.cols)
             assert list(pivots) == sorted(set(pivots))
 
     def test_zero_matrix(self):
-        zero = QMatrix([[0, 0]] * 3)
-        reduced, pivots = rref(zero)
+        zero = [[0, 0]] * 3
+        reduced, pivots = rref(zero, 2)
         assert reduced == zero
         assert pivots == ()
+
+    def test_int_rows_reduce_to_exact_fractions(self):
+        reduced, pivots = rref([[2, 1, 0], [0, 3, 1]], 3)
+        assert reduced == [[F(1), F(0), F("-1/6")], [F(0), F(1), F("1/3")]]
+        assert all(type(x) is Fraction for row in reduced for x in row)
+        assert pivots == (0, 1)
+
+    def test_no_rows(self):
+        assert rref([], 3) == ([], ())
+
+    def test_floats_rejected(self):
+        with pytest.raises(TypeError):
+            rref([[1, 0.5]], 2)
 
 
 class TestKernel:
@@ -110,7 +123,7 @@ class TestKernel:
         rng = random.Random(100 + seed)
         m = _random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
         basis = kernel_basis(m)
-        assert len(rref(m)[1]) + len(basis) == m.cols
+        assert len(rref(m.entries, m.cols)[1]) + len(basis) == m.cols
         for v in basis:
             assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in m.entries)
         # each row scaled by the lcm of its denominators: integers, same kernel
