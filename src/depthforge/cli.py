@@ -15,7 +15,9 @@ csv``.  Exit status: 0 all checks passed, 1 a verification failed, 2 invalid
 flags or values, 3 output could not be written.  The environment variable
 ``DEPTHFORGE_MAX_WEIGHT`` caps the batch weight range of ``verify brown``,
 ``period check`` refuses a polynomial of degree above ``MAX_PERIOD_DEGREE``
-(1000), and ``verify bernsum`` refuses a prime above ``MAX_BERNSUM_P`` (31).
+(1000), ``verify bernsum`` refuses a prime above ``MAX_BERNSUM_P`` (31), every
+command refuses a Bernoulli index above ``MAX_BERNOULLI_N`` (2000) and a
+q-expansion precision above ``MAX_QEXP_PREC`` (20000).
 """
 
 from __future__ import annotations
@@ -39,6 +41,14 @@ MAX_PERIOD_DEGREE = 1000
 # verify bernsum holds all of GL2(F_p) at once, about p^4 matrices: 892,800
 # at p = 31 (a 93 MB process under CPython 3.11), and time grows as p^4 too
 MAX_BERNSUM_P = 31
+# B_n fills the cache with B_0..B_n from one O(n^2) big-int triangle (0.9-1.2 s
+# cold at n = 2000; 4.4 s at 3000), and str() refuses numerators of more than
+# 4300 digits from about n = 2080 on.  The cap bounds bern --n, the Eisenstein
+# --weight (its constant term is B_w / w) and verify bernsum's k + 2.
+MAX_BERNOULLI_N = 2000
+# delta_qexp(20000) takes 0.5-0.8 s; the cap also bounds eis factor's derived
+# precision max(2p + 2, 16)
+MAX_QEXP_PREC = 20000
 
 STATEMENTS = {
     "period basis": "basis of the space of restricted even period polynomials",
@@ -160,6 +170,11 @@ def build_parser() -> argparse.ArgumentParser:
 # -- handlers: each returns (cases, ok) -------------------------------------
 
 
+def _check_cap(args, what: str, value: int, cap: int) -> None:
+    if value > cap:
+        raise ValueError("%s %d is above the cap of %d for %s %s" % (what, value, cap, args.group, args.command))
+
+
 def _cmd_period_basis(args):
     return [periodpoly.period_space(args.weight).to_json_obj()], True
 
@@ -170,8 +185,7 @@ def _cmd_period_check(args):
     except RecursionError:
         raise ValueError("--poly is nested too deeply") from None
     poly = periodpoly.BivarPoly.from_json_obj(data, degree=args.degree)
-    if poly.degree > MAX_PERIOD_DEGREE:
-        raise ValueError("degree %d is above the cap of %d for period check" % (poly.degree, MAX_PERIOD_DEGREE))
+    _check_cap(args, "degree", poly.degree, MAX_PERIOD_DEGREE)
     result = periodpoly.is_period_poly(poly)
     case = {
         "degree": poly.degree,
@@ -233,8 +247,8 @@ def _cmd_verify_brown(args):
 
 
 def _cmd_verify_bernsum(args):
-    if args.p > MAX_BERNSUM_P:
-        raise ValueError("--p %d is above the cap of %d for verify bernsum" % (args.p, MAX_BERNSUM_P))
+    _check_cap(args, "--p", args.p, MAX_BERNSUM_P)
+    _check_cap(args, "--k", args.k, MAX_BERNOULLI_N - 2)
     chain = eisenstein.check_bernoulli_sum_chain(args.k, args.p, entry=args.entry)
     case = {
         "k": chain.k,
@@ -248,6 +262,8 @@ def _cmd_verify_bernsum(args):
 
 
 def _cmd_verify_eigen(args):
+    _check_cap(args, "--weight", args.weight, MAX_BERNOULLI_N)
+    _check_cap(args, "precision", args.prec, MAX_QEXP_PREC)
     series = eisenstein.eisenstein_qexp(args.weight, args.prec)
     eigenvalue = eisenstein.hecke_eigenvalue(series, args.p)
     expected = Fraction(1 + args.p ** (args.weight - 1))
@@ -298,12 +314,14 @@ def _cmd_verify_cgshape(args):
 
 
 def _series_from_args(args) -> tuple[str, "eisenstein.QExpansion"]:
+    _check_cap(args, "precision", args.prec, MAX_QEXP_PREC)
     if args.delta:
         if args.weight not in (None, 12):
             raise ValueError("--delta fixes the weight to 12")
         return "delta", eisenstein.delta_qexp(args.prec)
     if args.weight is None:
         raise ValueError("one of --weight or --delta is required")
+    _check_cap(args, "--weight", args.weight, MAX_BERNOULLI_N)
     return "eisenstein", eisenstein.eisenstein_qexp(args.weight, args.prec)
 
 
@@ -332,9 +350,11 @@ def _cmd_eis_hecke(args):
 
 def _cmd_eis_factor(args):
     prec = args.prec if args.prec is not None else max(2 * args.p + 2, 16)
+    _check_cap(args, "precision", prec, MAX_QEXP_PREC)
     if args.eisenstein:
         if args.weight is None:
             raise ValueError("--eisenstein requires --weight")
+        _check_cap(args, "--weight", args.weight, MAX_BERNOULLI_N)
         name, series = "eisenstein", eisenstein.eisenstein_qexp(args.weight, prec)
     else:
         if args.weight not in (None, 12):
@@ -384,11 +404,13 @@ def _cmd_rep_bigrade(args):
 
 
 def _cmd_bern_number(args):
+    _check_cap(args, "--n", args.n, MAX_BERNOULLI_N)
     case = {"n": args.n, "value": str(eisenstein.bernoulli_number(args.n))}
     return [case], True
 
 
 def _cmd_bern_poly(args):
+    _check_cap(args, "--n", args.n, MAX_BERNOULLI_N)
     poly = eisenstein.bernoulli_polynomial(args.n)
     case = {"n": args.n, "coeffs": [str(c) for c in poly.coeffs]}
     if args.at is not None:
@@ -398,6 +420,7 @@ def _cmd_bern_poly(args):
 
 
 def _cmd_bern_dist(args):
+    _check_cap(args, "--n", args.n, MAX_BERNOULLI_N)
     x = parse_rational(args.x)
     holds = eisenstein.distribution_check(args.n, args.m, x)
     case = {"n": args.n, "m": args.m, "x": str(x), "holds": holds}

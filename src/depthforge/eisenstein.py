@@ -4,17 +4,18 @@ Three layers live here because they share the Bernoulli substrate:
 
 * Bernoulli numbers (convention B_1 = -1/2, generating function t/(e^t - 1))
   and Bernoulli polynomials, exact over Fraction, plus the distribution
-  relation ``sum_{a<m} B_n(x + a/m) = m^(1-n) B_n(mx)``.
+  relation ``sum_{a<m} B_n(x + a/m) = m^(1-n) B_n(mx)``.  The numbers come
+  from the integer triangle of tangent numbers T_k (tan x = sum T_k
+  x^(2k-1)/(2k-1)!) and ``B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))``; see
+  Brent and Harvey, *Fast computation of Bernoulli, tangent and secant
+  numbers* (2011).  No Fraction enters before that last division.
 
 * The coset functions phi_1, phi_2 on GL2(Z/nZ),
 
       phi_which(g) = (n^(k+1)/(k+2)) * B_{k+2}(<entry/n>),
 
   entry = c for which=1 and d for which=2, where <.> is the representative
-  in [0,1).  They descend from the quotient by +-P (P = upper triangular
-  with bottom row (0 1)); :class:`CosetFn` stores the full value table so
-  that invariance is a checkable property rather than a chosen
-  representative.  :func:`phi_line_sum` is the companion sum of the same
+  in [0,1).  :func:`phi_line_sum` is the companion sum of the same
   integrand over all F_p-multiples of one matrix entry, and
   :func:`check_bernoulli_sum_chain` verifies, for every matrix in GL2(F_p),
   the rewriting of a unit-restricted double Bernoulli sum into
@@ -29,7 +30,10 @@ Three layers live here because they share the Bernoulli substrate:
   a_n = sigma_{w-1}(n), the discriminant cusp form Delta as
   q prod (1-q^n)^24, the Hecke operator T_p, and the scalar factor
   1 - a_p + p^(2m+1) of weight-(2m+2) eigenforms together with the Weil
-  bound check a_p^2 < 4 p^(2m+1) that forces it to be nonzero.
+  bound check a_p^2 < 4 p^(2m+1) that forces it to be nonzero.  Delta is
+  q times the eighth power of Jacobi's
+  ``prod (1-q^n)^3 = sum_k (-1)^k (2k+1) q^(k(k+1)/2)``, taken by squaring
+  three times; each square is one big-int product (Kronecker substitution).
 """
 
 from __future__ import annotations
@@ -55,14 +59,34 @@ def _is_prime(n: int) -> bool:
 _BERNOULLI: list[Fraction] = [Fraction(1)]
 
 
+def _tangent_numbers(m: int) -> list[int]:
+    """T_1, ..., T_m by Brent-Harvey's in-place integer triangle, O(m^2) steps."""
+    t = [0] * (m + 1)  # t[0] unused
+    if m:
+        t[1] = 1
+    for k in range(2, m + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, m + 1):
+        for j in range(k, m + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t[1:]
+
+
 def bernoulli_number(n: int) -> Fraction:
-    """B_n with B_1 = -1/2, from the recurrence sum_{k<=n} C(n+1,k) B_k = 0."""
+    """B_n with B_1 = -1/2; B_2k from the tangent number T_k.
+
+    ``_BERNOULLI`` caches B_0, B_1, ...  A miss refills it to at least twice
+    its length, so a rising sequence of calls costs O(1) triangles amortised.
+    """
     if n < 0:
         raise ValueError("Bernoulli index must be >= 0")
-    while len(_BERNOULLI) <= n:
-        k = len(_BERNOULLI)
-        acc = sum(comb(k + 1, i) * _BERNOULLI[i] for i in range(k))
-        _BERNOULLI.append(-acc / (k + 1))
+    size = len(_BERNOULLI)
+    if n >= size:
+        grown = max(n + 1, 2 * size)
+        values = [Fraction(1), Fraction(-1, 2)]
+        for k, t in enumerate(_tangent_numbers((grown - 1) // 2), start=1):
+            values += [Fraction((-1) ** (k - 1) * 2 * k * t, 4**k * (4**k - 1)), Fraction(0)]
+        _BERNOULLI.extend(values[size:grown])
     return _BERNOULLI[n]
 
 
@@ -122,25 +146,11 @@ def is_invertible(g: Mat, n: int) -> bool:
     return gcd(mat_det(g, n), n) == 1
 
 
-def mat_mul(g: Mat, h: Mat, n: int) -> Mat:
-    a, b, c, d = g
-    e, f, x, y = h
-    return ((a * e + b * x) % n, (a * f + b * y) % n, (c * e + d * x) % n, (c * f + d * y) % n)
-
-
-def mat_neg(g: Mat, n: int) -> Mat:
-    return tuple((-t) % n for t in g)  # type: ignore[return-value]
-
-
 def gl2_elements(n: int) -> tuple[Mat, ...]:
     """All invertible 2x2 matrices over Z/nZ, in row-major tuple order."""
     if n < 2:
         raise ValueError("level must be >= 2")
     return tuple(g for g in itertools.product(range(n), repeat=4) if is_invertible(g, n))
-
-
-def units(n: int) -> list[int]:
-    return [u for u in range(n) if gcd(u, n) == 1]
 
 
 def _check_phi_args(k: int, n: int, g: Mat) -> None:
@@ -159,34 +169,6 @@ def phi(k: int, n: int, which: int, g: Mat) -> Fraction:
         raise ValueError("which must be 1 or 2")
     entry = g[2] if which == 1 else g[3]
     return Fraction(n ** (k + 1), k + 2) * bernoulli_poly_eval(k + 2, Fraction(entry % n, n))
-
-
-@dataclass
-class CosetFn:
-    """A rational function on GL2(Z/nZ) stored as a full value table."""
-
-    k: int
-    n: int
-    values: dict[Mat, Fraction]
-
-    @classmethod
-    def tabulate(cls, k: int, n: int, which: int) -> "CosetFn":
-        return cls(k, n, {g: phi(k, n, which, g) for g in gl2_elements(n)})
-
-    def pm_parabolic_invariant(self) -> bool:
-        """True iff the table is invariant under left +-P(Z/nZ) action.
-
-        Checked by full enumeration: value((u v; 0 1) g) == value(g) for
-        every unit u and every v, and value(-g) == value(g).
-        """
-        parabolic = [(u, v, 0, 1) for u in units(self.n) for v in range(self.n)]
-        for g, val in self.values.items():
-            if self.values[mat_neg(g, self.n)] != val:
-                return False
-            for pmat in parabolic:
-                if self.values[mat_mul(pmat, g, self.n)] != val:
-                    return False
-        return True
 
 
 def phi_line_sum(k: int, p: int, g: Mat, entry: str = "c") -> Fraction:
@@ -308,18 +290,38 @@ def eisenstein_qexp(weight: int, prec: int) -> QExpansion:
     return QExpansion(weight, prec, tuple(coeffs))
 
 
+def _kronecker_square(a: list[int]) -> list[int]:
+    """Coefficients of (sum a_i x^i)^2 from one big-int product.
+
+    No coefficient of the square exceeds ||a||_1^2 in absolute value, so each
+    gets a slot of whole bytes with the top bit to spare for the sign.  Values
+    go in and come out offset by half a slot, which makes every slot
+    nonnegative: one ``int.from_bytes`` packs them and one ``to_bytes`` sliced
+    per slot unpacks them, both in linear time.
+    """
+    width = (sum(map(abs, a)) ** 2).bit_length() // 8 + 1
+    half = 1 << (8 * width - 1)
+    chunk = half.to_bytes(width, "little")
+    slots = 2 * len(a) - 1
+    x = int.from_bytes(b"".join((c + half).to_bytes(width, "little") for c in a), "little")
+    x -= int.from_bytes(chunk * len(a), "little")
+    raw = (x * x + int.from_bytes(chunk * slots, "little")).to_bytes(width * slots, "little")
+    return [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, len(raw), width)]
+
+
 def delta_qexp(prec: int) -> QExpansion:
     """The discriminant cusp form q prod_{n>=1} (1 - q^n)^24, weight 12."""
     if prec < 2:
         raise ValueError("prec must be >= 2")
     n_terms = prec - 1  # product truncated where q*(...) reaches prec
-    product = [0] * n_terms
-    product[0] = 1
-    for n in range(1, n_terms):
-        for _ in range(24):
-            for i in range(n_terms - 1, n - 1, -1):
-                product[i] -= product[i - n]
-    coeffs = [Fraction(0)] + [Fraction(c) for c in product]
+    series = [0] * n_terms  # prod (1 - q^n)^3, by Jacobi's identity
+    k = 0
+    while k * (k + 1) // 2 < n_terms:
+        series[k * (k + 1) // 2] = (-1) ** k * (2 * k + 1)
+        k += 1
+    for _ in range(3):
+        series = _kronecker_square(series)[:n_terms]
+    coeffs = [Fraction(0)] + [Fraction(c) for c in series]
     return QExpansion(12, prec, tuple(coeffs))
 
 

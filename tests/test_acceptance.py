@@ -9,9 +9,10 @@ import time
 from fractions import Fraction
 from math import isqrt
 
+from coset_oracle import CosetFn
+
 from depthforge.depthlie import relation_kernel, verify_brown_criterion
 from depthforge.eisenstein import (
-    CosetFn,
     check_bernoulli_sum_chain,
     delta_qexp,
     distribution_check,

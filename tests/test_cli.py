@@ -190,6 +190,13 @@ class TestVerifyCommands:
             assert_usage_error(proc)
             assert "cap of %d" % cli.MAX_BERNSUM_P in proc.stderr
 
+    def test_bernsum_k_above_cap_is_usage_error(self):
+        # the chain reads B_{k+2}; k stays even so that only the cap refuses it
+        for k in (str(cli.MAX_BERNOULLI_N), "1000000004"):
+            proc = run_cli("verify", "bernsum", "--k", k, "--p", "3", timeout=10)
+            assert_usage_error(proc)
+            assert "cap of %d" % (cli.MAX_BERNOULLI_N - 2) in proc.stderr
+
     def test_eigen(self):
         report = run_json("verify", "eigen", "--weight", "12", "--p", "2", "--prec", "60")
         assert report["eigenvalue"] == "2049"
@@ -253,6 +260,39 @@ class TestEisCommands:
     def test_factor_eisenstein_requires_weight(self):
         assert run_cli("eis", "factor", "--p", "2", "--eisenstein").returncode == 2
 
+    def test_precision_above_cap_is_usage_error(self):
+        # refused before any work: a lost cap at 10^9 + 3 allocates the series at
+        # once, so a short timeout catches it
+        for prec in (str(cli.MAX_QEXP_PREC + 1), "1000000003"):
+            for argv in (
+                ("eis", "qexp", "--delta", "--prec", prec),
+                ("eis", "hecke", "--weight", "12", "--p", "2", "--prec", prec),
+                ("eis", "factor", "--p", "2", "--prec", prec),
+                ("verify", "eigen", "--weight", "12", "--p", "2", "--prec", prec),
+            ):
+                proc = run_cli(*argv, timeout=10)
+                assert_usage_error(proc)
+                assert "cap of %d" % cli.MAX_QEXP_PREC in proc.stderr, argv
+        # eis factor derives its precision max(2p + 2, 16) from --p
+        for p in ("10007", "1000000007"):
+            proc = run_cli("eis", "factor", "--p", p, timeout=10)
+            assert_usage_error(proc)
+            assert "cap of %d" % cli.MAX_QEXP_PREC in proc.stderr
+
+    def test_weight_above_bernoulli_cap_is_usage_error(self):
+        # the constant term of E_w is B_w / w; the weights are even so that
+        # only the cap can refuse them
+        for weight in (str(cli.MAX_BERNOULLI_N + 2), "1000000004"):
+            for argv in (
+                ("eis", "qexp", "--weight", weight),
+                ("eis", "hecke", "--weight", weight, "--p", "2"),
+                ("eis", "factor", "--p", "2", "--eisenstein", "--weight", weight),
+                ("verify", "eigen", "--weight", weight, "--p", "2"),
+            ):
+                proc = run_cli(*argv, timeout=10)
+                assert_usage_error(proc)
+                assert "cap of %d" % cli.MAX_BERNOULLI_N in proc.stderr, argv
+
 
 class TestRepCommands:
     def test_decompose_golden(self):
@@ -287,6 +327,16 @@ class TestBernCommands:
 
     def test_dist_zero_denominator_is_usage_error(self):
         assert_usage_error(run_cli("bern", "dist", "--n", "2", "--m", "3", "--x", "1/0"))
+
+    def test_n_above_cap_is_usage_error(self):
+        assert run_json("bern", "number", "--n", str(cli.MAX_BERNOULLI_N))["n"] == cli.MAX_BERNOULLI_N
+        # refused before any work: a lost cap at 10^9 + 3 allocates the tangent
+        # triangle at once, so a short timeout catches it
+        for n in (str(cli.MAX_BERNOULLI_N + 1), "1000000003"):
+            for argv in (("number", "--n", n), ("poly", "--n", n), ("dist", "--n", n, "--m", "2")):
+                proc = run_cli("bern", *argv, timeout=10)
+                assert_usage_error(proc)
+                assert "cap of %d" % cli.MAX_BERNOULLI_N in proc.stderr, argv
 
 
 class TestOutputOptions:

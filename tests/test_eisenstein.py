@@ -1,13 +1,17 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd, isqrt, prod
 
 import pytest
+from coset_oracle import CosetFn, mat_mul
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from depthforge import eisenstein
 from depthforge.eisenstein import (
     ChainCheck,
-    CosetFn,
     QExpansion,
+    _kronecker_square,
     bernoulli_number,
     bernoulli_poly_eval,
     bernoulli_polynomial,
@@ -21,7 +25,6 @@ from depthforge.eisenstein import (
     hecke_factor,
     hecke_tp,
     is_invertible,
-    mat_mul,
     phi,
     phi_line_sum,
 )
@@ -38,6 +41,44 @@ def at_bernoulli(n):
         for m in range(n + 1 - j):
             a[m] = (m + 1) * (a[m] - a[m + 1])
     return a[0]
+
+
+def recurrence_bernoulli(n):
+    """B_0..B_n from sum_{k<=m} C(m+1,k) B_k = 0, in Fraction arithmetic."""
+    values = []
+    for m in range(n + 1):
+        acc = sum(comb(m + 1, i) * values[i] for i in range(m))
+        values.append(Fraction(1) if m == 0 else -acc / (m + 1))
+    return tuple(values)
+
+
+def subtraction_delta(prec):
+    """Discriminant coefficients by multiplying in (1 - q^n) 24 times per n."""
+    n_terms = prec - 1
+    product = [0] * n_terms
+    product[0] = 1
+    for n in range(1, n_terms):
+        for _ in range(24):
+            for i in range(n_terms - 1, n - 1, -1):
+                product[i] -= product[i - n]
+    return tuple([0] + product)
+
+
+def schoolbook_square(a):
+    out = [0] * (2 * len(a) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(a):
+            out[i + j] += x * y
+    return out
+
+
+def primes_upto(n):
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\x00\x00"
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
+    return [p for p in range(n + 1) if sieve[p]]
 
 
 def theta_octic_delta(prec):
@@ -138,6 +179,29 @@ class TestBernoulli:
     def test_constant_term_is_bernoulli_number(self):
         for n in range(12):
             assert bernoulli_poly_eval(n, 0) == bernoulli_number(n)
+
+    def test_matches_recurrence_through_300(self):
+        assert tuple(bernoulli_number(n) for n in range(301)) == recurrence_bernoulli(300)
+
+    def test_von_staudt_clausen_through_1000(self):
+        # B_2k + sum of 1/p over the primes with (p - 1) | 2k is an integer,
+        # so the denominator of B_2k is exactly the product of those primes
+        primes = primes_upto(1001)
+        for two_k in range(2, 1001, 2):
+            clausen = [p for p in primes if two_k % (p - 1) == 0]
+            value = bernoulli_number(two_k)
+            assert value.denominator == prod(clausen), two_k
+            assert (value + sum(Fraction(1, p) for p in clausen)).denominator == 1, two_k
+
+    def test_cache_order_does_not_matter(self, monkeypatch):
+        monkeypatch.setattr(eisenstein, "_BERNOULLI", [Fraction(1)])
+        jumps = [bernoulli_number(n) for n in (600, 5, 1000)]
+        assert len(eisenstein._BERNOULLI) == 2 * 601  # a miss at least doubles the cache
+        jumped = eisenstein._BERNOULLI[:1001]
+        monkeypatch.setattr(eisenstein, "_BERNOULLI", [Fraction(1)])
+        ascending = [bernoulli_number(n) for n in range(1001)]
+        assert jumped == ascending
+        assert jumps == [ascending[600], ascending[5], ascending[1000]]
 
 
 class TestFracAndDistribution:
@@ -333,12 +397,47 @@ class TestDelta:
         prec = 40
         assert [int(c) for c in delta_qexp(prec).coeffs] == theta_octic_delta(prec)
 
+    def test_matches_subtraction_loop(self):
+        # the loop truncated at prec is the first prec terms of the loop run at
+        # 600, since (1 - q^n) for n >= prec leaves those terms alone
+        reference = subtraction_delta(600)
+        for prec in range(2, 201):
+            assert delta_qexp(prec).coeffs == reference[:prec], prec
+        assert delta_qexp(600).coeffs == reference
+
+    def test_ramanujan_congruence_mod_691(self):
+        tau = delta_qexp(3000).coeffs
+        for n in range(1, 3000):
+            assert (tau[n] - divisor_power_sum(n, 11)) % 691 == 0, n
+
+    def test_tau_at_prime_squares(self):
+        tau = delta_qexp(50 * 50).coeffs
+        for p in primes_upto(49):
+            assert tau[p * p] == tau[p] ** 2 - p**11, p
+
     def test_weight_and_prec(self):
         d = delta_qexp(5)
         assert d.weight == 12
         assert d.prec == 5
         with pytest.raises(ValueError):
             delta_qexp(1)
+
+
+class TestKroneckerSquare:
+    @given(
+        st.lists(
+            st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(2**200), 2**200)),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @example([0])
+    @example([7])
+    @example([-(2**200)])
+    @example([0, 0, 0])
+    @example([2**200, -(2**200), 1, 0])
+    def test_equals_schoolbook_square(self, a):
+        assert _kronecker_square(a) == schoolbook_square(a)
 
 
 class TestHecke:
