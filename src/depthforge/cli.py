@@ -17,7 +17,12 @@ flags or values, 3 output could not be written.  The environment variable
 ``period check`` refuses a polynomial of degree above ``MAX_PERIOD_DEGREE``
 (1000), ``verify bernsum`` refuses a prime above ``MAX_BERNSUM_P`` (31), every
 command refuses a Bernoulli index above ``MAX_BERNOULLI_N`` (2000) and a
-q-expansion precision above ``MAX_QEXP_PREC`` (20000).
+q-expansion precision above ``MAX_QEXP_PREC`` (20000), ``bern dist`` refuses
+``--m`` above ``MAX_BERN_DIST_TERMS`` (100000) // (n + 1), ``verify cgshape``
+refuses ``--max-sym`` above ``MAX_CGSHAPE_SYM`` (30) and ``--max-twist`` above
+``MAX_CGSHAPE_TWIST`` (10), and an Eisenstein series whose report could hold
+an integer of more than ``MAX_INT_DIGITS`` (4300) digits is refused before it
+is computed.
 """
 
 from __future__ import annotations
@@ -49,6 +54,17 @@ MAX_BERNOULLI_N = 2000
 # delta_qexp(20000) takes 0.5-0.8 s; the cap also bounds eis factor's derived
 # precision max(2p + 2, 16)
 MAX_QEXP_PREC = 20000
+# bern dist evaluates B_n(X), n + 1 terms, at m points, and each term grows
+# with n: m (n + 1) = 200,000 took 2.5 s at n = 2, 10 s at n = 20 and 12 s at
+# n = 2000, so m is capped at MAX_BERN_DIST_TERMS // (n + 1)
+MAX_BERN_DIST_TERMS = 100000
+# verify cgshape decomposes (s + 1)^2 (t + 1)^2 products of about s components
+# each: 2.4 s at --max-sym 30 --max-twist 8, 9 s at 40 and 10
+MAX_CGSHAPE_SYM = 30
+MAX_CGSHAPE_TWIST = 10
+# CPython's default limit on int-to-str conversion; a report holding a longer
+# integer would fail only when printed, after all the work
+MAX_INT_DIGITS = 4300
 
 STATEMENTS = {
     "period basis": "basis of the space of restricted even period polynomials",
@@ -175,6 +191,25 @@ def _check_cap(args, what: str, value: int, cap: int) -> None:
         raise ValueError("%s %d is above the cap of %d for %s %s" % (what, value, cap, args.group, args.command))
 
 
+def _check_digits(args, weight: int, base: int, factor: int = 4) -> None:
+    """Refuse, before any work, a report whose integers may reach
+    ``factor * base^(weight-1) >= 10^MAX_INT_DIGITS``.
+
+    Eisenstein coefficients are sigma_(w-1)(n) < 2 n^(w-1).  A report prints
+    such coefficients, T_p's sums of two of them, or a_p beside 1 + p^(w-1),
+    so with every printed index n and p at most ``base``, each is below
+    4 base^(w-1).  The bit length is compared first, so a huge base costs
+    nothing.
+    """
+    exponent, base = max(weight - 1, 0), abs(base)
+    if exponent * (base.bit_length() - 1) < 4 * MAX_INT_DIGITS and factor * base**exponent < 10**MAX_INT_DIGITS:
+        return
+    raise ValueError(
+        "--weight %d gives integers of more than %d digits, the int-to-string limit, in the %s %s report"
+        % (weight, MAX_INT_DIGITS, args.group, args.command)
+    )
+
+
 def _cmd_period_basis(args):
     return [periodpoly.period_space(args.weight).to_json_obj()], True
 
@@ -264,6 +299,7 @@ def _cmd_verify_bernsum(args):
 def _cmd_verify_eigen(args):
     _check_cap(args, "--weight", args.weight, MAX_BERNOULLI_N)
     _check_cap(args, "precision", args.prec, MAX_QEXP_PREC)
+    _check_digits(args, args.weight, args.p)
     series = eisenstein.eisenstein_qexp(args.weight, args.prec)
     eigenvalue = eisenstein.hecke_eigenvalue(series, args.p)
     expected = Fraction(1 + args.p ** (args.weight - 1))
@@ -281,6 +317,9 @@ def _cmd_verify_eigen(args):
 def _cmd_verify_cgshape(args):
     if args.max_sym < 0 or args.max_twist < 0:
         raise ValueError("--max-sym and --max-twist must be >= 0")
+    _check_cap(args, "--max-sym", args.max_sym, MAX_CGSHAPE_SYM)
+    _check_cap(args, "--max-twist", args.max_twist, MAX_CGSHAPE_TWIST)
+    forbidden = [repcalc.IrrepLabel(2 * n, 2 * n + 1) for n in range(1, args.max_sym + 1)]
     products = 0
     components = 0
     shapes_ok = True
@@ -299,9 +338,8 @@ def _cmd_verify_cgshape(args):
                     if not all(map(repcalc.has_positive_shift, decomp)):
                         shapes_ok = False
                     # the forbidden Sym^(2n)(V)(2n+1) for each n the product can reach
-                    for n in range(1, (n1 + n2) // 2 + 1):
-                        if repcalc.IrrepLabel(2 * n, 2 * n + 1) in decomp:
-                            forbidden_absent = False
+                    if not set(decomp).isdisjoint(forbidden[: (n1 + n2) // 2]):
+                        forbidden_absent = False
     case = {
         "max_sym": args.max_sym,
         "max_twist": args.max_twist,
@@ -322,6 +360,7 @@ def _series_from_args(args) -> tuple[str, "eisenstein.QExpansion"]:
     if args.weight is None:
         raise ValueError("one of --weight or --delta is required")
     _check_cap(args, "--weight", args.weight, MAX_BERNOULLI_N)
+    _check_digits(args, args.weight, args.prec - 1)
     return "eisenstein", eisenstein.eisenstein_qexp(args.weight, args.prec)
 
 
@@ -334,6 +373,8 @@ def _cmd_eis_qexp(args):
 
 def _cmd_eis_hecke(args):
     name, series = _series_from_args(args)
+    # T_p's constant term is (1 + p^(w-1)) a_0, and T_p refuses p > prec / 2
+    _check_digits(args, series.weight, min(abs(args.p), series.prec), 2 * abs(series.coeffs[0].numerator))
     transformed = eisenstein.hecke_tp(series, args.p)
     eigenvalue = eisenstein.hecke_eigenvalue(series, args.p)
     case = {
@@ -355,6 +396,7 @@ def _cmd_eis_factor(args):
         if args.weight is None:
             raise ValueError("--eisenstein requires --weight")
         _check_cap(args, "--weight", args.weight, MAX_BERNOULLI_N)
+        _check_digits(args, args.weight, args.p)
         name, series = "eisenstein", eisenstein.eisenstein_qexp(args.weight, prec)
     else:
         if args.weight not in (None, 12):
@@ -421,6 +463,7 @@ def _cmd_bern_poly(args):
 
 def _cmd_bern_dist(args):
     _check_cap(args, "--n", args.n, MAX_BERNOULLI_N)
+    _check_cap(args, "--m", args.m, MAX_BERN_DIST_TERMS // (max(args.n, 0) + 1))
     x = parse_rational(args.x)
     holds = eisenstein.distribution_check(args.n, args.m, x)
     case = {"n": args.n, "m": args.m, "x": str(x), "holds": holds}

@@ -48,7 +48,6 @@ both solvers independently and comparing the spans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
@@ -79,22 +78,29 @@ def depth2_word_basis(weight: int) -> list[Word]:
     return sorted(words)
 
 
-@dataclass
 class PairCoefficients:
     """A rational tuple (a_ij) over the pairs i < j, i + j = m."""
 
-    m: int
-    coeffs: dict[tuple[int, int], Fraction] = field(default_factory=dict)
+    __slots__ = ("m", "coeffs")
 
-    def __post_init__(self):
+    def __init__(self, m: int, coeffs: dict[tuple[int, int], Fraction] | None = None):
         clean: dict[tuple[int, int], Fraction] = {}
-        for (i, j), value in self.coeffs.items():
-            if not (1 <= i < j and i + j == self.m):
-                raise ValueError("pair (%r, %r) violates 1 <= i < j, i + j = %d" % (i, j, self.m))
+        for (i, j), value in (coeffs or {}).items():
+            if not (1 <= i < j and i + j == m):
+                raise ValueError("pair (%r, %r) violates 1 <= i < j, i + j = %d" % (i, j, m))
             c = as_fraction(value)
             if c:
                 clean[(i, j)] = c
+        self.m = m
         self.coeffs = clean
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PairCoefficients):
+            return NotImplemented
+        return self.m == other.m and self.coeffs == other.coeffs
+
+    def __repr__(self) -> str:
+        return "PairCoefficients(%r, %r)" % (self.m, self.coeffs)
 
     def to_json_obj(self) -> dict:
         return {
@@ -163,16 +169,20 @@ def relation_kernel(m: int) -> list[PairCoefficients]:
     return [PairCoefficients(m, {pair: c for pair, c in zip(pairs, vec) if c}) for vec in basis]
 
 
-@dataclass
 class BrownReport:
     """Comparison of the bracket-relation kernel with the period-polynomial space."""
 
-    weight: int
-    pairs: list[tuple[int, int]]
-    kernel_dim: int
-    period_dim: int
-    in_space: bool
-    spans: bool
+    __slots__ = ("weight", "pairs", "kernel_dim", "period_dim", "in_space", "spans")
+
+    def __init__(
+        self, weight: int, pairs: list[tuple[int, int]], kernel_dim: int, period_dim: int, in_space: bool, spans: bool
+    ):
+        self.weight = weight
+        self.pairs = pairs
+        self.kernel_dim = kernel_dim
+        self.period_dim = period_dim
+        self.in_space = in_space
+        self.spans = spans
 
     @property
     def matches(self) -> bool:

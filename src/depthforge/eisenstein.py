@@ -21,7 +21,9 @@ Three layers live here because they share the Bernoulli substrate:
   the rewriting of a unit-restricted double Bernoulli sum into
   ``p B_{k+2}/(k+2)`` plus such a line sum.  Every term depends on the
   matrix only through its bottom row, so the chain is evaluated once per
-  bottom row and each matrix reads the verdict of its row.  The chain
+  bottom row and each matrix reads the verdict of its row.  The double sums
+  are taken in integers, over the values B_{k+2}(t/p) scaled by the lcm of
+  their denominators, and divided by it once per row.  The chain
   balances when the line sum reads entry d; ``entry`` is a parameter so both
   variants can be exercised (the c-variant fails, e.g. at the identity
   matrix).
@@ -39,10 +41,9 @@ Three layers live here because they share the Bernoulli substrate:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, isqrt
+from math import comb, gcd, isqrt, lcm
 
 from .exactla import as_fraction
 
@@ -90,12 +91,14 @@ def bernoulli_number(n: int) -> Fraction:
     return _BERNOULLI[n]
 
 
-@dataclass(frozen=True)
 class BernPoly:
     """The Bernoulli polynomial B_n(X), coefficients by ascending power."""
 
-    n: int
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("n", "coeffs")
+
+    def __init__(self, n: int, coeffs: tuple[Fraction, ...]):
+        self.n = n
+        self.coeffs = coeffs
 
     def __call__(self, x) -> Fraction:
         t = as_fraction(x)
@@ -187,16 +190,18 @@ def phi_line_sum(k: int, p: int, g: Mat, entry: str = "c") -> Fraction:
     return -Fraction(p ** (k + 1), k + 2) * total
 
 
-@dataclass
 class ChainCheck:
     """Result of the GL2(F_p)-wide Bernoulli double-sum chain verification."""
 
-    k: int
-    p: int
-    entry: str
-    ok: bool
-    checked: int
-    first_failure: Mat | None = None
+    __slots__ = ("k", "p", "entry", "ok", "checked", "first_failure")
+
+    def __init__(self, k: int, p: int, entry: str, ok: bool, checked: int, first_failure: Mat | None = None):
+        self.k = k
+        self.p = p
+        self.entry = entry
+        self.ok = ok
+        self.checked = checked
+        self.first_failure = first_failure
 
     def __bool__(self) -> bool:
         return self.ok
@@ -219,6 +224,8 @@ def check_bernoulli_sum_chain(k: int, p: int, entry: str = "d") -> ChainCheck:
     if not _is_prime(p) or p == 2:
         raise ValueError("p must be an odd prime, got %r" % (p,))
     bval = [bernoulli_poly_eval(k + 2, Fraction(t, p)) for t in range(p)]
+    scale = lcm(*(b.denominator for b in bval))
+    ival = [b.numerator * (scale // b.denominator) for b in bval]  # bval[t] * scale
     prefactor = Fraction(p ** (k + 1), k + 2)
     constant = Fraction(p, k + 2) * bernoulli_number(k + 2)
 
@@ -230,12 +237,12 @@ def check_bernoulli_sum_chain(k: int, p: int, entry: str = "d") -> ChainCheck:
         c, d = g[2], g[3]
         if (c, d) not in holds:
             restricted = sum(
-                bval[(alpha * c + beta * d) % p] for alpha in range(1, p) for beta in range(p)
+                ival[(alpha * c + beta * d) % p] for alpha in range(1, p) for beta in range(p)
             )
-            full = sum(bval[(alpha * c + beta * d) % p] for alpha in range(p) for beta in range(p))
-            zero_slice = sum(bval[(beta * d) % p] for beta in range(p))
-            lhs = prefactor * restricted
-            middle = prefactor * (full - zero_slice)
+            full = sum(ival[(alpha * c + beta * d) % p] for alpha in range(p) for beta in range(p))
+            zero_slice = sum(ival[(beta * d) % p] for beta in range(p))
+            lhs = prefactor * Fraction(restricted, scale)
+            middle = prefactor * (Fraction(full, scale) - Fraction(zero_slice, scale))
             rhs = constant + phi_line_sum(k, p, g, entry)
             holds[c, d] = lhs == middle == rhs
         if not holds[c, d]:
@@ -259,21 +266,28 @@ def divisor_power_sum(n: int, k: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
 class QExpansion:
     """Truncated q-series a_0 + a_1 q + ... + a_{prec-1} q^(prec-1)."""
 
-    weight: int
-    prec: int
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("weight", "prec", "coeffs")
 
-    def __post_init__(self):
-        if self.prec < 1:
+    def __init__(self, weight: int, prec: int, coeffs: tuple[Fraction, ...]):
+        if prec < 1:
             raise ValueError("prec must be >= 1")
-        coeffs = tuple(as_fraction(c) for c in self.coeffs)
-        if len(coeffs) != self.prec:
-            raise ValueError("expected %d coefficients, got %d" % (self.prec, len(coeffs)))
-        object.__setattr__(self, "coeffs", coeffs)
+        coeffs = tuple(as_fraction(c) for c in coeffs)
+        if len(coeffs) != prec:
+            raise ValueError("expected %d coefficients, got %d" % (prec, len(coeffs)))
+        self.weight = weight
+        self.prec = prec
+        self.coeffs = coeffs
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, QExpansion):
+            return NotImplemented
+        return (self.weight, self.prec, self.coeffs) == (other.weight, other.prec, other.coeffs)
+
+    def __repr__(self) -> str:
+        return "QExpansion(%r, %r, %r)" % (self.weight, self.prec, self.coeffs)
 
     def to_json_obj(self) -> dict:
         return {"weight": self.weight, "prec": self.prec, "coeffs": [str(c) for c in self.coeffs]}
@@ -329,8 +343,10 @@ def hecke_tp(f: QExpansion, p: int) -> QExpansion:
     """T_p: a_n -> a_{np} + p^(weight-1) a_{n/p} (second term only if p | n).
 
     The output precision is floor(prec/p); it must stay >= 2 to say anything.
+    That is checked first, so the trial division for primality only ever
+    meets p <= prec/2.
     """
-    if not _is_prime(p):
+    if p < 2:
         raise ValueError("p must be prime, got %r" % (p,))
     out_prec = f.prec // p
     if out_prec < 2:
@@ -338,6 +354,8 @@ def hecke_tp(f: QExpansion, p: int) -> QExpansion:
             "precision %d too small for T_%d (output would have %d coefficients)"
             % (f.prec, p, out_prec)
         )
+    if not _is_prime(p):
+        raise ValueError("p must be prime, got %r" % (p,))
     shift = p ** (f.weight - 1)
     coeffs = []
     for n in range(out_prec):
@@ -369,15 +387,17 @@ def hecke_eigenvalue(f: QExpansion, p: int) -> Fraction:
     return lam
 
 
-@dataclass(frozen=True)
 class HeckeFactorResult:
     """The scalar 1 - a_p + p^(2m+1) with the Weil-bound side check."""
 
-    p: int
-    m: int
-    eigenvalue: Fraction
-    value: Fraction
-    weil_ok: bool | None  # None when the Weil bound does not apply (Eisenstein)
+    __slots__ = ("p", "m", "eigenvalue", "value", "weil_ok")
+
+    def __init__(self, p: int, m: int, eigenvalue: Fraction, value: Fraction, weil_ok: bool | None):
+        self.p = p
+        self.m = m
+        self.eigenvalue = eigenvalue
+        self.value = value
+        self.weil_ok = weil_ok  # None when the Weil bound does not apply (Eisenstein)
 
     def to_json_obj(self) -> dict:
         return {

@@ -12,9 +12,14 @@ sign of the twist is pinned by requiring the Clebsch-Gordan rule to read
 
     Sym^k tensor Sym^l = Sym^(k+l) + Sym^(k+l-2)(-1) + ... + Sym^(k-l)(-l)
 
-verbatim for k >= l.  Decomposition is by highest-weight peeling: the
-lexicographically largest monomial t1^a t2^b of a genuine character always
-has a >= b and belongs to Sym^(a-b)(V)(-b); subtract and repeat.
+verbatim for k >= l.  With twists, Sym^k(V)(a) tensor Sym^l(V)(b) is the sum of
+Sym^(k+l-2i)(V)(a+b-i) over i = 0..min(k, l), and :func:`tensor_decompose`
+folds its factors pairwise by that rule, never forming a character.
+:func:`character_decompose` decomposes an arbitrary genuine character by
+highest-weight peeling instead: the lexicographically largest monomial
+t1^a t2^b always has a >= b and belongs to Sym^(a-b)(V)(-b); subtract and
+repeat.  Peeling is the independent oracle the fold is tested against, and
+both list components by descending highest weight (a, b) = (u - v, -v).
 
 The bigrading view relabels a monomial t1^a t2^b as the pair (2b, a+b)
 (twice the lower-triangular grading, total weight), used for dimension
@@ -24,7 +29,6 @@ bookkeeping of associated graded pieces.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 TorusMonomial = tuple[int, int]
@@ -32,16 +36,33 @@ TorusMonomial = tuple[int, int]
 _LABEL_RE = re.compile(r"^Sym(\d+)\((-?\d+)\)$")
 
 
-@dataclass(frozen=True, order=True)
 class IrrepLabel:
-    """The irreducible Sym^u(V)(v): symmetric power u >= 0, twist v."""
+    """The irreducible Sym^u(V)(v): symmetric power u >= 0, twist v.
 
-    u: int
-    v: int = 0
+    Immutable and hashable; equal exactly when u and v are.
+    """
 
-    def __post_init__(self):
-        if self.u < 0:
-            raise ValueError("symmetric power must be >= 0, got %r" % (self.u,))
+    __slots__ = ("u", "v")
+
+    def __init__(self, u: int, v: int = 0):
+        if u < 0:
+            raise ValueError("symmetric power must be >= 0, got %r" % (u,))
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("IrrepLabel is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, IrrepLabel):
+            return NotImplemented
+        return self.u == other.u and self.v == other.v
+
+    def __hash__(self) -> int:
+        return hash((self.u, self.v))
+
+    def __repr__(self) -> str:
+        return "IrrepLabel(%d, %d)" % (self.u, self.v)
 
     def __str__(self) -> str:
         return "Sym%d(%d)" % (self.u, self.v)
@@ -130,16 +151,29 @@ def irrep_char(label: IrrepLabel) -> Character:
 def tensor_decompose(labels: Sequence[IrrepLabel]) -> list[IrrepLabel]:
     """Decompose a tensor product of irreducibles into irreducibles.
 
-    Returns the multiset as a list (repeats allowed), in peeling order, i.e.
-    by descending highest weight.  The character sum of the result equals
-    the character product of the inputs, exactly.
+    Returns the multiset as a list (repeats allowed) by descending highest
+    weight, the order :func:`character_decompose` peels in.  The factors are
+    folded pairwise by the twisted Clebsch-Gordan rule (module docstring),
+    with the partial product kept as (u, v) -> multiplicity.
     """
     if not labels:
         raise ValueError("tensor_decompose needs at least one factor")
-    product = Character.one()
-    for label in labels:
-        product = product * irrep_char(label)
-    return character_decompose(product)
+    first, *rest = labels
+    parts = {(first.u, first.v): 1}
+    for label in rest:
+        l, b = label.u, label.v
+        folded: dict[tuple[int, int], int] = {}
+        for (k, a), mult in parts.items():
+            for i in range(min(k, l) + 1):
+                key = (k + l - 2 * i, a + b - i)
+                folded[key] = folded.get(key, 0) + mult
+        parts = folded
+    # every component has the same total degree u - 2v, so descending (u, v)
+    # is descending highest weight (u - v, -v)
+    out: list[IrrepLabel] = []
+    for u, v in sorted(parts, reverse=True):
+        out.extend([IrrepLabel(u, v)] * parts[u, v])
+    return out
 
 
 def character_decompose(char: Character) -> list[IrrepLabel]:

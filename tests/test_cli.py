@@ -215,6 +215,16 @@ class TestVerifyCommands:
     def test_cgshape_negative_max_twist_is_usage_error(self):
         assert_usage_error(run_cli("verify", "cgshape", "--max-twist", "-1"))
 
+    def test_cgshape_above_cap_is_usage_error(self):
+        report = run_json("verify", "cgshape", "--max-sym", str(cli.MAX_CGSHAPE_SYM), "--max-twist", "0")
+        assert report["products_checked"] == (cli.MAX_CGSHAPE_SYM + 1) ** 2
+        # refused before any work: uncapped, 10^9 + 7 would run for ever
+        for flag, cap in (("--max-sym", cli.MAX_CGSHAPE_SYM), ("--max-twist", cli.MAX_CGSHAPE_TWIST)):
+            for value in (str(cap + 1), "1000000007"):
+                proc = run_cli("verify", "cgshape", flag, value, timeout=10)
+                assert_usage_error(proc)
+                assert "%s %s is above the cap of %d" % (flag, value, cap) in proc.stderr
+
 
 class TestEisCommands:
     def test_qexp_eisenstein(self):
@@ -279,6 +289,29 @@ class TestEisCommands:
             assert_usage_error(proc)
             assert "cap of %d" % cli.MAX_QEXP_PREC in proc.stderr
 
+    def test_hecke_checks_precision_before_primality(self):
+        # 2^61 - 1 is prime: trial division would take about 10^9 steps
+        proc = run_cli("eis", "hecke", "--weight", "4", "--p", "2305843009213693951", "--prec", "60", timeout=10)
+        assert_usage_error(proc)
+        assert "too small" in proc.stderr
+
+    def test_integers_beyond_str_limit_are_refused_first(self):
+        # sigma_1999(n) < 2 n^1999 has at most 3990 digits for n < 100, but
+        # from n = 142 on can have more than CPython's 4300
+        assert len(run_json("eis", "qexp", "--weight", "2000", "--prec", "100")["coeffs"]) == 100
+        # these print a_p and 1 + p^1999 only: 3973 digits at p = 97
+        assert run_json("eis", "factor", "--p", "97", "--eisenstein", "--weight", "2000")["value"] == "0"
+        assert run_json("verify", "eigen", "--weight", "2000", "--p", "97", "--prec", "200")["match"] is True
+        for argv in (
+            ("eis", "qexp", "--weight", "2000", "--prec", "200"),
+            ("eis", "factor", "--p", "211", "--eisenstein", "--weight", "2000"),  # 1 + 211^1999
+            ("verify", "eigen", "--weight", "2000", "--p", "1000000007", "--prec", "100"),  # 1 + p^1999
+            ("eis", "hecke", "--weight", "2000", "--p", "2", "--prec", "100"),  # (1 + 2^1999) B_2000 / 2000
+        ):
+            proc = run_cli(*argv, timeout=10)
+            assert_usage_error(proc)
+            assert "more than %d digits" % cli.MAX_INT_DIGITS in proc.stderr, argv
+
     def test_weight_above_bernoulli_cap_is_usage_error(self):
         # the constant term of E_w is B_w / w; the weights are even so that
         # only the cap can refuse them
@@ -337,6 +370,15 @@ class TestBernCommands:
                 proc = run_cli("bern", *argv, timeout=10)
                 assert_usage_error(proc)
                 assert "cap of %d" % cli.MAX_BERNOULLI_N in proc.stderr, argv
+
+    def test_dist_m_above_cap_is_usage_error(self):
+        # the cap on --m shrinks as B_n grows: MAX_BERN_DIST_TERMS // (n + 1)
+        cap = cli.MAX_BERN_DIST_TERMS // 21
+        assert run_json("bern", "dist", "--n", "20", "--m", str(cap))["holds"] is True
+        for n, m in (("20", cap + 1), ("2000", cli.MAX_BERN_DIST_TERMS // 2001 + 1), ("2", 1000000007)):
+            proc = run_cli("bern", "dist", "--n", n, "--m", str(m), timeout=10)
+            assert_usage_error(proc)
+            assert "--m %d is above the cap of %d" % (m, cli.MAX_BERN_DIST_TERMS // (int(n) + 1)) in proc.stderr
 
 
 class TestOutputOptions:
@@ -433,6 +475,16 @@ FLAGS = {
     "bern poly": {"--n": INTS, "--at": RATIONALS},
     "bern dist": {"--n": INTS, "--m": INTS, "--x": RATIONALS},
 }
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # what `import depthforge.cli` adds to the modules `python -c pass` has loaded
+    code = "import sys; before = set(sys.modules); import depthforge.cli; print(*sorted(set(sys.modules) - before))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "depthforge.cli" in added
+    assert not added & {"dataclasses", "inspect"}
 
 
 def test_fuzz_table_covers_every_command():

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb, gcd, isqrt, prod
+from math import comb, gcd, isqrt, lcm, prod
 
 import pytest
 from coset_oracle import CosetFn, mat_mul
@@ -103,19 +103,22 @@ def theta_octic_delta(prec):
 
 def chain_by_matrix(k, p, entry):
     """The Bernoulli sum chain evaluated afresh at every g: the three sums and
-    the line sum, with no sharing between matrices of one bottom row.
-    Returns (ok, checked, first_failure)."""
+    the line sum, with no sharing between matrices of one bottom row.  The sums
+    run over alpha-rows of numerators of B_{k+2}(t/p) over their common
+    denominator, so that p = 13 stays affordable.  Returns (ok, checked, first_failure)."""
     bval = [bernoulli_poly_eval(k + 2, Fraction(t, p)) for t in range(p)]
+    denom = lcm(*(b.denominator for b in bval))
+    num = [b.numerator * denom // b.denominator for b in bval]
     prefactor = Fraction(p ** (k + 1), k + 2)
     constant = Fraction(p, k + 2) * bernoulli_number(k + 2)
     elements = gl2_elements(p)
     for checked, g in enumerate(elements, start=1):
         c, d = g[2], g[3]
-        restricted = sum(bval[(a * c + b * d) % p] for a in range(1, p) for b in range(p))
-        full = sum(bval[(a * c + b * d) % p] for a in range(p) for b in range(p))
-        zero_slice = sum(bval[(b * d) % p] for b in range(p))
-        rhs = constant + phi_line_sum(k, p, g, entry)
-        if not (prefactor * restricted == prefactor * (full - zero_slice) == rhs):
+        alpha_rows = [sum(num[(a * c + b * d) % p] for b in range(p)) for a in range(p)]
+        zero_slice, restricted, full = alpha_rows[0], sum(alpha_rows[1:]), sum(alpha_rows)
+        lhs = prefactor * Fraction(restricted, denom)
+        middle = prefactor * Fraction(full - zero_slice, denom)
+        if not (lhs == middle == constant + phi_line_sum(k, p, g, entry)):
             return False, checked, g
     return True, len(elements), None
 
@@ -315,8 +318,8 @@ class TestBernoulliSumChain:
             check_bernoulli_sum_chain(2, 9)  # not prime
 
     @pytest.mark.parametrize("entry", ["c", "d"])
-    @pytest.mark.parametrize("k", [2, 4])
-    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("k", [2, 4, 6])
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     def test_matches_matrix_by_matrix_evaluation(self, p, k, entry):
         result = check_bernoulli_sum_chain(k, p, entry)
         assert (result.ok, result.checked, result.first_failure) == chain_by_matrix(k, p, entry)
@@ -362,6 +365,14 @@ class TestQExpansion:
         obj = f.to_json_obj()
         assert obj == {"weight": 12, "prec": 3, "coeffs": ["691/32760", "1", "2049"]}
         assert QExpansion(obj["weight"], obj["prec"], tuple(map(Fraction, obj["coeffs"]))) == f
+
+    def test_equality_compares_every_field(self):
+        f = QExpansion(12, 2, (0, 1))
+        assert f == QExpansion(12, 2, (Fraction(0), Fraction(1)))
+        assert f != QExpansion(4, 2, (0, 1))
+        assert f != QExpansion(12, 2, (0, 2))
+        assert f != QExpansion(12, 3, (0, 1, 0))
+        assert f != (12, 2, (0, 1))
 
 
 class TestEisensteinSeries:
@@ -457,8 +468,18 @@ class TestHecke:
             hecke_tp(delta_qexp(5), 3)  # output precision would be 1
 
     def test_tp_requires_prime(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="prime"):
             hecke_tp(delta_qexp(20), 6)
+        for p in (1, 0, -3):
+            with pytest.raises(ValueError, match="prime"):
+                hecke_tp(delta_qexp(20), p)
+
+    def test_tp_checks_precision_before_primality(self):
+        # 2^61 - 1 is prime; trial division would take about 10^9 steps
+        with pytest.raises(ValueError, match="too small"):
+            hecke_tp(eisenstein_qexp(4, 60), 2**61 - 1)
+        with pytest.raises(ValueError, match="too small"):
+            hecke_tp(delta_qexp(20), 15)  # composite, but 20 // 15 < 2 decides first
 
     def test_eigenvalue_eisenstein(self):
         assert hecke_eigenvalue(eisenstein_qexp(12, 60), 2) == 2049

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from depthforge.repcalc import (
     Character,
@@ -31,6 +33,17 @@ class TestIrrepLabel:
 
     def test_twist_defaults_to_zero(self):
         assert IrrepLabel(3) == IrrepLabel(3, 0)
+
+    def test_keyword_constructor(self):
+        assert IrrepLabel(u=2, v=5) == IrrepLabel(2, 5)
+
+    def test_hashable_and_immutable(self):
+        assert hash(IrrepLabel(3, -1)) == hash(IrrepLabel(3, -1))
+        assert len({IrrepLabel(3, -1), IrrepLabel(3, -1), IrrepLabel(3, 0)}) == 2
+        assert IrrepLabel(3, -1) != IrrepLabel(3, 0)
+        assert IrrepLabel(3, -1) != (3, -1)
+        with pytest.raises(AttributeError):
+            IrrepLabel(3, -1).u = 4
 
 
 class TestCharacter:
@@ -124,6 +137,18 @@ class TestTensorDecompose:
         for comp in tensor_decompose(labels):
             total = total + irrep_char(comp)
         assert total == product
+
+
+LABELS = st.builds(IrrepLabel, st.integers(0, 12), st.integers(-6, 15))
+
+
+@given(st.lists(LABELS, min_size=1, max_size=5))
+def test_fold_equals_peeling_of_character_product(labels):
+    # the Clebsch-Gordan fold against peeling the product character, order included
+    product = Character.one()
+    for label in labels:
+        product = product * irrep_char(label)
+    assert tensor_decompose(labels) == character_decompose(product)
 
 
 class TestCharacterDecompose:
