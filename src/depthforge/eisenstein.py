@@ -242,7 +242,7 @@ def check_bernoulli_sum_chain(k: int, p: int, entry: str = "d") -> ChainCheck:
             full = sum(ival[(alpha * c + beta * d) % p] for alpha in range(p) for beta in range(p))
             zero_slice = sum(ival[(beta * d) % p] for beta in range(p))
             lhs = prefactor * Fraction(restricted, scale)
-            middle = prefactor * (Fraction(full, scale) - Fraction(zero_slice, scale))
+            middle = prefactor * Fraction(full - zero_slice, scale)
             rhs = constant + phi_line_sum(k, p, g, entry)
             holds[c, d] = lhs == middle == rhs
         if not holds[c, d]:

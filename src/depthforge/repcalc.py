@@ -53,6 +53,9 @@ class IrrepLabel:
     def __setattr__(self, name, value):
         raise AttributeError("IrrepLabel is immutable")
 
+    def __reduce__(self):  # copy and pickle rebuild through __init__, not setattr
+        return IrrepLabel, (self.u, self.v)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, IrrepLabel):
             return NotImplemented

@@ -299,7 +299,7 @@ class TestEisCommands:
         # sigma_1999(n) < 2 n^1999 has at most 3990 digits for n < 100, but
         # from n = 142 on can have more than CPython's 4300
         assert len(run_json("eis", "qexp", "--weight", "2000", "--prec", "100")["coeffs"]) == 100
-        # these print a_p and 1 + p^1999 only: 3973 digits at p = 97
+        # these print a_p and 1 + p^1999 only: 3972 digits at p = 97
         assert run_json("eis", "factor", "--p", "97", "--eisenstein", "--weight", "2000")["value"] == "0"
         assert run_json("verify", "eigen", "--weight", "2000", "--p", "97", "--prec", "200")["match"] is True
         for argv in (

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -44,6 +46,7 @@ class TestIrrepLabel:
         assert IrrepLabel(3, -1) != (3, -1)
         with pytest.raises(AttributeError):
             IrrepLabel(3, -1).u = 4
+        assert pickle.loads(pickle.dumps(IrrepLabel(3, -1))) == copy.copy(IrrepLabel(3, -1)) == IrrepLabel(3, -1)
 
 
 class TestCharacter:
