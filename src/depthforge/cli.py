@@ -12,17 +12,19 @@ Grammar: ``depthforge <group> <command> [flags]`` with groups
 Reports are deterministic (byte-identical for identical configs): JSON with
 a top-level ``"schema": 1``, or CSV with one row per case via ``--format
 csv``.  Exit status: 0 all checks passed, 1 a verification failed, 2 invalid
-flags or values, 3 output could not be written.  The environment variable
-``DEPTHFORGE_MAX_WEIGHT`` caps the batch weight range of ``verify brown``,
-``period check`` refuses a polynomial of degree above ``MAX_PERIOD_DEGREE``
-(1000), ``verify bernsum`` refuses a prime above ``MAX_BERNSUM_P`` (31), every
-command refuses a Bernoulli index above ``MAX_BERNOULLI_N`` (2000) and a
-q-expansion precision above ``MAX_QEXP_PREC`` (20000), ``bern dist`` refuses
-``--m`` above ``MAX_BERN_DIST_TERMS`` (100000) // (n + 1), ``verify cgshape``
-refuses ``--max-sym`` above ``MAX_CGSHAPE_SYM`` (30) and ``--max-twist`` above
-``MAX_CGSHAPE_TWIST`` (10), and an Eisenstein series whose report could hold
-an integer of more than ``MAX_INT_DIGITS`` (4300) digits is refused before it
-is computed.
+flags or values, 3 output could not be written.  ``verify brown --weight``
+and ``--max-weight``, ``period basis --weight`` and ``depth matrix|relations``
+(through the weight 2m+2 of ``--m``) refuse a weight above
+``MAX_DEPTH2_WEIGHT`` (200), ``period check`` refuses a polynomial of degree
+above ``MAX_PERIOD_DEGREE`` (1000), ``verify bernsum`` refuses a prime above
+``MAX_BERNSUM_P`` (31), every command refuses a Bernoulli index above
+``MAX_BERNOULLI_N`` (2000) and a q-expansion precision above ``MAX_QEXP_PREC``
+(20000), ``bern dist`` refuses ``--m`` above ``MAX_BERN_DIST_TERMS`` (100000)
+// (n + 1), ``verify cgshape`` refuses ``--max-sym`` above ``MAX_CGSHAPE_SYM``
+(30) and ``--max-twist`` above ``MAX_CGSHAPE_TWIST`` (10), and an Eisenstein
+series whose report could hold an integer of more than ``MAX_INT_DIGITS``
+(4300) digits is refused before it is computed.  Each refusal is exit 2 with
+a message that names the cap.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -40,11 +41,15 @@ from .exactla import parse_rational
 
 DEFAULT_MIN_WEIGHT = 6
 DEFAULT_MAX_WEIGHT = 30
-MAX_WEIGHT_ENV = "DEPTHFORGE_MAX_WEIGHT"
+# the weight of verify brown --weight|--max-weight, period basis --weight and
+# depth matrix|relations (as 2m+2 from --m).  At 200: verify brown 9 s and 83 MB,
+# depth matrix 3.7 s and 313 MB for a 50 MB report, period basis 1.7 s; a
+# verify brown batch runs each even weight, 230 s for 6..200
+MAX_DEPTH2_WEIGHT = 200
 # period check expands the three-term relation in O(degree^2) binomial terms
 MAX_PERIOD_DEGREE = 1000
-# verify bernsum holds all of GL2(F_p) at once, about p^4 matrices: 892,800
-# at p = 31 (a 93 MB process under CPython 3.11), and time grows as p^4 too
+# verify bernsum walks all of GL2(F_p), about p^4 matrices (892,800 at p = 31),
+# one at a time, so time grows as p^4 and memory does not
 MAX_BERNSUM_P = 31
 # B_n fills the cache with B_0..B_n from one O(n^2) big-int triangle (0.9-1.2 s
 # cold at n = 2000; 4.4 s at 3000), and str() refuses numerators of more than
@@ -211,6 +216,7 @@ def _check_digits(args, weight: int, base: int, factor: int = 4) -> None:
 
 
 def _cmd_period_basis(args):
+    _check_cap(args, "--weight", args.weight, MAX_DEPTH2_WEIGHT)
     return [periodpoly.period_space(args.weight).to_json_obj()], True
 
 
@@ -231,20 +237,22 @@ def _cmd_period_check(args):
 
 
 def _cmd_depth_matrix(args):
-    matrix = depthlie.bracket_matrix(args.m)
+    _check_cap(args, "--m %d: weight 2m+2 =" % args.m, 2 * args.m + 2, MAX_DEPTH2_WEIGHT)
+    rows, cols = depthlie.bracket_matrix(args.m)
     case = {
         "m": args.m,
         "weight": 2 * args.m + 2,
         "pairs": [list(pair) for pair in periodpoly.candidate_pairs(args.m)],
-        "rows": matrix.rows,
-        "cols": matrix.cols,
+        "rows": len(rows),
+        "cols": cols,
         "row_words": ["".join(map(str, w)) for w in depthlie.depth2_word_basis(2 * args.m + 2)],
-        "matrix": matrix.to_strings(),
+        "matrix": [[str(x) for x in row] for row in rows],
     }
     return [case], True
 
 
 def _cmd_depth_relations(args):
+    _check_cap(args, "--m %d: weight 2m+2 =" % args.m, 2 * args.m + 2, MAX_DEPTH2_WEIGHT)
     kernel = depthlie.relation_kernel(args.m)
     case = {
         "m": args.m,
@@ -264,17 +272,13 @@ def _brown_case(m: int) -> dict:
 
 def _cmd_verify_brown(args):
     if args.weight is not None:
+        _check_cap(args, "--weight", args.weight, MAX_DEPTH2_WEIGHT)
         if args.weight % 2 != 0 or args.weight < 6:
             raise ValueError("--weight must be an even integer >= 6")
         cases = [_brown_case((args.weight - 2) // 2)]
     else:
         low, high = args.min_weight, args.max_weight
-        env_cap = os.environ.get(MAX_WEIGHT_ENV)
-        if env_cap is not None:
-            cap = int(env_cap)
-            if cap <= 0 or cap % 2:
-                raise ValueError("%s must be a positive even integer, got %r" % (MAX_WEIGHT_ENV, env_cap))
-            high = min(high, cap)
+        _check_cap(args, "--max-weight", high, MAX_DEPTH2_WEIGHT)
         if low % 2 != 0 or low < 6 or high < low:
             raise ValueError("bad weight range [%d, %d]" % (low, high))
         cases = [_brown_case((w - 2) // 2) for w in range(low, high + 1, 2)]
@@ -376,7 +380,7 @@ def _cmd_eis_hecke(args):
     # T_p's constant term is (1 + p^(w-1)) a_0, and T_p refuses p > prec / 2
     _check_digits(args, series.weight, min(abs(args.p), series.prec), 2 * abs(series.coeffs[0].numerator))
     transformed = eisenstein.hecke_tp(series, args.p)
-    eigenvalue = eisenstein.hecke_eigenvalue(series, args.p)
+    eigenvalue = eisenstein._eigenvalue_of(series, args.p, transformed)  # T_p applied once
     case = {
         "series": name,
         "weight": series.weight,

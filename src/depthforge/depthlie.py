@@ -22,7 +22,9 @@ e0^(n-a) and Y = sum_b y_b e0^b e1 e0^(k-b), the terms ``-X e0^b ...`` and
 ``XY`` cancel (likewise for Y), leaving six integer terms per product
 x_a y_b, so each column is an O(w^2) sum.  The generic word algebra in
 :mod:`depthforge.ncalg` (``ihara_bracket`` on :func:`sigma_leading`) is the
-reference the tests compare this against.
+reference the tests compare this against.  The matrix is returned as
+``(rows, cols)``, integer row tuples and a column count, the form that
+:func:`depthforge.exactla.rref` and ``certify_kernel`` take.
 
 :func:`relation_kernel` solves for the kernel on the last 2m+1 rows only,
 the words ``e1 e0^b e1 e0^c`` that begin with ``e1`` (a = 0).  A depth-2 Lie
@@ -65,17 +67,19 @@ def sigma_leading(m: int) -> NCPoly:
     return ad_pow(e0, 2 * m, e1)
 
 
-def depth2_word_basis(weight: int) -> list[Word]:
-    """All depth-2 words of the given weight, lexicographically ascending."""
-    if weight < 2:
-        return []
+def _depth2_indices(weight: int) -> list[tuple[int, int]]:
+    """(a, b) of the depth-2 words e0^a e1 e0^b e1 e0^c of a weight, in row order."""
     n = weight - 2
-    words = [
-        (E0,) * a + (E1,) + (E0,) * b + (E1,) + (E0,) * (n - a - b)
-        for a in range(n + 1)
-        for b in range(n - a + 1)
-    ]
-    return sorted(words)
+    return [(a, b) for a in range(n, -1, -1) for b in range(n - a, -1, -1)]
+
+
+def depth2_word_basis(weight: int) -> list[Word]:
+    """All depth-2 words of the given weight, lexicographically ascending.
+
+    Ascending words are (a, b) descending: more leading e0s sort first.
+    """
+    n = weight - 2
+    return [(E0,) * a + (E1,) + (E0,) * b + (E1,) + (E0,) * (n - a - b) for a, b in _depth2_indices(weight)]
 
 
 class PairCoefficients:
@@ -133,26 +137,19 @@ def _depth2_bracket(i: int, j: int) -> list[list[int]]:
     return out
 
 
-def _bracket_rows(m: int) -> tuple[list[tuple[int, ...]], int]:
-    """The integer rows of :func:`bracket_matrix` and its column count."""
-    if m < 2:
-        raise ValueError("bracket matrix needs m >= 2, got %r" % (m,))
-    columns = [_depth2_bracket(i, j) for i, j in candidate_pairs(m)]
-    n = 2 * m
-    rows = [tuple(col[a][b] for col in columns) for a in range(n, -1, -1) for b in range(n - a, -1, -1)]
-    return rows, len(columns)
-
-
-def bracket_matrix(m: int) -> QMatrix:
-    """Depth-2 bracket columns over the weight-(2m+2) word basis.
+def bracket_matrix(m: int) -> tuple[list[tuple[int, ...]], int]:
+    """The depth-2 bracket matrix at weight 2m+2, as integer rows and a column count.
 
     Columns follow ``candidate_pairs(m)`` (lexicographic pairs (i, j), i < j,
     i + j = m); rows follow :func:`depth2_word_basis`.  Column (i, j) holds
     the depth-2 component of the Ihara bracket {f_{2i+1}, f_{2j+1}},
     computed in closed form (see the module docstring).
     """
-    rows, cols = _bracket_rows(m)
-    return QMatrix(rows, cols=cols)
+    if m < 2:
+        raise ValueError("bracket matrix needs m >= 2, got %r" % (m,))
+    columns = [_depth2_bracket(i, j) for i, j in candidate_pairs(m)]
+    rows = [tuple(col[a][b] for col in columns) for a, b in _depth2_indices(2 * m + 2)]
+    return rows, len(columns)
 
 
 def relation_kernel(m: int) -> list[PairCoefficients]:
@@ -162,7 +159,7 @@ def relation_kernel(m: int) -> list[PairCoefficients]:
     ``e1``, and certified (``M v = 0`` on every row, in integers) before it
     is returned; a failed certificate raises ``AssertionError``.
     """
-    rows, cols = _bracket_rows(m)
+    rows, cols = bracket_matrix(m)
     basis = kernel_basis(QMatrix(rows[-(2 * m + 1) :], cols=cols))
     certify_kernel(rows, cols, basis)
     pairs = candidate_pairs(m)

@@ -15,9 +15,11 @@ Three layers live here because they share the Bernoulli substrate:
       phi_which(g) = (n^(k+1)/(k+2)) * B_{k+2}(<entry/n>),
 
   entry = c for which=1 and d for which=2, where <.> is the representative
-  in [0,1).  :func:`phi_line_sum` is the companion sum of the same
-  integrand over all F_p-multiples of one matrix entry, and
-  :func:`check_bernoulli_sum_chain` verifies, for every matrix in GL2(F_p),
+  in [0,1).  No command needs phi itself; it lives beside its value tables
+  in the test oracle ``tests/coset_oracle.py``.  :func:`phi_line_sum` is the
+  companion sum of the same integrand over all F_p-multiples of one matrix
+  entry, and :func:`check_bernoulli_sum_chain` verifies, for every matrix in
+  GL2(F_p), walking them one at a time as :func:`gl2_elements` makes them,
   the rewriting of a unit-restricted double Bernoulli sum into
   ``p B_{k+2}/(k+2)`` plus such a line sum.  Every term depends on the
   matrix only through its bottom row, so the chain is evaluated once per
@@ -44,6 +46,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, isqrt, lcm
+from typing import Iterator
 
 from .exactla import as_fraction
 
@@ -149,11 +152,15 @@ def is_invertible(g: Mat, n: int) -> bool:
     return gcd(mat_det(g, n), n) == 1
 
 
-def gl2_elements(n: int) -> tuple[Mat, ...]:
-    """All invertible 2x2 matrices over Z/nZ, in row-major tuple order."""
+def gl2_elements(n: int) -> Iterator[Mat]:
+    """The invertible 2x2 matrices over Z/nZ, in row-major tuple order, one at a time.
+
+    The level is checked when called; the matrices, about n^4 of them, are
+    made as they are read.
+    """
     if n < 2:
         raise ValueError("level must be >= 2")
-    return tuple(g for g in itertools.product(range(n), repeat=4) if is_invertible(g, n))
+    return (g for g in itertools.product(range(n), repeat=4) if is_invertible(g, n))
 
 
 def _check_phi_args(k: int, n: int, g: Mat) -> None:
@@ -163,15 +170,6 @@ def _check_phi_args(k: int, n: int, g: Mat) -> None:
         raise ValueError("level must be >= 2, got %r" % (n,))
     if not is_invertible(g, n):
         raise ValueError("matrix %r is not invertible mod %d" % (g, n))
-
-
-def phi(k: int, n: int, which: int, g: Mat) -> Fraction:
-    """Value of the coset function phi_1 (entry c) or phi_2 (entry d) at g."""
-    _check_phi_args(k, n, g)
-    if which not in (1, 2):
-        raise ValueError("which must be 1 or 2")
-    entry = g[2] if which == 1 else g[3]
-    return Fraction(n ** (k + 1), k + 2) * bernoulli_poly_eval(k + 2, Fraction(entry % n, n))
 
 
 def phi_line_sum(k: int, p: int, g: Mat, entry: str = "c") -> Fraction:
@@ -232,8 +230,7 @@ def check_bernoulli_sum_chain(k: int, p: int, entry: str = "d") -> ChainCheck:
     # Every term depends on g only through its bottom row (c, d): the chain is
     # evaluated at the first g with a new row, and each g reads that verdict.
     holds: dict[tuple[int, int], bool] = {}
-    elements = gl2_elements(p)
-    for checked, g in enumerate(elements, start=1):
+    for checked, g in enumerate(gl2_elements(p), start=1):
         c, d = g[2], g[3]
         if (c, d) not in holds:
             restricted = sum(
@@ -247,7 +244,7 @@ def check_bernoulli_sum_chain(k: int, p: int, entry: str = "d") -> ChainCheck:
             holds[c, d] = lhs == middle == rhs
         if not holds[c, d]:
             return ChainCheck(k, p, entry, False, checked, first_failure=g)
-    return ChainCheck(k, p, entry, True, len(elements))
+    return ChainCheck(k, p, entry, True, checked)
 
 
 # -- q-expansions and the Hecke operator ------------------------------------
@@ -376,8 +373,15 @@ def hecke_eigenvalue(f: QExpansion, p: int) -> Fraction:
         raise ValueError("precision %d cannot reach a_%d" % (f.prec, p))
     if f.coeffs[1] != 1:
         raise ValueError("not normalized: a_1 = %s != 1" % (f.coeffs[1],))
+    return _eigenvalue_of(f, p, hecke_tp(f, p))
+
+
+def _eigenvalue_of(f: QExpansion, p: int, transformed: QExpansion) -> Fraction:
+    """a_p of f, once ``transformed`` = T_p f is checked to be a_p f coefficient by coefficient.
+
+    ``eis hecke`` passes the T_p f it prints, so T_p is applied once.
+    """
     lam = f.coeffs[p]
-    transformed = hecke_tp(f, p)
     for n in range(transformed.prec):
         if transformed.coeffs[n] != lam * f.coeffs[n]:
             raise ValueError(

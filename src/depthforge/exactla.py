@@ -49,7 +49,7 @@ def parse_rational(x) -> Fraction:
 
 
 class QMatrix:
-    """A dense matrix of Fractions with a fixed rectangular shape.
+    """A dense matrix of Fractions with a fixed rectangular shape: the argument of :func:`kernel_basis`.
 
     Instances are immutable.  ``cols`` must be given explicitly when
     constructing a matrix with zero rows, since the column count cannot be
@@ -73,20 +73,6 @@ class QMatrix:
         self.rows = len(rows)
         self.cols = ncols
         self.entries = rows
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QMatrix):
-            return NotImplemented
-        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
-
-    def __repr__(self) -> str:
-        return "QMatrix(%d x %d)" % (self.rows, self.cols)
-
-    # -- serialisation ----------------------------------------------------
-
-    def to_strings(self) -> list[list[str]]:
-        """Entries as rational strings (``"a/b"`` / ``"a"``), row-major."""
-        return [[str(x) for x in row] for row in self.entries]
 
 
 def rref(rows: Sequence[Sequence], cols: int) -> tuple[list[list[Fraction]], tuple[int, ...]]:

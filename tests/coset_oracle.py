@@ -1,4 +1,4 @@
-"""The coset functions phi_1, phi_2 on GL2(Z/nZ) as full value tables.
+"""The coset functions phi_1, phi_2 on GL2(Z/nZ) and their full value tables.
 
 They descend from the quotient by +-P (P = upper triangular with bottom row
 (0 1)).  :class:`CosetFn` stores every value, so that the invariance is a
@@ -12,7 +12,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from depthforge.eisenstein import Mat, gl2_elements, phi
+from depthforge.eisenstein import Mat, _check_phi_args, bernoulli_poly_eval, gl2_elements
+
+
+def phi(k: int, n: int, which: int, g: Mat) -> Fraction:
+    """Value of the coset function phi_1 (entry c) or phi_2 (entry d) at g:
+    (n^(k+1)/(k+2)) * B_{k+2}(<entry/n>)."""
+    _check_phi_args(k, n, g)
+    if which not in (1, 2):
+        raise ValueError("which must be 1 or 2")
+    entry = g[2] if which == 1 else g[3]
+    return Fraction(n ** (k + 1), k + 2) * bernoulli_poly_eval(k + 2, Fraction(entry % n, n))
 
 
 def mat_mul(g: Mat, h: Mat, n: int) -> Mat:

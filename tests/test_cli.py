@@ -1,6 +1,5 @@
 import io
 import json
-import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -10,23 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depthforge import cli
+from depthforge import cli, depthlie, eisenstein
 
 CLI = [sys.executable, "-m", "depthforge.cli"]
 
 
-def run_cli(*args, env_extra=None, timeout=120):
-    env = dict(os.environ)
-    env.pop("DEPTHFORGE_MAX_WEIGHT", None)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, env=env, timeout=timeout
-    )
+def run_cli(*args, timeout=120):
+    return subprocess.run(CLI + list(args), capture_output=True, text=True, timeout=timeout)
 
 
-def run_json(*args, expect_status=0, env_extra=None):
-    proc = run_cli(*args, env_extra=env_extra)
+def run_json(*args, expect_status=0):
+    proc = run_cli(*args)
     assert proc.returncode == expect_status, proc.stderr or proc.stdout
     return json.loads(proc.stdout)
 
@@ -139,6 +132,12 @@ class TestDepthCommands:
         report = run_json("depth", "matrix", "--m", "2")
         assert report["cols"] == 0
 
+    def test_matrix_entries_are_str_of_the_integer_rows(self):
+        rows, cols = depthlie.bracket_matrix(5)
+        report = run_json("depth", "matrix", "--m", "5")
+        assert (report["rows"], report["cols"]) == (len(rows), cols)
+        assert report["matrix"] == [[str(x) for x in row] for row in rows]
+
     def test_relations_weight12(self):
         report = run_json("depth", "relations", "--m", "5")
         assert report["kernel_dim"] == 1
@@ -146,6 +145,28 @@ class TestDepthCommands:
             {"pair": [1, 4], "value": "-1/3"},
             {"pair": [2, 3], "value": "1"},
         ]
+
+
+class TestWeightCap:
+    def test_period_basis_at_cap_runs(self):
+        assert run_json("period", "basis", "--weight", str(cli.MAX_DEPTH2_WEIGHT))["weight"] == cli.MAX_DEPTH2_WEIGHT
+
+    def test_above_cap_is_usage_error(self):
+        # refused before any work: uncapped, weight 10^9 would build about 5 * 10^17 rows,
+        # so a short timeout catches a lost cap
+        cap = cli.MAX_DEPTH2_WEIGHT
+        for weight in (cap + 2, 1000000002):
+            m = str((weight - 2) // 2)
+            for argv in (
+                ("verify", "brown", "--weight", str(weight)),
+                ("verify", "brown", "--max-weight", str(weight)),
+                ("depth", "matrix", "--m", m),
+                ("depth", "relations", "--m", m),
+                ("period", "basis", "--weight", str(weight)),
+            ):
+                proc = run_cli(*argv, timeout=10)
+                assert_usage_error(proc)
+                assert "%d is above the cap of %d" % (weight, cap) in proc.stderr, argv
 
 
 class TestVerifyCommands:
@@ -159,17 +180,6 @@ class TestVerifyCommands:
 
     def test_brown_rejects_odd_weight(self):
         assert run_cli("verify", "brown", "--weight", "13").returncode == 2
-
-    def test_brown_env_cap(self):
-        report = run_json(
-            "verify", "brown", env_extra={"DEPTHFORGE_MAX_WEIGHT": "8"}
-        )
-        assert [c["weight"] for c in report["cases"]] == [6, 8]
-
-    def test_brown_garbage_env_cap(self):
-        # the cap must parse as a positive even integer; an odd one is not rounded down
-        for cap in ("many", "9", "0"):
-            assert_usage_error(run_cli("verify", "brown", env_extra={"DEPTHFORGE_MAX_WEIGHT": cap}))
 
     def test_bernsum_holds(self):
         report = run_json("verify", "bernsum", "--k", "2", "--p", "3")
@@ -245,6 +255,14 @@ class TestEisCommands:
         assert report["eigenvalue"] == "2049"
         assert report["output_prec"] == 30
         assert report["coeffs"][1] == "2049"
+
+    def test_hecke_applies_tp_once(self):
+        argv = ["eis", "hecke", "--weight", "12", "--p", "2", "--prec", "60"]
+        with mock.patch.object(eisenstein, "hecke_tp", wraps=eisenstein.hecke_tp) as hecke_tp:
+            with redirect_stdout(io.StringIO()) as out:
+                assert cli.main(argv) == 0
+        assert hecke_tp.call_count == 1
+        assert json.loads(out.getvalue())["eigenvalue"] == "2049"
 
     def test_hecke_delta(self):
         report = run_json("eis", "hecke", "--delta", "--p", "2", "--prec", "60")
@@ -424,6 +442,9 @@ class TestOutputOptions:
 INTS = st.integers(-3, 20).map(str)
 PRIMES = st.one_of(st.sampled_from(["2", "3", "5", "7", "11"]), INTS)  # most checks want a prime p
 WEIGHTS = st.one_of(st.integers(2, 10).map(lambda k: str(2 * k)), INTS)  # and an even weight
+# the depth-2 and period flags also meet values past their weight cap, from just above it to 10^12
+ABOVE_CAP = st.integers(cli.MAX_DEPTH2_WEIGHT + 1, 10**12).map(str)
+M_ABOVE_CAP = st.integers(cli.MAX_DEPTH2_WEIGHT // 2, 10**12).map(str)  # 2m + 2 > cap
 RATIONALS = st.builds("{}/{}".format, st.integers(-5, 5), st.integers(-2, 5))  # "/0" and "/-1" included
 JUNK = st.sampled_from(["", "x", "1.5", "1e3", "--", "-", "0x10", "Sym", "٣", "1/2/3", "nan"])
 JSON_TEXT = st.sampled_from(
@@ -454,11 +475,15 @@ LABELS = st.lists(
 # test may cut the argument list short or spoil one token of it; the bounds keep every draw cheap: bernsum
 # enumerates p^4 matrices, cgshape (max_sym + 1)^2 (max_twist + 1)^2 products
 FLAGS = {
-    "period basis": {"--weight": WEIGHTS},
+    "period basis": {"--weight": st.one_of(WEIGHTS, ABOVE_CAP)},
     "period check": {"--poly": JSON_TEXT, "--degree": INTS},
-    "depth matrix": {"--m": INTS},
-    "depth relations": {"--m": INTS},
-    "verify brown": {"--min-weight": WEIGHTS, "--max-weight": WEIGHTS, "--weight": WEIGHTS},
+    "depth matrix": {"--m": st.one_of(INTS, M_ABOVE_CAP)},
+    "depth relations": {"--m": st.one_of(INTS, M_ABOVE_CAP)},
+    "verify brown": {
+        "--min-weight": WEIGHTS,
+        "--max-weight": st.one_of(WEIGHTS, ABOVE_CAP),
+        "--weight": st.one_of(WEIGHTS, ABOVE_CAP),
+    },
     "verify bernsum": {
         "--k": INTS,
         "--p": st.one_of(st.sampled_from(["3", "5", "7", "11"]), st.integers(-3, 11).map(str)),
@@ -507,11 +532,7 @@ def test_fuzzed_arguments_exit_0_to_3_without_traceback(command, data):
     elif damage == "spoil" and len(argv) > 2:
         argv[data.draw(st.integers(2, len(argv) - 1))] = data.draw(MALFORMED)
     argv += data.draw(st.sampled_from([[], ["--format", "csv"], ["--format", "xml"]]))
-    cap = data.draw(st.one_of(st.none(), INTS, JUNK))
-    with mock.patch.dict(os.environ), redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-        os.environ.pop(cli.MAX_WEIGHT_ENV, None)
-        if cap is not None:
-            os.environ[cli.MAX_WEIGHT_ENV] = cap
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         try:
             status = cli.main(argv)
         except SystemExit as exc:  # argparse rejects a flag

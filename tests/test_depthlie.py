@@ -65,9 +65,10 @@ class TestWordBasis:
         assert len(depth2_word_basis(12)) == 66
 
     def test_sorted_and_depth2(self):
-        words = depth2_word_basis(8)
-        assert words == sorted(words)
-        assert all(sum(w) == 2 and len(w) == 8 for w in words)
+        for weight in range(2, 21):
+            words = depth2_word_basis(weight)
+            assert words == sorted(set(words)), weight
+            assert all(sum(w) == 2 and len(w) == weight for w in words)
 
     def test_below_two_empty(self):
         assert depth2_word_basis(1) == []
@@ -99,13 +100,14 @@ class TestPairCoefficients:
 
 class TestBracketMatrix:
     def test_m2_has_no_columns(self):
-        mat = bracket_matrix(2)
-        assert mat.cols == 0
-        assert mat.rows == comb(6, 2)
+        rows, cols = bracket_matrix(2)
+        assert cols == 0
+        assert rows == [()] * comb(6, 2)
 
     def test_m5_shape(self):
-        mat = bracket_matrix(5)
-        assert (mat.rows, mat.cols) == (66, 2)
+        rows, cols = bracket_matrix(5)
+        assert (len(rows), cols) == (66, 2)
+        assert all(type(x) is int for row in rows for x in row)
 
     def test_columns_are_depth2_brackets(self):
         # the closed form against the NCPoly word algebra, column by column
@@ -116,8 +118,8 @@ class TestBracketMatrix:
             for i, j in candidate_pairs(m):
                 br = ihara_bracket(sigma[i], sigma[j]).depth_component(2)
                 columns.append([br.coefficient(w) for w in words])
-            expected = QMatrix([[col[r] for col in columns] for r in range(len(words))], cols=len(columns))
-            assert bracket_matrix(m) == expected, "m=%d" % m
+            expected = [tuple(col[r] for col in columns) for r in range(len(words))]
+            assert bracket_matrix(m) == (expected, len(columns)), "m=%d" % m
 
     def test_m_below_two_rejected(self):
         with pytest.raises(ValueError):
@@ -152,19 +154,20 @@ class TestRelationKernel:
 
     @pytest.mark.parametrize("m", range(2, 9))
     def test_kernel_annihilates_matrix(self, m):
-        mat = bracket_matrix(m)
+        rows, _ = bracket_matrix(m)
         pairs = candidate_pairs(m)
         for pc in relation_kernel(m):
             vec = [pc.coeffs.get(p, Fraction(0)) for p in pairs]
-            assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in mat.entries)
+            assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in rows)
 
     def test_e1_rows_give_the_full_kernel(self):
         # the full-matrix RREF survives only here, as the oracle
         for m in range(2, 31):
             pairs = candidate_pairs(m)
+            rows, cols = bracket_matrix(m)
             expected = [
                 PairCoefficients(m, {pair: c for pair, c in zip(pairs, vec) if c})
-                for vec in kernel_basis(bracket_matrix(m))
+                for vec in kernel_basis(QMatrix(rows, cols=cols))
             ]
             assert relation_kernel(m) == expected, "m=%d" % m
 

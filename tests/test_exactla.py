@@ -32,11 +32,6 @@ class TestQMatrix:
         with pytest.raises(TypeError):
             QMatrix([[0.5]])
 
-    def test_string_round_trip(self):
-        m = QMatrix([["2/3", "-1"], ["0", "5"]])
-        assert QMatrix(m.to_strings()) == m
-        assert m.to_strings() == [["2/3", "-1"], ["0", "5"]]
-
 
 class TestParseRational:
     @pytest.mark.parametrize(
