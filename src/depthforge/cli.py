@@ -15,7 +15,10 @@ csv``.  Exit status: 0 all checks passed, 1 a verification failed, 2 invalid
 flags or values, 3 output could not be written.  ``verify brown --weight``
 and ``--max-weight``, ``period basis --weight`` and ``depth matrix|relations``
 (through the weight 2m+2 of ``--m``) refuse a weight above
-``MAX_DEPTH2_WEIGHT`` (200), ``period check`` refuses a polynomial of degree
+``MAX_DEPTH2_WEIGHT`` (200), a ``verify brown`` batch refuses weights whose
+matrices hold more than ``MAX_BROWN_BATCH_CELLS`` (975,100, the size at weight
+200) entries in total, ``rep decompose|bigrade`` refuse a product of dimension
+above ``MAX_REP_DIMENSION`` (10^6), ``period check`` refuses a polynomial of degree
 above ``MAX_PERIOD_DEGREE`` (1000), ``verify bernsum`` refuses a prime above
 ``MAX_BERNSUM_P`` (31), every command refuses a Bernoulli index above
 ``MAX_BERNOULLI_N`` (2000) and a q-expansion precision above ``MAX_QEXP_PREC``
@@ -67,6 +70,15 @@ MAX_BERN_DIST_TERMS = 100000
 # each: 2.4 s at --max-sym 30 --max-twist 8, 9 s at 40 and 10
 MAX_CGSHAPE_SYM = 30
 MAX_CGSHAPE_TWIST = 10
+# a verify brown batch builds (w-1)w/2 rows by len(candidate_pairs) columns at
+# each weight w, and the sum over its weights may not pass that of one run at
+# MAX_DEPTH2_WEIGHT (975,100).  The default batch 6..30 sums to 10,773; 6..200
+# sums to 25 times the budget and ran for 230 s
+MAX_BROWN_BATCH_CELLS = 975100
+# rep bigrade multiplies characters in up to prod(u_i + 1) steps, and rep
+# decompose lists up to that many components: two Sym999(0) took 0.65 s to
+# bigrade, 23 Sym1(0) (dimension 8.4 million) 1.9 s and 253 MB to decompose
+MAX_REP_DIMENSION = 10**6
 # CPython's default limit on int-to-str conversion; a report holding a longer
 # integer would fail only when printed, after all the work
 MAX_INT_DIGITS = 4300
@@ -193,7 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_cap(args, what: str, value: int, cap: int) -> None:
     if value > cap:
-        raise ValueError("%s %d is above the cap of %d for %s %s" % (what, value, cap, args.group, args.command))
+        # a huge value is named by its size: str() refuses ints past MAX_INT_DIGITS digits
+        shown = "%d" % value if value.bit_length() <= 64 else "at least 2^%d" % (value.bit_length() - 1)
+        raise ValueError("%s %s is above the cap of %d for %s %s" % (what, shown, cap, args.group, args.command))
 
 
 def _check_digits(args, weight: int, base: int, factor: int = 4) -> None:
@@ -245,7 +259,7 @@ def _cmd_depth_matrix(args):
         "pairs": [list(pair) for pair in periodpoly.candidate_pairs(args.m)],
         "rows": len(rows),
         "cols": cols,
-        "row_words": ["".join(map(str, w)) for w in depthlie.depth2_word_basis(2 * args.m + 2)],
+        "row_words": depthlie.depth2_word_basis(2 * args.m + 2),
         "matrix": [[str(x) for x in row] for row in rows],
     }
     return [case], True
@@ -254,12 +268,12 @@ def _cmd_depth_matrix(args):
 def _cmd_depth_relations(args):
     _check_cap(args, "--m %d: weight 2m+2 =" % args.m, 2 * args.m + 2, MAX_DEPTH2_WEIGHT)
     kernel = depthlie.relation_kernel(args.m)
-    case = {
-        "m": args.m,
-        "weight": 2 * args.m + 2,
-        "kernel_dim": len(kernel),
-        "relations": [pc.to_json_obj() for pc in kernel],
-    }
+    pairs = periodpoly.candidate_pairs(args.m)
+    relations = [
+        {"m": args.m, "coeffs": [{"pair": list(pair), "value": str(c)} for pair, c in zip(pairs, vec) if c]}
+        for vec in kernel
+    ]
+    case = {"m": args.m, "weight": 2 * args.m + 2, "kernel_dim": len(kernel), "relations": relations}
     return [case], True
 
 
@@ -281,7 +295,10 @@ def _cmd_verify_brown(args):
         _check_cap(args, "--max-weight", high, MAX_DEPTH2_WEIGHT)
         if low % 2 != 0 or low < 6 or high < low:
             raise ValueError("bad weight range [%d, %d]" % (low, high))
-        cases = [_brown_case((w - 2) // 2) for w in range(low, high + 1, 2)]
+        weights = range(low, high + 1, 2)
+        cells = sum((w - 1) * w // 2 * len(periodpoly.candidate_pairs((w - 2) // 2)) for w in weights)
+        _check_cap(args, "weights %d..%d: rows x columns summed =" % (low, high), cells, MAX_BROWN_BATCH_CELLS)
+        cases = [_brown_case((w - 2) // 2) for w in weights]
     return cases, all(c["match"] for c in cases)
 
 
@@ -417,15 +434,19 @@ def _cmd_eis_factor(args):
     return [case], ok
 
 
-def _parse_labels(text: str) -> list[repcalc.IrrepLabel]:
-    labels = [repcalc.IrrepLabel.parse(part) for part in text.split(",") if part.strip()]
+def _parse_labels(args) -> list[repcalc.IrrepLabel]:
+    labels = [repcalc.IrrepLabel.parse(part) for part in args.labels.split(",") if part.strip()]
     if not labels:
         raise ValueError("empty label list")
+    dimension = 1
+    for count, label in enumerate(labels, 1):  # checked per factor, so no huge product is formed
+        dimension *= label.u + 1
+        _check_cap(args, "--labels: dimension of factors 1..%d =" % count, dimension, MAX_REP_DIMENSION)
     return labels
 
 
 def _cmd_rep_decompose(args):
-    labels = _parse_labels(args.labels)
+    labels = _parse_labels(args)
     decomp = repcalc.tensor_decompose(labels)
     case = {
         "factors": [str(l) for l in labels],
@@ -436,7 +457,7 @@ def _cmd_rep_decompose(args):
 
 
 def _cmd_rep_bigrade(args):
-    labels = _parse_labels(args.labels)
+    labels = _parse_labels(args)
     char = repcalc.Character.one()
     for label in labels:
         char = char * repcalc.irrep_char(label)

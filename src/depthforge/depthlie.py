@@ -8,7 +8,8 @@ The depth-graded Lie algebra of interest is generated in each odd weight
 For a target weight 2m+2 the Ihara brackets {f_{2i+1}, f_{2j+1}} over pairs
 i < j, i + j = m land in the depth-2, weight-(2m+2) word space spanned by
 ``e0^a e1 e0^b e1 e0^c`` with a + b + c = 2m.  The matrix rows follow
-:func:`depth2_word_basis`, which is (a, b) descending.
+:func:`depth2_word_basis`, which is (a, b) descending and spells each word
+as a ``"01"`` string.
 
 :func:`bracket_matrix` computes those brackets in closed form over ``int``.
 For a depth-1 element X the Leibniz sum of ``a(X)`` over the e0 letters of
@@ -36,26 +37,26 @@ rows can only enlarge a kernel, so a passing certificate proves the two
 kernels equal, and since the canonical basis depends only on the kernel, it
 is the basis the full matrix would give.
 
-Writing the brackets as the columns of a matrix, a rational tuple (a_ij)
-gives a relation
+Writing the brackets as the columns of a matrix, a rational vector (a_ij)
+over ``candidate_pairs(m)`` gives a relation
 
     sum a_ij [sigma_{2i+1}, sigma_{2j+1}] = 0   (depth-graded)
 
-exactly when it lies in the matrix kernel.  The criterion verified by
-:func:`verify_brown_criterion` says these relations correspond, via
-``(i, j) -> x^2i y^2j - x^2j y^2i``, to the restricted even period
-polynomials of weight 2m+2 -- an executable bridge checked here by running
-both solvers independently and comparing the spans.
+exactly when it lies in the matrix kernel; such vectors are the one relation
+format, from :func:`relation_kernel` to the reports.  The criterion verified
+by :func:`verify_brown_criterion` says these relations correspond, via
+``periodpoly.pair_to_poly`` (``(i, j) -> x^2i y^2j - x^2j y^2i``), to the
+restricted even period polynomials of weight 2m+2 -- an executable bridge
+checked here by running both solvers independently and comparing the spans.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 from . import periodpoly
-from .exactla import QMatrix, as_fraction, certify_kernel, kernel_basis
-from .ncalg import E0, E1, NCPoly, Word, ad_pow, generators
+from .exactla import QMatrix, Vector, certify_kernel, kernel_basis
+from .ncalg import NCPoly, ad_pow, generators
 from .periodpoly import candidate_pairs
 
 
@@ -73,46 +74,13 @@ def _depth2_indices(weight: int) -> list[tuple[int, int]]:
     return [(a, b) for a in range(n, -1, -1) for b in range(n - a, -1, -1)]
 
 
-def depth2_word_basis(weight: int) -> list[Word]:
-    """All depth-2 words of the given weight, lexicographically ascending.
+def depth2_word_basis(weight: int) -> list[str]:
+    """All depth-2 words of the given weight as ``"01"`` strings, ascending.
 
     Ascending words are (a, b) descending: more leading e0s sort first.
     """
     n = weight - 2
-    return [(E0,) * a + (E1,) + (E0,) * b + (E1,) + (E0,) * (n - a - b) for a, b in _depth2_indices(weight)]
-
-
-class PairCoefficients:
-    """A rational tuple (a_ij) over the pairs i < j, i + j = m."""
-
-    __slots__ = ("m", "coeffs")
-
-    def __init__(self, m: int, coeffs: dict[tuple[int, int], Fraction] | None = None):
-        clean: dict[tuple[int, int], Fraction] = {}
-        for (i, j), value in (coeffs or {}).items():
-            if not (1 <= i < j and i + j == m):
-                raise ValueError("pair (%r, %r) violates 1 <= i < j, i + j = %d" % (i, j, m))
-            c = as_fraction(value)
-            if c:
-                clean[(i, j)] = c
-        self.m = m
-        self.coeffs = clean
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PairCoefficients):
-            return NotImplemented
-        return self.m == other.m and self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        return "PairCoefficients(%r, %r)" % (self.m, self.coeffs)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "m": self.m,
-            "coeffs": [
-                {"pair": [i, j], "value": str(c)} for (i, j), c in sorted(self.coeffs.items())
-            ],
-        }
+    return ["0" * a + "1" + "0" * b + "1" + "0" * (n - a - b) for a, b in _depth2_indices(weight)]
 
 
 def _depth2_bracket(i: int, j: int) -> list[list[int]]:
@@ -152,8 +120,8 @@ def bracket_matrix(m: int) -> tuple[list[tuple[int, ...]], int]:
     return rows, len(columns)
 
 
-def relation_kernel(m: int) -> list[PairCoefficients]:
-    """Canonical kernel basis of :func:`bracket_matrix`, as pair coefficients.
+def relation_kernel(m: int) -> list[Vector]:
+    """Canonical kernel basis of :func:`bracket_matrix`, over ``candidate_pairs(m)``.
 
     The basis is solved on the last 2m+1 rows, the words that begin with
     ``e1``, and certified (``M v = 0`` on every row, in integers) before it
@@ -162,8 +130,7 @@ def relation_kernel(m: int) -> list[PairCoefficients]:
     rows, cols = bracket_matrix(m)
     basis = kernel_basis(QMatrix(rows[-(2 * m + 1) :], cols=cols))
     certify_kernel(rows, cols, basis)
-    pairs = candidate_pairs(m)
-    return [PairCoefficients(m, {pair: c for pair, c in zip(pairs, vec) if c}) for vec in basis]
+    return basis
 
 
 class BrownReport:
@@ -207,7 +174,7 @@ def verify_brown_criterion(m: int) -> BrownReport:
     if m < 2:
         raise ValueError("criterion applies from m >= 2, got %r" % (m,))
     kernel = relation_kernel(m)
-    images = [periodpoly.pair_to_poly(pc) for pc in kernel]
+    images = [periodpoly.pair_to_poly(m, vec) for vec in kernel]
     space = periodpoly.period_space(2 * m + 2)
     in_space = all(bool(periodpoly.is_period_poly(p)) for p in images)
     spans = periodpoly.subspace_equal(images, space.basis)

@@ -216,12 +216,12 @@ def candidate_pairs(m: int) -> list[tuple[int, int]]:
     return [(i, m - i) for i in range(1, (m + 1) // 2)]
 
 
-def _pair_combination(degree: int, terms: Iterable[tuple[tuple[int, int], Fraction]]) -> BivarPoly:
-    """``sum c (x^2i y^2j - x^2j y^2i)`` over the ``((i, j), c)`` in ``terms``."""
+def pair_to_poly(m: int, vector: Sequence[Fraction]) -> BivarPoly:
+    """Map coordinates ``(a_ij)`` over ``candidate_pairs(m)`` to ``sum a_ij (x^2i y^2j - x^2j y^2i)``."""
     coeffs = []
-    for (i, j), c in terms:
+    for (i, j), c in zip(candidate_pairs(m), vector):
         coeffs += [((2 * i, 2 * j), c), ((2 * j, 2 * i), -c)]
-    return BivarPoly(degree, coeffs)
+    return BivarPoly(2 * m, coeffs)
 
 
 def period_space(weight: int) -> PeriodSpace:
@@ -231,32 +231,18 @@ def period_space(weight: int) -> PeriodSpace:
     ``x^(2i) y^(2j) - x^(2j) y^(2i)`` (which already satisfy f(x,0)=0,
     evenness and antisymmetry); the three-term relation is imposed as an
     exact linear system and the kernel, in the canonical basis, is mapped
-    back to polynomials normalized to leading coefficient 1.
+    back through :func:`pair_to_poly` and normalized to leading coefficient 1.
     """
     if weight % 2 != 0 or weight < 4:
         raise ValueError("weight must be an even integer >= 4, got %r" % (weight,))
     m = (weight - 2) // 2
-    pairs = candidate_pairs(m)
-    degree = 2 * m
-    if not pairs:
+    cols = len(candidate_pairs(m))
+    if not cols:
         return PeriodSpace(weight, [])
-    images = [_three_term(_pair_combination(degree, [(pair, 1)])) for pair in pairs]
-    monomials = [(degree - b, b) for b in range(degree + 1)]
-    matrix = QMatrix(
-        [[img.coeffs.get(mono, Fraction(0)) for img in images] for mono in monomials],
-        cols=len(pairs),
-    )
-    basis = [_pair_combination(degree, zip(pairs, vec)).leading_normalized() for vec in kernel_basis(matrix)]
-    return PeriodSpace(weight, basis)
-
-
-def pair_to_poly(pc) -> BivarPoly:
-    """Map pair coefficients ``(a_ij)`` to ``sum a_ij (x^2i y^2j - x^2j y^2i)``.
-
-    ``pc`` is anything with fields ``m`` and ``coeffs`` (an ordered-pair to
-    Fraction map) -- in practice a ``depthlie.PairCoefficients``.
-    """
-    return _pair_combination(2 * pc.m, pc.coeffs.items())
+    images = [_three_term(pair_to_poly(m, [int(k == n) for k in range(cols)])) for n in range(cols)]
+    monomials = [(2 * m - b, b) for b in range(2 * m + 1)]
+    matrix = QMatrix([[img.coeffs.get(mono, _ZERO) for img in images] for mono in monomials], cols=cols)
+    return PeriodSpace(weight, [pair_to_poly(m, vec).leading_normalized() for vec in kernel_basis(matrix)])
 
 
 def subspace_equal(first: Sequence[BivarPoly], second: Sequence[BivarPoly]) -> bool:

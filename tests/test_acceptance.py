@@ -57,7 +57,7 @@ def test_criterion_3_weight_12_relation():
     kernel = relation_kernel(5)
     ok = len(kernel) == 1
     if ok:
-        image = pair_to_poly(kernel[0])
+        image = pair_to_poly(5, kernel[0])
         golden = BivarPoly(10, {(8, 2): 1, (6, 4): -3, (4, 6): 3, (2, 8): -1})
         lead = image.coeffs.get(max(image.coeffs))
         ok = lead is not None and image == lead * golden

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import subprocess
@@ -146,6 +147,40 @@ class TestDepthCommands:
             {"pair": [2, 3], "value": "1"},
         ]
 
+    # the exact report bytes: sha256 of the JSON, and the CSV row after its header
+    RELATIONS_JSON_SHA256 = {
+        5: "5573c13ff1f4290404d5edfb9fe5dad9f2fa1898e863a4b8dfda8a325f37d6cb",
+        11: "ce86dcb9839b15981c72d432f0d18d3bc617c765c5c6be2fa3bed5e616db492a",
+        17: "80acdee87d789aca10291cc99243ec0d9048ee94d29c400b28eeb1f0edfa3f09",
+    }
+    RELATIONS_CSV = {
+        5: '5,12,1,"[{""coeffs"": [{""pair"": [1, 4], ""value"": ""-1/3""}, {""pair"": [2, 3], ""value"": ""1""}], '
+        '""m"": 5}]"',
+        11: '11,24,2,"[{""coeffs"": [{""pair"": [1, 10], ""value"": ""-470/969""}, {""pair"": [2, 9], ""value"": '
+        '""1519/969""}, {""pair"": [3, 8], ""value"": ""-98/51""}, {""pair"": [4, 7], ""value"": ""1""}], ""m"": 11}, '
+        '{""coeffs"": [{""pair"": [1, 10], ""value"": ""-97/323""}, {""pair"": [2, 9], ""value"": ""605/646""}, '
+        '{""pair"": [3, 8], ""value"": ""-33/34""}, {""pair"": [5, 6], ""value"": ""1""}], ""m"": 11}]"',
+        17: '17,36,3,"[{""coeffs"": [{""pair"": [1, 16], ""value"": ""-551819/134850""}, {""pair"": [2, 15], '
+        '""value"": ""181258/13485""}, {""pair"": [3, 14], ""value"": ""-38236/2175""}, {""pair"": [4, 13], '
+        '""value"": ""121/10""}, {""pair"": [5, 12], ""value"": ""-121/25""}, {""pair"": [6, 11], ""value"": ""1""}], '
+        '""m"": 17}, {""coeffs"": [{""pair"": [1, 16], ""value"": ""-8427399/1033850""}, {""pair"": [2, 15], '
+        '""value"": ""2761122/103385""}, {""pair"": [3, 14], ""value"": ""-576576/16675""}, {""pair"": [4, 13], '
+        '""value"": ""15763/690""}, {""pair"": [5, 12], ""value"": ""-4368/575""}, {""pair"": [7, 10], ""value"": '
+        '""1""}], ""m"": 17}, {""coeffs"": [{""pair"": [1, 16], ""value"": ""-1365241/310155""}, {""pair"": [2, 15], '
+        '""value"": ""4468892/310155""}, {""pair"": [3, 14], ""value"": ""-37196/2001""}, {""pair"": [4, 13], '
+        '""value"": ""1394/115""}, {""pair"": [5, 12], ""value"": ""-442/115""}, {""pair"": [8, 9], ""value"": '
+        '""1""}], ""m"": 17}]"',
+    }
+
+    @pytest.mark.parametrize("m", [5, 11, 17])
+    def test_relations_reports_are_pinned(self, m):
+        proc = run_cli("depth", "relations", "--m", str(m))
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == self.RELATIONS_JSON_SHA256[m]
+        proc = run_cli("depth", "relations", "--m", str(m), "--format", "csv")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "m,weight,kernel_dim,relations\n" + self.RELATIONS_CSV[m] + "\n"
+
 
 class TestWeightCap:
     def test_period_basis_at_cap_runs(self):
@@ -167,6 +202,43 @@ class TestWeightCap:
                 proc = run_cli(*argv, timeout=10)
                 assert_usage_error(proc)
                 assert "%d is above the cap of %d" % (weight, cap) in proc.stderr, argv
+
+    def test_value_past_the_str_limit_is_named_by_its_size(self):
+        # --m has 4300 digits, the most int() reads; 2m + 2 is past what str() writes
+        m = "9" * cli.MAX_INT_DIGITS
+        message = "weight 2m+2 = at least 2^%d is above the cap of" % ((2 * int(m) + 2).bit_length() - 1)
+        for command in ("matrix", "relations"):
+            proc = run_cli("depth", command, "--m", m, timeout=10)
+            assert_usage_error(proc)
+            assert message in proc.stderr
+
+
+class TestBrownBatchBudget:
+    @staticmethod
+    def batch_status(low, high):
+        # in process, with the per-weight check stubbed out: only the budget is measured
+        argv = ["verify", "brown", "--min-weight", str(low), "--max-weight", str(high)]
+        with mock.patch.object(cli, "_brown_case", return_value={"match": True}):
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+                return cli.main(argv), err.getvalue()
+
+    def test_budget_is_one_run_at_the_weight_cap(self):
+        w = cli.MAX_DEPTH2_WEIGHT
+        assert cli.MAX_BROWN_BATCH_CELLS == (w - 1) * w // 2 * ((w - 2) // 2 - 1) // 2 == 975100
+
+    def test_batches_up_to_the_budget_run(self):
+        # 6..88 sums to 911,845 cells, 6..90 to 977,823
+        assert self.batch_status(6, 88) == (0, "")
+        assert self.batch_status(cli.MAX_DEPTH2_WEIGHT, cli.MAX_DEPTH2_WEIGHT) == (0, "")
+        status, err = self.batch_status(6, 90)
+        assert status == 2
+        assert "977823 is above the cap of %d" % cli.MAX_BROWN_BATCH_CELLS in err
+
+    def test_batch_above_budget_is_usage_error(self):
+        # refused before any work: uncapped, 6..200 runs for about four minutes
+        proc = run_cli("verify", "brown", "--max-weight", str(cli.MAX_DEPTH2_WEIGHT), timeout=10)
+        assert_usage_error(proc)
+        assert "weights 6..200: rows x columns summed = 24496276 is above the cap of 975100" in proc.stderr
 
 
 class TestVerifyCommands:
@@ -359,6 +431,31 @@ class TestRepCommands:
         assert report["dims"] == {"0,1": 1, "2,1": 1}
         assert report["dimension"] == 2
 
+    def test_product_dimension_at_cap_runs(self):
+        assert cli.MAX_REP_DIMENSION == 1000 * 1000
+        assert run_json("rep", "bigrade", "--labels", "Sym999(0),Sym999(0)")["dimension"] == cli.MAX_REP_DIMENSION
+        report = run_json("rep", "decompose", "--labels", "Sym999(0),Sym999(0),Sym0(4)")
+        assert report["dimension"] == cli.MAX_REP_DIMENSION
+        assert len(report["components"]) == 1000
+
+    def test_product_dimension_above_cap_is_usage_error(self):
+        # refused before any work: uncapped, five Sym100(0) run out of memory
+        # and two Sym2000000(0) print a 54 MB report
+        cap = cli.MAX_REP_DIMENSION
+        for labels, factors, dimension in (
+            ("Sym1000(0),Sym999(0)", 2, 1001000),
+            (",".join(["Sym100(0)"] * 5), 3, 101**3),
+            ("Sym2000000(0),Sym2000000(0)", 1, 2000001),
+            ("Sym5000(0),Sym5000(0)", 2, 5001**2),
+            ("Sym1(3)," * 20 + "Sym1000000000000(0)", 20, 2**20),
+            ("Sym%s(0)" % ("9" * cli.MAX_INT_DIGITS), 1, "at least 2^%d" % ((10**cli.MAX_INT_DIGITS).bit_length() - 1)),
+        ):
+            for command in ("decompose", "bigrade"):
+                proc = run_cli("rep", command, "--labels", labels, timeout=10)
+                assert_usage_error(proc)
+                message = "dimension of factors 1..%d = %s is above the cap of %d" % (factors, dimension, cap)
+                assert message in proc.stderr, (command, labels)
+
 
 class TestBernCommands:
     def test_number(self):
@@ -468,8 +565,11 @@ JSON_TEXT = st.sampled_from(
     ]
 )
 MALFORMED = st.one_of(RATIONALS, JUNK, JSON_TEXT)  # no int: it could lift a bound below
+# a label past the product-dimension cap on its own, from just above it to 10^12
+LABEL_ABOVE_CAP = st.builds("Sym{}({})".format, st.integers(cli.MAX_REP_DIMENSION, 10**12), st.integers(-3, 8))
 LABELS = st.lists(
-    st.one_of(st.builds("Sym{}({})".format, st.integers(-1, 6), st.integers(-3, 8)), JUNK), max_size=3
+    st.one_of(st.builds("Sym{}({})".format, st.integers(-1, 6), st.integers(-3, 8)), LABEL_ABOVE_CAP, JUNK),
+    max_size=3,
 ).map(",".join)
 # per command, each flag with the values drawn for it (None: a switch); the
 # test may cut the argument list short or spoil one token of it; the bounds keep every draw cheap: bernsum

@@ -6,7 +6,6 @@ import pytest
 from depthforge import depthlie
 from depthforge.depthlie import (
     BrownReport,
-    PairCoefficients,
     bracket_matrix,
     depth2_word_basis,
     relation_kernel,
@@ -14,7 +13,7 @@ from depthforge.depthlie import (
     verify_brown_criterion,
 )
 from depthforge.exactla import QMatrix, kernel_basis
-from depthforge.ncalg import NCPoly, ihara_bracket
+from depthforge.ncalg import NCPoly, ihara_bracket, word_from_str
 from depthforge.periodpoly import candidate_pairs, is_period_poly, pair_to_poly
 
 
@@ -68,34 +67,10 @@ class TestWordBasis:
         for weight in range(2, 21):
             words = depth2_word_basis(weight)
             assert words == sorted(set(words)), weight
-            assert all(sum(w) == 2 and len(w) == weight for w in words)
+            assert all(w.count("1") == 2 and len(w) == weight for w in words)
 
     def test_below_two_empty(self):
         assert depth2_word_basis(1) == []
-
-
-class TestPairCoefficients:
-    def test_validates_pairs(self):
-        with pytest.raises(ValueError):
-            PairCoefficients(5, {(2, 2): Fraction(1)})
-        with pytest.raises(ValueError):
-            PairCoefficients(5, {(1, 3): Fraction(1)})
-        with pytest.raises(ValueError):
-            PairCoefficients(5, {(0, 5): Fraction(1)})
-
-    def test_drops_zeros(self):
-        pc = PairCoefficients(5, {(1, 4): Fraction(0), (2, 3): Fraction(2)})
-        assert pc.coeffs == {(2, 3): Fraction(2)}
-
-    def test_json(self):
-        pc = PairCoefficients(5, {(2, 3): Fraction(1), (1, 4): Fraction(-1, 3)})
-        assert pc.to_json_obj() == {
-            "m": 5,
-            "coeffs": [
-                {"pair": [1, 4], "value": "-1/3"},
-                {"pair": [2, 3], "value": "1"},
-            ],
-        }
 
 
 class TestBracketMatrix:
@@ -113,7 +88,7 @@ class TestBracketMatrix:
         # the closed form against the NCPoly word algebra, column by column
         sigma = {i: sigma_leading(i) for i in range(1, 20)}
         for m in range(2, 21):
-            words = depth2_word_basis(2 * m + 2)
+            words = [word_from_str(w) for w in depth2_word_basis(2 * m + 2)]
             columns = []
             for i, j in candidate_pairs(m):
                 br = ihara_bracket(sigma[i], sigma[j]).depth_component(2)
@@ -128,11 +103,8 @@ class TestBracketMatrix:
 
 class TestRelationKernel:
     def test_weight12_relation(self):
-        kernel = relation_kernel(5)
-        assert len(kernel) == 1
-        coeffs = kernel[0].coeffs
-        assert set(coeffs) == {(1, 4), (2, 3)}
-        assert coeffs[(1, 4)] / coeffs[(2, 3)] == Fraction(-1, 3)
+        # coordinates over candidate_pairs(5) = [(1, 4), (2, 3)]
+        assert relation_kernel(5) == [(Fraction(-1, 3), Fraction(1))]
 
     def test_weight14_no_relation(self):
         assert relation_kernel(6) == []
@@ -140,8 +112,8 @@ class TestRelationKernel:
     def test_weight24_two_relations(self):
         kernel = relation_kernel(11)
         assert len(kernel) == 2
-        for pc in kernel:
-            assert is_period_poly(pair_to_poly(pc)).ok
+        for vec in kernel:
+            assert is_period_poly(pair_to_poly(11, vec)).ok
 
     def test_wrong_kernel_vector_rejected(self, monkeypatch):
         def perturbed(matrix):
@@ -154,22 +126,16 @@ class TestRelationKernel:
 
     @pytest.mark.parametrize("m", range(2, 9))
     def test_kernel_annihilates_matrix(self, m):
-        rows, _ = bracket_matrix(m)
-        pairs = candidate_pairs(m)
-        for pc in relation_kernel(m):
-            vec = [pc.coeffs.get(p, Fraction(0)) for p in pairs]
+        rows, cols = bracket_matrix(m)
+        for vec in relation_kernel(m):
+            assert len(vec) == cols
             assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in rows)
 
     def test_e1_rows_give_the_full_kernel(self):
         # the full-matrix RREF survives only here, as the oracle
         for m in range(2, 31):
-            pairs = candidate_pairs(m)
             rows, cols = bracket_matrix(m)
-            expected = [
-                PairCoefficients(m, {pair: c for pair, c in zip(pairs, vec) if c})
-                for vec in kernel_basis(QMatrix(rows, cols=cols))
-            ]
-            assert relation_kernel(m) == expected, "m=%d" % m
+            assert relation_kernel(m) == kernel_basis(QMatrix(rows, cols=cols)), "m=%d" % m
 
 
 class TestBrownCriterion:

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from depthforge.depthlie import PairCoefficients
 from depthforge.periodpoly import (
     BivarPoly,
     candidate_pairs,
@@ -161,27 +160,23 @@ class TestPairPolynomials:
         assert candidate_pairs(6) == [(1, 5), (2, 4)]
 
     def test_pair_poly_single_term(self):
-        p = pair_to_poly(PairCoefficients(m=5, coeffs={(1, 4): Fraction(1)}))
+        p = pair_to_poly(5, [Fraction(1), Fraction(0)])
         assert p.coeffs == {(2, 8): Fraction(1), (8, 2): Fraction(-1)}
 
     def test_pair_poly_zero(self):
-        p = pair_to_poly(PairCoefficients(m=5, coeffs={}))
+        p = pair_to_poly(5, [Fraction(0), Fraction(0)])
         assert p.is_zero()
         assert p.degree == 10
 
     def test_pair_poly_linear_combination(self):
-        p = pair_to_poly(
-            PairCoefficients(m=5, coeffs={(1, 4): Fraction(2), (2, 3): Fraction(3)})
-        )
+        p = pair_to_poly(5, [Fraction(2), Fraction(3)])
         expected = 2 * BivarPoly(10, {(2, 8): 1, (8, 2): -1}) + 3 * BivarPoly(
             10, {(4, 6): 1, (6, 4): -1}
         )
         assert p == expected
 
     def test_kernel_coefficients_give_golden(self):
-        p = pair_to_poly(
-            PairCoefficients(m=5, coeffs={(1, 4): Fraction(-1, 3), (2, 3): Fraction(1)})
-        )
+        p = pair_to_poly(5, [Fraction(-1, 3), Fraction(1)])
         assert p.leading_normalized() == GOLDEN_12
 
 
