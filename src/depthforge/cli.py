@@ -19,15 +19,18 @@ and ``--max-weight``, ``period basis --weight`` and ``depth matrix|relations``
 matrices hold more than ``MAX_BROWN_BATCH_CELLS`` (975,100, the size at weight
 200) entries in total, ``rep decompose|bigrade`` refuse a product of dimension
 above ``MAX_REP_DIMENSION`` (10^6), ``period check`` refuses a polynomial of degree
-above ``MAX_PERIOD_DEGREE`` (1000), ``verify bernsum`` refuses a prime above
-``MAX_BERNSUM_P`` (31), every command refuses a Bernoulli index above
-``MAX_BERNOULLI_N`` (2000) and a q-expansion precision above ``MAX_QEXP_PREC``
-(20000), ``bern dist`` refuses ``--m`` above ``MAX_BERN_DIST_TERMS`` (100000)
-// (n + 1), ``verify cgshape`` refuses ``--max-sym`` above ``MAX_CGSHAPE_SYM``
-(30) and ``--max-twist`` above ``MAX_CGSHAPE_TWIST`` (10), and an Eisenstein
-series whose report could hold an integer of more than ``MAX_INT_DIGITS``
-(4300) digits is refused before it is computed.  Each refusal is exit 2 with
-a message that names the cap.
+above ``MAX_PERIOD_DEGREE`` (1000) or coefficients a/b whose heights max(|a|, b)
+sum to more than ``MAX_PERIOD_HEIGHT_BITS`` (24000) bits, ``verify bernsum``
+refuses a prime above ``MAX_BERNSUM_P`` (31), every command refuses a Bernoulli
+index above ``MAX_BERNOULLI_N`` (2000) and a q-expansion precision above
+``MAX_QEXP_PREC`` (20000), ``bern dist`` refuses ``--m`` above
+``MAX_BERN_DIST_TERMS`` (100000) // (n + 1), ``bern poly --at`` and ``bern dist
+--x`` a point whose height has more than ``MAX_BERN_POINT_BITS`` (8000) // (n + 1)
+bits, ``verify cgshape`` refuses ``--max-sym`` above ``MAX_CGSHAPE_SYM`` (30) and
+``--max-twist`` above ``MAX_CGSHAPE_TWIST`` (10), and an Eisenstein series or
+B_n(x) whose report could hold an integer of more than ``MAX_INT_DIGITS`` (4300)
+digits is refused before it is computed.  Each refusal is exit 2 with a message
+that names the cap.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from math import factorial
 
 from . import depthlie, eisenstein, periodpoly, repcalc
 from .exactla import parse_rational
@@ -51,6 +55,11 @@ DEFAULT_MAX_WEIGHT = 30
 MAX_DEPTH2_WEIGHT = 200
 # period check expands the three-term relation in O(degree^2) binomial terms
 MAX_PERIOD_DEGREE = 1000
+# and sums them over the lcm of the denominators, so the work grows with the
+# heights max(|a|, b) of the coefficients a/b, summed in bits: at degree 1000,
+# 498 of 48 bits took 24 s (14 s at 2 bits, 136 s at 333).  Every period basis
+# report up to weight 200 passes: 21,244 bits at most, at weight 200
+MAX_PERIOD_HEIGHT_BITS = 24000
 # verify bernsum walks all of GL2(F_p), about p^4 matrices (892,800 at p = 31),
 # one at a time, so time grows as p^4 and memory does not
 MAX_BERNSUM_P = 31
@@ -66,6 +75,10 @@ MAX_QEXP_PREC = 20000
 # with n: m (n + 1) = 200,000 took 2.5 s at n = 2, 10 s at n = 20 and 12 s at
 # n = 2000, so m is capped at MAX_BERN_DIST_TERMS // (n + 1)
 MAX_BERN_DIST_TERMS = 100000
+# Horner's rule on B_n at a rational of height h meets about n log2(h) bits:
+# bern dist at its --m cap took 2.8-5.6 s at (n + 1) bits(h) = 8000, n = 0..600, and
+# 11 s at 16,800 (n = 20); --x 1/(1000 sevens) at n = 2000 ran past 30 s
+MAX_BERN_POINT_BITS = 8000
 # verify cgshape decomposes (s + 1)^2 (t + 1)^2 products of about s components
 # each: 2.4 s at --max-sym 30 --max-twist 8, 9 s at 40 and 10
 MAX_CGSHAPE_SYM = 30
@@ -82,25 +95,6 @@ MAX_REP_DIMENSION = 10**6
 # CPython's default limit on int-to-str conversion; a report holding a longer
 # integer would fail only when printed, after all the work
 MAX_INT_DIGITS = 4300
-
-STATEMENTS = {
-    "period basis": "basis of the space of restricted even period polynomials",
-    "period check": "the four defining identities of restricted even period polynomials",
-    "depth matrix": "depth-2 Ihara bracket matrix over canonical generator pairs",
-    "depth relations": "kernel of the depth-2 bracket matrix (generator relations)",
-    "verify brown": "depth-2 bracket relations match restricted even period polynomials",
-    "verify bernsum": "GL2(F_p)-wide reduction of the restricted Bernoulli double sum to a line sum",
-    "verify eigen": "Eisenstein series is a T_p-eigenform with eigenvalue 1 + p^(weight-1)",
-    "verify cgshape": "every component of twisted symmetric-power products is Sym^u(u+1+w) with w >= 1",
-    "eis qexp": "q-expansion coefficients",
-    "eis hecke": "Hecke operator T_p on a q-expansion",
-    "eis factor": "the scalar 1 - a_p + p^(2m+1) and the Weil bound",
-    "rep decompose": "tensor product decomposition into irreducible characters",
-    "rep bigrade": "bigraded dimensions of a character",
-    "bern number": "Bernoulli number",
-    "bern poly": "Bernoulli polynomial",
-    "bern dist": "Bernoulli distribution relation",
-}
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
@@ -210,23 +204,40 @@ def _check_cap(args, what: str, value: int, cap: int) -> None:
         raise ValueError("%s %s is above the cap of %d for %s %s" % (what, shown, cap, args.group, args.command))
 
 
-def _check_digits(args, weight: int, base: int, factor: int = 4) -> None:
+def _check_digits(args, flags: str, exponent: int, base: int, factor: int = 4) -> None:
     """Refuse, before any work, a report whose integers may reach
-    ``factor * base^(weight-1) >= 10^MAX_INT_DIGITS``.
+    ``factor * base^exponent >= 10^MAX_INT_DIGITS``; ``flags`` names the input.
 
     Eisenstein coefficients are sigma_(w-1)(n) < 2 n^(w-1).  A report prints
     such coefficients, T_p's sums of two of them, or a_p beside 1 + p^(w-1),
     so with every printed index n and p at most ``base``, each is below
-    4 base^(w-1).  The bit length is compared first, so a huge base costs
-    nothing.
+    4 base^(w-1).
+
+    B_n(a/b) L b^n = sum_k C(n,k) B_k L a^(n-k) b^k with L = lcm den(B_k) <
+    4^(n+1) (von Staudt-Clausen), and |B_k| < 4 k!/6^k, so both integers of
+    B_n(a/b) are below 4 e^6 4^(n+1) n! h^n / 6^n < 6456 (2/3)^n n! h^n, h = max(|a|, b).
+
+    The bit length is compared first, so a huge base costs nothing.
     """
-    exponent, base = max(weight - 1, 0), abs(base)
+    exponent, base = max(exponent, 0), abs(base)
     if exponent * (base.bit_length() - 1) < 4 * MAX_INT_DIGITS and factor * base**exponent < 10**MAX_INT_DIGITS:
         return
     raise ValueError(
-        "--weight %d gives integers of more than %d digits, the int-to-string limit, in the %s %s report"
-        % (weight, MAX_INT_DIGITS, args.group, args.command)
+        "%s gives integers of more than %d digits, the int-to-string limit, in the %s %s report"
+        % (flags, MAX_INT_DIGITS, args.group, args.command)
     )
+
+
+def _height(x: Fraction) -> int:
+    return max(abs(x.numerator), x.denominator)
+
+
+def _bern_point(args, flag: str, text: str) -> Fraction:
+    """``text`` parsed, refused when (n + 1) times its height's bits passes the cap."""
+    x = parse_rational(text)
+    bits = (max(args.n, 0) + 1) * _height(x).bit_length()
+    _check_cap(args, "%s: (n + 1) x height bits =" % flag, bits, MAX_BERN_POINT_BITS)
+    return x
 
 
 def _cmd_period_basis(args):
@@ -241,6 +252,8 @@ def _cmd_period_check(args):
         raise ValueError("--poly is nested too deeply") from None
     poly = periodpoly.BivarPoly.from_json_obj(data, degree=args.degree)
     _check_cap(args, "degree", poly.degree, MAX_PERIOD_DEGREE)
+    bits = sum(_height(c).bit_length() for c in poly.coeffs.values())
+    _check_cap(args, "--poly: coefficient height bits summed =", bits, MAX_PERIOD_HEIGHT_BITS)
     result = periodpoly.is_period_poly(poly)
     case = {
         "degree": poly.degree,
@@ -320,7 +333,7 @@ def _cmd_verify_bernsum(args):
 def _cmd_verify_eigen(args):
     _check_cap(args, "--weight", args.weight, MAX_BERNOULLI_N)
     _check_cap(args, "precision", args.prec, MAX_QEXP_PREC)
-    _check_digits(args, args.weight, args.p)
+    _check_digits(args, "--weight %d" % args.weight, args.weight - 1, args.p)
     series = eisenstein.eisenstein_qexp(args.weight, args.prec)
     eigenvalue = eisenstein.hecke_eigenvalue(series, args.p)
     expected = Fraction(1 + args.p ** (args.weight - 1))
@@ -381,7 +394,7 @@ def _series_from_args(args) -> tuple[str, "eisenstein.QExpansion"]:
     if args.weight is None:
         raise ValueError("one of --weight or --delta is required")
     _check_cap(args, "--weight", args.weight, MAX_BERNOULLI_N)
-    _check_digits(args, args.weight, args.prec - 1)
+    _check_digits(args, "--weight %d" % args.weight, args.weight - 1, args.prec - 1)
     return "eisenstein", eisenstein.eisenstein_qexp(args.weight, args.prec)
 
 
@@ -394,18 +407,19 @@ def _cmd_eis_qexp(args):
 
 def _cmd_eis_hecke(args):
     name, series = _series_from_args(args)
-    # T_p's constant term is (1 + p^(w-1)) a_0, and T_p refuses p > prec / 2
-    _check_digits(args, series.weight, min(abs(args.p), series.prec), 2 * abs(series.coeffs[0].numerator))
-    transformed = eisenstein.hecke_tp(series, args.p)
-    eigenvalue = eisenstein._eigenvalue_of(series, args.p, transformed)  # T_p applied once
+    # T_p's constant term is a_p a_0 = (1 + p^(w-1)) a_0, and T_p refuses p > prec / 2
+    factor = 2 * abs(series.coeffs[0].numerator)
+    _check_digits(args, "--weight %d" % series.weight, series.weight - 1, min(abs(args.p), series.prec), factor)
+    eigenvalue = eisenstein.hecke_eigenvalue(series, args.p)
+    out_prec = series.prec // args.p  # T_p f = a_p f was checked on exactly these coefficients
     case = {
         "series": name,
         "weight": series.weight,
         "p": args.p,
         "input_prec": series.prec,
-        "output_prec": transformed.prec,
+        "output_prec": out_prec,
         "eigenvalue": str(eigenvalue),
-        "coeffs": [str(c) for c in transformed.coeffs],
+        "coeffs": [str(eigenvalue * c) for c in series.coeffs[:out_prec]],
     }
     return [case], True
 
@@ -417,20 +431,18 @@ def _cmd_eis_factor(args):
         if args.weight is None:
             raise ValueError("--eisenstein requires --weight")
         _check_cap(args, "--weight", args.weight, MAX_BERNOULLI_N)
-        _check_digits(args, args.weight, args.p)
+        _check_digits(args, "--weight %d" % args.weight, args.weight - 1, args.p)
         name, series = "eisenstein", eisenstein.eisenstein_qexp(args.weight, prec)
     else:
         if args.weight not in (None, 12):
             raise ValueError("the cusp form used here has weight 12; omit --weight or pass 12")
         name, series = "delta", eisenstein.delta_qexp(prec)
-    m = (series.weight - 2) // 2
-    result = eisenstein.hecke_factor(series, args.p, m, eisenstein=args.eisenstein)
+    result = eisenstein.hecke_factor(series, args.p, eisenstein=args.eisenstein)
     case = {"series": name, "weight": series.weight}
     case.update(result.to_json_obj())
     case["nonzero"] = result.value != 0
-    ok = case["nonzero"] and result.weil_ok is not False
-    if args.eisenstein:
-        ok = True  # no nonvanishing claim is made off the cuspidal wing
+    # no nonvanishing claim is made off the cuspidal wing
+    ok = args.eisenstein or (case["nonzero"] and result.weil_ok is not False)
     return [case], ok
 
 
@@ -478,40 +490,43 @@ def _cmd_bern_number(args):
 
 def _cmd_bern_poly(args):
     _check_cap(args, "--n", args.n, MAX_BERNOULLI_N)
-    poly = eisenstein.bernoulli_polynomial(args.n)
-    case = {"n": args.n, "coeffs": [str(c) for c in poly.coeffs]}
     if args.at is not None:
-        case["at"] = args.at
-        case["value"] = str(poly(parse_rational(args.at)))
+        x, n = _bern_point(args, "--at", args.at), max(args.n, 0)
+        _check_digits(args, "--n %d --at %s" % (n, args.at), n, _height(x), 6456 * 2**n * factorial(n) // 3**n + 1)
+    case = {"n": args.n, "coeffs": [str(c) for c in eisenstein.bernoulli_polynomial(args.n)]}
+    if args.at is not None:
+        case.update(at=args.at, value=str(eisenstein.bernoulli_poly_eval(args.n, x)))
     return [case], True
 
 
 def _cmd_bern_dist(args):
     _check_cap(args, "--n", args.n, MAX_BERNOULLI_N)
     _check_cap(args, "--m", args.m, MAX_BERN_DIST_TERMS // (max(args.n, 0) + 1))
-    x = parse_rational(args.x)
+    x = _bern_point(args, "--x", args.x)
     holds = eisenstein.distribution_check(args.n, args.m, x)
     case = {"n": args.n, "m": args.m, "x": str(x), "holds": holds}
     return [case], holds
 
 
-HANDLERS = {
-    "period basis": _cmd_period_basis,
-    "period check": _cmd_period_check,
-    "depth matrix": _cmd_depth_matrix,
-    "depth relations": _cmd_depth_relations,
-    "verify brown": _cmd_verify_brown,
-    "verify bernsum": _cmd_verify_bernsum,
-    "verify eigen": _cmd_verify_eigen,
-    "verify cgshape": _cmd_verify_cgshape,
-    "eis qexp": _cmd_eis_qexp,
-    "eis hecke": _cmd_eis_hecke,
-    "eis factor": _cmd_eis_factor,
-    "rep decompose": _cmd_rep_decompose,
-    "rep bigrade": _cmd_rep_bigrade,
-    "bern number": _cmd_bern_number,
-    "bern poly": _cmd_bern_poly,
-    "bern dist": _cmd_bern_dist,
+HANDLERS = {  # command -> (handler, the statement its report carries)
+    "period basis": (_cmd_period_basis, "basis of the space of restricted even period polynomials"),
+    "period check": (_cmd_period_check, "the four defining identities of restricted even period polynomials"),
+    "depth matrix": (_cmd_depth_matrix, "depth-2 Ihara bracket matrix over canonical generator pairs"),
+    "depth relations": (_cmd_depth_relations, "kernel of the depth-2 bracket matrix (generator relations)"),
+    "verify brown": (_cmd_verify_brown, "depth-2 bracket relations match restricted even period polynomials"),
+    "verify bernsum": (_cmd_verify_bernsum, "GL2(F_p)-wide reduction of the restricted Bernoulli double sum"
+                       " to a line sum"),
+    "verify eigen": (_cmd_verify_eigen, "Eisenstein series is a T_p-eigenform with eigenvalue 1 + p^(weight-1)"),
+    "verify cgshape": (_cmd_verify_cgshape, "every component of twisted symmetric-power products is Sym^u(u+1+w)"
+                       " with w >= 1"),
+    "eis qexp": (_cmd_eis_qexp, "q-expansion coefficients"),
+    "eis hecke": (_cmd_eis_hecke, "Hecke operator T_p on a q-expansion"),
+    "eis factor": (_cmd_eis_factor, "the scalar 1 - a_p + p^(2m+1) and the Weil bound"),
+    "rep decompose": (_cmd_rep_decompose, "tensor product decomposition into irreducible characters"),
+    "rep bigrade": (_cmd_rep_bigrade, "bigraded dimensions of a character"),
+    "bern number": (_cmd_bern_number, "Bernoulli number"),
+    "bern poly": (_cmd_bern_poly, "Bernoulli polynomial"),
+    "bern dist": (_cmd_bern_dist, "Bernoulli distribution relation"),
 }
 
 
@@ -541,8 +556,9 @@ def main(argv=None) -> int:
     fmt = getattr(args, "format", "json")
     out_path = getattr(args, "out", None)
     command = "%s %s" % (args.group, args.command)
+    handler, statement = HANDLERS[command]
     try:
-        cases, ok = HANDLERS[command](args)
+        cases, ok = handler(args)
     except ValueError as exc:  # json.JSONDecodeError is a ValueError
         print("depthforge: error: %s" % exc, file=sys.stderr)
         return 2
@@ -552,7 +568,7 @@ def main(argv=None) -> int:
         envelope = {
             "schema": 1,
             "command": command,
-            "statement": STATEMENTS[command],
+            "statement": statement,
             "ok": ok,
         }
         if len(cases) == 1:

@@ -46,7 +46,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, isqrt, lcm
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .exactla import as_fraction
 
@@ -94,39 +94,28 @@ def bernoulli_number(n: int) -> Fraction:
     return _BERNOULLI[n]
 
 
-class BernPoly:
-    """The Bernoulli polynomial B_n(X), coefficients by ascending power."""
-
-    __slots__ = ("n", "coeffs")
-
-    def __init__(self, n: int, coeffs: tuple[Fraction, ...]):
-        self.n = n
-        self.coeffs = coeffs
-
-    def __call__(self, x) -> Fraction:
-        t = as_fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
-
-
 @lru_cache(maxsize=None)
-def bernoulli_polynomial(n: int) -> BernPoly:
-    """B_n(X) = sum_k C(n,k) B_k X^(n-k)."""
+def bernoulli_polynomial(n: int) -> tuple[Fraction, ...]:
+    """The coefficients of B_n(X) = sum_k C(n,k) B_k X^(n-k), by ascending power."""
     if n < 0:
         raise ValueError("Bernoulli index must be >= 0")
-    coeffs = tuple(comb(n, i) * bernoulli_number(n - i) for i in range(n + 1))
-    return BernPoly(n, coeffs)
+    return tuple(comb(n, i) * bernoulli_number(n - i) for i in range(n + 1))
 
 
 @lru_cache(maxsize=1024)  # bounded: a long-lived caller meets ever new rationals x
 def _bern_value(n: int, x: Fraction) -> Fraction:
-    return bernoulli_polynomial(n)(x)
+    acc = Fraction(0)
+    for c in reversed(bernoulli_polynomial(n)):  # Horner's rule
+        acc = acc * x + c
+    return acc
 
 
 def bernoulli_poly_eval(n: int, x) -> Fraction:
-    """Exact value B_n(x) for rational x."""
+    """Exact value B_n(x) for rational x.
+
+    ``x`` is coerced before the cache is read: ``0.5`` and ``Fraction(1, 2)`` hash
+    and compare equal, so a cache on the raw ``x`` would answer the float, not refuse it.
+    """
     return _bern_value(n, as_fraction(x))
 
 
@@ -264,27 +253,22 @@ def divisor_power_sum(n: int, k: int) -> int:
 
 
 class QExpansion:
-    """Truncated q-series a_0 + a_1 q + ... + a_{prec-1} q^(prec-1)."""
+    """Truncated q-series a_0 + a_1 q + ... + a_{prec-1} q^(prec-1), prec = len(coeffs)."""
 
     __slots__ = ("weight", "prec", "coeffs")
 
-    def __init__(self, weight: int, prec: int, coeffs: tuple[Fraction, ...]):
-        if prec < 1:
-            raise ValueError("prec must be >= 1")
-        coeffs = tuple(as_fraction(c) for c in coeffs)
-        if len(coeffs) != prec:
-            raise ValueError("expected %d coefficients, got %d" % (prec, len(coeffs)))
+    def __init__(self, weight: int, coeffs: Iterable[Fraction]):
         self.weight = weight
-        self.prec = prec
-        self.coeffs = coeffs
+        self.coeffs = tuple(as_fraction(c) for c in coeffs)
+        self.prec = len(self.coeffs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QExpansion):
             return NotImplemented
-        return (self.weight, self.prec, self.coeffs) == (other.weight, other.prec, other.coeffs)
+        return (self.weight, self.coeffs) == (other.weight, other.coeffs)
 
     def __repr__(self) -> str:
-        return "QExpansion(%r, %r, %r)" % (self.weight, self.prec, self.coeffs)
+        return "QExpansion(%r, %r)" % (self.weight, self.coeffs)
 
     def to_json_obj(self) -> dict:
         return {"weight": self.weight, "prec": self.prec, "coeffs": [str(c) for c in self.coeffs]}
@@ -298,7 +282,7 @@ def eisenstein_qexp(weight: int, prec: int) -> QExpansion:
         raise ValueError("prec must be >= 1")
     coeffs = [-bernoulli_number(weight) / weight]
     coeffs.extend(Fraction(divisor_power_sum(n, weight - 1)) for n in range(1, prec))
-    return QExpansion(weight, prec, tuple(coeffs))
+    return QExpansion(weight, coeffs)
 
 
 def _kronecker_square(a: list[int]) -> list[int]:
@@ -333,7 +317,7 @@ def delta_qexp(prec: int) -> QExpansion:
     for _ in range(3):
         series = _kronecker_square(series)[:n_terms]
     coeffs = [Fraction(0)] + [Fraction(c) for c in series]
-    return QExpansion(12, prec, tuple(coeffs))
+    return QExpansion(12, coeffs)
 
 
 def hecke_tp(f: QExpansion, p: int) -> QExpansion:
@@ -360,33 +344,25 @@ def hecke_tp(f: QExpansion, p: int) -> QExpansion:
         if n % p == 0:
             value += shift * f.coeffs[n // p]
         coeffs.append(value)
-    return QExpansion(f.weight, out_prec, tuple(coeffs))
+    return QExpansion(f.weight, coeffs)
 
 
 def hecke_eigenvalue(f: QExpansion, p: int) -> Fraction:
-    """The T_p-eigenvalue of a normalized (a_1 = 1) eigenform.
+    """The T_p-eigenvalue a_p of a normalized (a_1 = 1) eigenform.
 
-    Raises ValueError if f is not normalized, if the precision cannot
-    support the check, or if T_p f != a_p f on every comparable coefficient.
+    T_p f is compared with a_p f on each of its prec // p coefficients.
+    Raises ValueError if :func:`hecke_tp` refuses (p is not prime, or
+    prec // p < 2), if f is not normalized, or if T_p f != a_p f.
     """
-    if f.prec <= p:
-        raise ValueError("precision %d cannot reach a_%d" % (f.prec, p))
+    transformed = hecke_tp(f, p)
     if f.coeffs[1] != 1:
         raise ValueError("not normalized: a_1 = %s != 1" % (f.coeffs[1],))
-    return _eigenvalue_of(f, p, hecke_tp(f, p))
-
-
-def _eigenvalue_of(f: QExpansion, p: int, transformed: QExpansion) -> Fraction:
-    """a_p of f, once ``transformed`` = T_p f is checked to be a_p f coefficient by coefficient.
-
-    ``eis hecke`` passes the T_p f it prints, so T_p is applied once.
-    """
     lam = f.coeffs[p]
-    for n in range(transformed.prec):
-        if transformed.coeffs[n] != lam * f.coeffs[n]:
+    for n, value in enumerate(transformed.coeffs):
+        if value != lam * f.coeffs[n]:
             raise ValueError(
                 "not a T_%d-eigenform within precision: coefficient %d is %s, expected %s"
-                % (p, n, transformed.coeffs[n], lam * f.coeffs[n])
+                % (p, n, value, lam * f.coeffs[n])
             )
     return lam
 
@@ -413,8 +389,8 @@ class HeckeFactorResult:
         }
 
 
-def hecke_factor(f: QExpansion, p: int, m: int, eisenstein: bool = False) -> HeckeFactorResult:
-    """Evaluate 1 - a_p(f) + p^(2m+1) on a weight-(2m+2) eigenform.
+def hecke_factor(f: QExpansion, p: int, eisenstein: bool = False) -> HeckeFactorResult:
+    """Evaluate 1 - a_p(f) + p^(2m+1) on an eigenform f of weight 2m+2.
 
     For cusp forms the Weil bound a_p^2 < 4 p^(2m+1) is checked exactly (by
     squaring, no square roots) and reported; it forces the factor to be
@@ -422,11 +398,12 @@ def hecke_factor(f: QExpansion, p: int, m: int, eisenstein: bool = False) -> Hec
     which case the bound is skipped (it fails for them, and the factor can
     legitimately vanish).
     """
-    if f.weight != 2 * m + 2:
-        raise ValueError("weight %d does not match 2m+2 = %d" % (f.weight, 2 * m + 2))
+    if f.weight % 2:
+        raise ValueError("weight %d is odd, and no full-level form has odd weight" % (f.weight,))
+    m = (f.weight - 2) // 2
+    lam = hecke_eigenvalue(f, p)  # first, so that f has the a_0 read next
     if not eisenstein and f.coeffs[0] != 0:
         raise ValueError("not a cusp form (a_0 != 0); pass eisenstein=True to allow")
-    lam = hecke_eigenvalue(f, p)
     value = 1 - lam + p ** (2 * m + 1)
     weil_ok = None if eisenstein else bool(lam * lam < 4 * p ** (2 * m + 1))
     return HeckeFactorResult(p=p, m=m, eigenvalue=lam, value=value, weil_ok=weil_ok)

@@ -15,6 +15,7 @@ byte-identically in reports).
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import chain
 from math import lcm
@@ -22,6 +23,8 @@ from operator import mul
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
+
+_RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def as_fraction(x) -> Fraction:
@@ -36,13 +39,15 @@ def as_fraction(x) -> Fraction:
 def parse_rational(x) -> Fraction:
     """Parse a rational arriving from outside the program (JSON or a flag).
 
-    Accepts an ``int``, a ``Fraction`` or rational text such as ``"-3/4"``;
-    raises ``ValueError`` for floats, bools, any other type, malformed text
-    and a zero denominator.
+    Accepts an ``int``, a ``Fraction`` or ``"a"`` or ``"a/b"`` in ASCII digits with
+    an optional sign, such as ``"-3/4"``; raises ``ValueError`` for anything else
+    (``Fraction`` alone reads ``"1e999999999"`` and builds 10^999999999) and b = 0.
     """
     if isinstance(x, bool) or not isinstance(x, (int, Fraction, str)):
         raise ValueError("expected an integer or a rational string such as \"1/3\", got %r" % (x,))
     try:
+        if isinstance(x, str) and not _RATIONAL_TEXT.fullmatch(x):
+            raise ValueError
         return Fraction(x)
     except (ValueError, ZeroDivisionError):
         raise ValueError("not a rational number: %r" % (x,)) from None

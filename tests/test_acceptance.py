@@ -167,7 +167,7 @@ def test_criterion_8_hecke_factor_nonvanishing():
     primes = [p for p in range(2, 51) if all(p % q for q in range(2, isqrt(p) + 1))]
     ok = True
     for p in primes:
-        res = hecke_factor(d, p, 5)
+        res = hecke_factor(d, p)
         ok = ok and res.value != 0 and res.weil_ok is True
         ok = ok and res.eigenvalue**2 < 4 * p**11
     for n in range(1, 51):

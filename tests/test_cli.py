@@ -3,14 +3,17 @@ import io
 import json
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+from math import factorial
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depthforge import cli, depthlie, eisenstein
+from depthforge import cli, depthlie, eisenstein, periodpoly
 
 CLI = [sys.executable, "-m", "depthforge.cli"]
 
@@ -30,6 +33,18 @@ def assert_usage_error(proc):
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
+
+
+def refusal_message(*argv):
+    """The message of a refusal that comes at once: exit 2 and no report in under 1 s."""
+    start = time.perf_counter()
+    proc = run_cli(*argv, timeout=10)  # a lost cap runs far longer, and is stopped here
+    assert time.perf_counter() - start < 1.0, argv
+    assert_usage_error(proc)
+    return proc.stderr
+
+
+SEVENS = "7" * 1000
 
 
 class TestEnvelope:
@@ -118,6 +133,36 @@ class TestPeriodCommands:
     def test_odd_weight_is_usage_error(self):
         proc = run_cli("period", "basis", "--weight", "13")
         assert proc.returncode == 2
+
+    def test_coefficient_heights_above_cap_are_refused(self):
+        # uncapped, 28 coefficients with 4000-digit denominators at degree 1000
+        # (a 112 KB --poly) ran past 60 s; 28 x 13,288 bits is far above the cap
+        coeffs = {}
+        for i in range(14):
+            c = "%d/%s" % (i + 1, str(10**3999 + 2 * i + 1))
+            coeffs["x^%d*y^%d" % (2 * i + 2, 998 - 2 * i)] = c
+            coeffs["x^%d*y^%d" % (998 - 2 * i, 2 * i + 2)] = "-" + c
+        message = refusal_message("period", "check", "--poly", json.dumps(coeffs))
+        assert "above the cap of %d" % cli.MAX_PERIOD_HEIGHT_BITS in message
+        # two coefficients of cap / 2 + 1 bits each
+        c = "1/%d" % (1 << cli.MAX_PERIOD_HEIGHT_BITS // 2)
+        message = refusal_message("period", "check", "--poly", json.dumps({"x^2*y^8": c, "x^8*y^2": "-" + c}))
+        assert "summed = %d is above" % (cli.MAX_PERIOD_HEIGHT_BITS + 2) in message
+
+    def test_every_basis_polynomial_at_weight_200_passes_the_height_cap(self):
+        # the summed heights of a basis polynomial grow with the weight: 21,244
+        # bits at most at weight 200, the largest over every weight up to it
+        basis = periodpoly.period_space(cli.MAX_DEPTH2_WEIGHT).basis
+        heights = [sum(cli._height(c).bit_length() for c in f.coeffs.values()) for f in basis]
+        assert max(heights) == 21244 <= cli.MAX_PERIOD_HEIGHT_BITS
+        widest = basis[heights.index(max(heights))]
+        assert run_json("period", "check", "--poly", json.dumps(widest.to_json_obj()))["is_period_poly"] is True
+
+    @pytest.mark.parametrize("value", ["1e999999999", "1.5", "1_000", " 3/4", "\u0663", "3/-4", "0x10"])
+    def test_only_integers_and_a_over_b_are_rationals(self, value):
+        # Fraction alone reads "1e999999999", and builds 10^999999999 first
+        message = refusal_message("period", "check", "--poly", json.dumps({"x^2*y^8": value, "x^8*y^2": "1"}))
+        assert "not a rational number" in message
 
 
 class TestDepthCommands:
@@ -328,6 +373,19 @@ class TestEisCommands:
         assert report["output_prec"] == 30
         assert report["coeffs"][1] == "2049"
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_hecke_prints_tp_of_the_series(self, p):
+        for weight in [*range(4, 31, 2), None]:
+            argv = ["eis", "hecke", "--p", str(p), "--prec", "60"]
+            argv += ["--delta"] if weight is None else ["--weight", str(weight)]
+            series = eisenstein.delta_qexp(60) if weight is None else eisenstein.eisenstein_qexp(weight, 60)
+            with redirect_stdout(io.StringIO()) as out:
+                assert cli.main(argv) == 0
+            report = json.loads(out.getvalue())
+            transformed = eisenstein.hecke_tp(series, p)
+            assert report["output_prec"] == transformed.prec
+            assert report["coeffs"] == [str(c) for c in transformed.coeffs], argv
+
     def test_hecke_applies_tp_once(self):
         argv = ["eis", "hecke", "--weight", "12", "--p", "2", "--prec", "60"]
         with mock.patch.object(eisenstein, "hecke_tp", wraps=eisenstein.hecke_tp) as hecke_tp:
@@ -485,6 +543,44 @@ class TestBernCommands:
                 proc = run_cli("bern", *argv, timeout=10)
                 assert_usage_error(proc)
                 assert "cap of %d" % cli.MAX_BERNOULLI_N in proc.stderr, argv
+
+    def test_point_height_cap(self):
+        # (n + 1) x the bits of max(|numerator|, denominator), so at n = 2 the cap
+        # admits 2666 bits: 1/(2^2666 - 1) runs and 1/2^2666 is refused
+        bits = cli.MAX_BERN_POINT_BITS // 3
+        at_cap, over = "1/%d" % ((1 << bits) - 1), "1/%d" % (1 << bits)
+        assert run_json("bern", "poly", "--n", "2", "--at", at_cap)["n"] == 2
+        assert run_json("bern", "dist", "--n", "2", "--m", "3", "--x", at_cap)["holds"] is True
+        for argv in (("poly", "--n", "2", "--at", over), ("dist", "--n", "2", "--m", "3", "--x", over)):
+            message = refusal_message("bern", *argv)
+            shown = "%s: (n + 1) x height bits = %d" % (argv[-2], 3 * (bits + 1))
+            assert "%s is above the cap of %d" % (shown, cli.MAX_BERN_POINT_BITS) in message
+
+    def test_unbounded_points_are_refused_at_once(self):
+        # each ran past 30 s uncapped: exponent text builds 10^e, and Horner's
+        # rule on B_2000 at 1/(1000 sevens) meets numbers of millions of digits
+        for argv, named in (
+            (("bern", "dist", "--n", "20", "--m", "3", "--x", "1e99999999"), "not a rational number"),
+            (("bern", "poly", "--n", "2000", "--at", "1e3000"), "not a rational number"),
+            (("bern", "poly", "--n", "2000", "--at", "1/" + SEVENS), "cap of %d" % cli.MAX_BERN_POINT_BITS),
+            (("bern", "dist", "--n", "2000", "--m", "49", "--x", "1/" + SEVENS), "cap of %d" % cli.MAX_BERN_POINT_BITS),
+        ):
+            assert named in refusal_message(*argv), argv
+
+    def test_values_beyond_str_limit_are_refused_first(self):
+        # B_2000(1/2) = (2^-1999 - 1) B_2000 has a 4754-digit numerator; uncapped,
+        # str() refused it after 2 s of work
+        message = refusal_message("bern", "poly", "--n", "2000", "--at", "1/2")
+        assert "--n 2000 --at 1/2 gives integers of more than %d digits" % cli.MAX_INT_DIGITS in message
+        assert run_json("bern", "poly", "--n", "1000", "--at=-7/5")["at"] == "-7/5"
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 12, 40, 101, 300])
+    def test_printed_integers_are_below_the_digit_bound(self, n):
+        # the bound of cli._check_digits: max(|numerator|, denominator) of B_n(a/b)
+        # is below 6456 (2/3)^n n! h^n, h = max(|a|, b)
+        for x in (Fraction(0), Fraction(1, 2), Fraction(-7, 5), Fraction(3), Fraction(22, 7), Fraction(-1, 1000)):
+            h = cli._height(x)
+            assert cli._height(eisenstein.bernoulli_poly_eval(n, x)) * 3**n < 6456 * 2**n * factorial(n) * h**n
 
     def test_dist_m_above_cap_is_usage_error(self):
         # the cap on --m shrinks as B_n grows: MAX_BERN_DIST_TERMS // (n + 1)

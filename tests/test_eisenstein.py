@@ -155,7 +155,7 @@ class TestBernoulli:
 
     def test_polynomial_coefficients(self):
         # B_2(X) = X^2 - X + 1/6, ascending order
-        assert bernoulli_polynomial(2).coeffs == (Fraction(1, 6), Fraction(-1), Fraction(1))
+        assert bernoulli_polynomial(2) == (Fraction(1, 6), Fraction(-1), Fraction(1))
 
     def test_poly_eval(self):
         assert bernoulli_poly_eval(4, Fraction(1, 5)) == Fraction(-29, 3750)
@@ -165,6 +165,13 @@ class TestBernoulli:
     def test_eval_rejects_floats(self):
         with pytest.raises(TypeError):
             bernoulli_poly_eval(4, 0.2)
+
+    def test_eval_rejects_a_float_equal_to_a_cached_rational(self):
+        # 0.5 == Fraction(1, 2) with the same hash, so a cache keyed on the raw
+        # argument would answer the float from the rational's entry
+        assert bernoulli_poly_eval(4, Fraction(1, 2)) == Fraction(7, 240)
+        with pytest.raises(TypeError):
+            bernoulli_poly_eval(4, 0.5)
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_difference_equation(self, n):
@@ -361,26 +368,26 @@ class TestDivisorPowerSum:
 
 
 class TestQExpansion:
-    def test_validates_length(self):
-        with pytest.raises(ValueError):
-            QExpansion(4, 3, (Fraction(1),))
+    def test_prec_is_the_number_of_coefficients(self):
+        assert QExpansion(4, [Fraction(1, 240), 1, 9]).prec == 3
+        assert eisenstein_qexp(4, 7).prec == len(eisenstein_qexp(4, 7).coeffs) == 7
 
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
-            QExpansion(4, 2, (0.5, Fraction(1)))
+            QExpansion(4, (0.5, Fraction(1)))
 
     def test_json_round_trip(self):
-        f = QExpansion(12, 3, (Fraction(691, 32760), Fraction(1), Fraction(2049)))
+        f = QExpansion(12, (Fraction(691, 32760), Fraction(1), Fraction(2049)))
         obj = f.to_json_obj()
         assert obj == {"weight": 12, "prec": 3, "coeffs": ["691/32760", "1", "2049"]}
-        assert QExpansion(obj["weight"], obj["prec"], tuple(map(Fraction, obj["coeffs"]))) == f
+        assert QExpansion(obj["weight"], map(Fraction, obj["coeffs"])) == f
 
     def test_equality_compares_every_field(self):
-        f = QExpansion(12, 2, (0, 1))
-        assert f == QExpansion(12, 2, (Fraction(0), Fraction(1)))
-        assert f != QExpansion(4, 2, (0, 1))
-        assert f != QExpansion(12, 2, (0, 2))
-        assert f != QExpansion(12, 3, (0, 1, 0))
+        f = QExpansion(12, (0, 1))
+        assert f == QExpansion(12, (Fraction(0), Fraction(1)))
+        assert f != QExpansion(4, (0, 1))
+        assert f != QExpansion(12, (0, 2))
+        assert f != QExpansion(12, (0, 1, 0))
         assert f != (12, 2, (0, 1))
 
 
@@ -501,52 +508,58 @@ class TestHecke:
 
     def test_eigenvalue_rejects_unnormalized(self):
         with pytest.raises(ValueError):
-            hecke_eigenvalue(QExpansion(12, 20, tuple(2 * c for c in delta_qexp(20).coeffs)), 2)
+            hecke_eigenvalue(QExpansion(12, [2 * c for c in delta_qexp(20).coeffs]), 2)
 
     def test_eigenvalue_rejects_non_eigenform(self):
         pairs = zip(eisenstein_qexp(12, 40).coeffs, delta_qexp(40).coeffs)
-        mix = QExpansion(12, 40, tuple((e + d) / 2 for e, d in pairs))
+        mix = QExpansion(12, [(e + d) / 2 for e, d in pairs])
         assert mix.coeffs[1] == 1
         with pytest.raises(ValueError):
             hecke_eigenvalue(mix, 2)
 
     def test_eigenvalue_precision_guard(self):
-        with pytest.raises(ValueError):
-            hecke_eigenvalue(delta_qexp(5), 5)
+        # hecke_tp's rule prec // p >= 2 decides, also where prec > p
+        for prec, p in ((5, 5), (5, 7), (9, 5), (13, 7)):
+            with pytest.raises(ValueError, match="too small"):
+                hecke_eigenvalue(delta_qexp(prec), p)
+        assert hecke_eigenvalue(delta_qexp(10), 5) == 4830
 
 
 class TestHeckeFactor:
     def test_delta_at_2(self):
-        res = hecke_factor(delta_qexp(30), 2, 5)
+        res = hecke_factor(delta_qexp(30), 2)
         assert res.eigenvalue == -24
         assert res.value == 2073
         assert res.weil_ok is True
 
     def test_delta_at_3(self):
-        res = hecke_factor(delta_qexp(40), 3, 5)
+        res = hecke_factor(delta_qexp(40), 3)
         assert res.value == 176896
         assert res.weil_ok is True
 
     def test_nonvanishing_for_cusp_forms(self):
         for p in (2, 3, 5, 7):
-            assert hecke_factor(delta_qexp(8 * p), p, 5).value != 0
+            assert hecke_factor(delta_qexp(8 * p), p).value != 0
 
     def test_eisenstein_rejected_by_default(self):
         with pytest.raises(ValueError):
-            hecke_factor(eisenstein_qexp(12, 30), 2, 5)
+            hecke_factor(eisenstein_qexp(12, 30), 2)
 
     def test_eisenstein_vanishes_when_allowed(self):
-        res = hecke_factor(eisenstein_qexp(12, 30), 2, 5, eisenstein=True)
+        res = hecke_factor(eisenstein_qexp(12, 30), 2, eisenstein=True)
         assert res.eigenvalue == 2049
         assert res.value == 0
         assert res.weil_ok is None
 
-    def test_weight_mismatch(self):
-        with pytest.raises(ValueError):
-            hecke_factor(delta_qexp(30), 2, 4)
+    def test_m_comes_from_the_weight(self):
+        assert hecke_factor(eisenstein_qexp(16, 30), 2, eisenstein=True).to_json_obj()["m"] == 7
+
+    def test_odd_weight_refused(self):
+        with pytest.raises(ValueError, match="odd"):
+            hecke_factor(QExpansion(11, delta_qexp(30).coeffs), 2)
 
     def test_json(self):
-        obj = hecke_factor(delta_qexp(30), 2, 5).to_json_obj()
+        obj = hecke_factor(delta_qexp(30), 2).to_json_obj()
         assert obj == {
             "p": 2,
             "m": 5,
