@@ -290,19 +290,12 @@ def _cmd_depth_relations(args):
     return [case], True
 
 
-def _brown_case(m: int) -> dict:
-    report = depthlie.verify_brown_criterion(m)
-    case = report.to_json_obj()
-    case["match"] = report.matches
-    return case
-
-
 def _cmd_verify_brown(args):
     if args.weight is not None:
         _check_cap(args, "--weight", args.weight, MAX_DEPTH2_WEIGHT)
         if args.weight % 2 != 0 or args.weight < 6:
             raise ValueError("--weight must be an even integer >= 6")
-        cases = [_brown_case((args.weight - 2) // 2)]
+        weights = [args.weight]
     else:
         low, high = args.min_weight, args.max_weight
         _check_cap(args, "--max-weight", high, MAX_DEPTH2_WEIGHT)
@@ -311,7 +304,7 @@ def _cmd_verify_brown(args):
         weights = range(low, high + 1, 2)
         cells = sum((w - 1) * w // 2 * len(periodpoly.candidate_pairs((w - 2) // 2)) for w in weights)
         _check_cap(args, "weights %d..%d: rows x columns summed =" % (low, high), cells, MAX_BROWN_BATCH_CELLS)
-        cases = [_brown_case((w - 2) // 2) for w in weights]
+    cases = [depthlie.verify_brown_criterion((w - 2) // 2).to_json_obj() for w in weights]
     return cases, all(c["match"] for c in cases)
 
 
@@ -320,9 +313,9 @@ def _cmd_verify_bernsum(args):
     _check_cap(args, "--k", args.k, MAX_BERNOULLI_N - 2)
     chain = eisenstein.check_bernoulli_sum_chain(args.k, args.p, entry=args.entry)
     case = {
-        "k": chain.k,
-        "p": chain.p,
-        "entry": chain.entry,
+        "k": args.k,
+        "p": args.p,
+        "entry": args.entry,
         "matrices_checked": chain.checked,
         "holds": chain.ok,
         "first_failure": list(chain.first_failure) if chain.first_failure else None,

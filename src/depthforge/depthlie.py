@@ -48,6 +48,8 @@ by :func:`verify_brown_criterion` says these relations correspond, via
 ``periodpoly.pair_to_poly`` (``(i, j) -> x^2i y^2j - x^2j y^2i``), to the
 restricted even period polynomials of weight 2m+2 -- an executable bridge
 checked here by running both solvers independently and comparing the spans.
+Its :class:`BrownReport` writes the ``verify brown`` case itself, ``match``
+and the column pairs included.
 """
 
 from __future__ import annotations
@@ -134,15 +136,12 @@ def relation_kernel(m: int) -> list[Vector]:
 
 
 class BrownReport:
-    """Comparison of the bracket-relation kernel with the period-polynomial space."""
+    """Bracket-relation kernel vs period space at one weight; :meth:`to_json_obj` is the ``verify brown`` case."""
 
-    __slots__ = ("weight", "pairs", "kernel_dim", "period_dim", "in_space", "spans")
+    __slots__ = ("weight", "kernel_dim", "period_dim", "in_space", "spans")
 
-    def __init__(
-        self, weight: int, pairs: list[tuple[int, int]], kernel_dim: int, period_dim: int, in_space: bool, spans: bool
-    ):
+    def __init__(self, weight: int, kernel_dim: int, period_dim: int, in_space: bool, spans: bool):
         self.weight = weight
-        self.pairs = pairs
         self.kernel_dim = kernel_dim
         self.period_dim = period_dim
         self.in_space = in_space
@@ -155,11 +154,12 @@ class BrownReport:
     def to_json_obj(self) -> dict:
         return {
             "weight": self.weight,
-            "pairs": [list(p) for p in self.pairs],
+            "pairs": [list(p) for p in candidate_pairs(self.weight // 2 - 1)],
             "kernel_dim": self.kernel_dim,
             "period_dim": self.period_dim,
             "in_space": self.in_space,
             "spans": self.spans,
+            "match": self.matches,
         }
 
 
@@ -176,11 +176,10 @@ def verify_brown_criterion(m: int) -> BrownReport:
     kernel = relation_kernel(m)
     images = [periodpoly.pair_to_poly(m, vec) for vec in kernel]
     space = periodpoly.period_space(2 * m + 2)
-    in_space = all(bool(periodpoly.is_period_poly(p)) for p in images)
+    in_space = all(periodpoly.is_period_poly(p).ok for p in images)
     spans = periodpoly.subspace_equal(images, space.basis)
     return BrownReport(
         weight=2 * m + 2,
-        pairs=candidate_pairs(m),
         kernel_dim=len(kernel),
         period_dim=space.dim,
         in_space=in_space,

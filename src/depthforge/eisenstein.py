@@ -132,13 +132,9 @@ def distribution_check(n: int, m: int, x) -> bool:
 # -- GL2 over Z/nZ ----------------------------------------------------------
 
 
-def mat_det(g: Mat, n: int) -> int:
-    a, b, c, d = g
-    return (a * d - b * c) % n
-
-
 def is_invertible(g: Mat, n: int) -> bool:
-    return gcd(mat_det(g, n), n) == 1
+    a, b, c, d = g
+    return gcd(a * d - b * c, n) == 1
 
 
 def gl2_elements(n: int) -> Iterator[Mat]:
@@ -180,18 +176,12 @@ def phi_line_sum(k: int, p: int, g: Mat, entry: str = "c") -> Fraction:
 class ChainCheck:
     """Result of the GL2(F_p)-wide Bernoulli double-sum chain verification."""
 
-    __slots__ = ("k", "p", "entry", "ok", "checked", "first_failure")
+    __slots__ = ("ok", "checked", "first_failure")
 
-    def __init__(self, k: int, p: int, entry: str, ok: bool, checked: int, first_failure: Mat | None = None):
-        self.k = k
-        self.p = p
-        self.entry = entry
+    def __init__(self, ok: bool, checked: int, first_failure: Mat | None = None):
         self.ok = ok
         self.checked = checked
         self.first_failure = first_failure
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def check_bernoulli_sum_chain(k: int, p: int, entry: str = "d") -> ChainCheck:
@@ -232,8 +222,8 @@ def check_bernoulli_sum_chain(k: int, p: int, entry: str = "d") -> ChainCheck:
             rhs = constant + phi_line_sum(k, p, g, entry)
             holds[c, d] = lhs == middle == rhs
         if not holds[c, d]:
-            return ChainCheck(k, p, entry, False, checked, first_failure=g)
-    return ChainCheck(k, p, entry, True, checked)
+            return ChainCheck(False, checked, first_failure=g)
+    return ChainCheck(True, checked)
 
 
 # -- q-expansions and the Hecke operator ------------------------------------

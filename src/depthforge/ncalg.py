@@ -23,7 +23,7 @@ would leave every relation kernel computed downstream unchanged.)
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .exactla import as_fraction, parse_rational
 
@@ -60,10 +60,9 @@ class NCPoly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping | Iterable | None = None):
+    def __init__(self, terms: Mapping | None = None):
         sums: dict[Word, Fraction] = {}
-        items = terms.items() if isinstance(terms, Mapping) else (terms or ())
-        for key, value in items:
+        for key, value in (terms or {}).items():
             w = word_from_str(key) if isinstance(key, str) else tuple(key)
             if any(letter not in (E0, E1) for letter in w):
                 raise ValueError("invalid word %r" % (key,))

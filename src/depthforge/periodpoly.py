@@ -17,9 +17,10 @@ cusp forms, which is how the tests cross-check the solver.
 built into the candidate spanning set ``x^(2i) y^(2j) - x^(2j) y^(2i)``
 (i + j = m, 1 <= i < j), so only the three-term relation contributes matrix
 rows.  :func:`is_period_poly` reads the first three identities off the
-coefficients (no monomial ``x^a y^0``, no odd exponent, ``c(b,a) = -c(a,b)``);
-the three-term relation is expanded in exact integer binomial sums, one
-expansion shared by the solver and the check.
+coefficients (no monomial ``x^a y^0``, no odd exponent, ``c(b,a) = -c(a,b)``).
+The three-term relation is expanded in binomial sums on a plain ``{(a, b): c}``
+map, one expansion shared by the check and the solver, which feeds it each
+candidate with coefficients 1 and -1, so its matrix is solved from integers.
 """
 
 from __future__ import annotations
@@ -27,48 +28,43 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .exactla import QMatrix, as_fraction, kernel_basis, parse_rational, rref
 
 Monomial = tuple[int, int]
 
-_ZERO = Fraction(0)
-
-_MONOMIAL_RE = re.compile(r"^x\^(\d+)\*y\^(\d+)$")
+_MONOMIAL_RE = re.compile(r"x\^([0-9]+)\*y\^([0-9]+)")
 
 
 class BivarPoly:
     """Homogeneous two-variable polynomial with Fraction coefficients.
 
     ``coeffs`` maps ``(a, b)`` with ``a + b == degree`` to the coefficient of
-    ``x^a y^b``.  Zero coefficients are never stored: the constructor drops
+    ``x^a y^b``; :meth:`from_json_obj` reads the ``"x^a*y^b"`` keys of the
+    wire format.  Zero coefficients are never stored: the constructor drops
     them, so arithmetic only accumulates.  The zero polynomial has an empty
     map but still carries its degree.
     """
 
     __slots__ = ("degree", "coeffs")
 
-    def __init__(self, degree: int, coeffs: Mapping | Iterable | None = None):
+    def __init__(self, degree: int, coeffs: Mapping[Monomial, object] | None = None):
         if degree < 0:
             raise ValueError("degree must be >= 0")
-        sums: dict[Monomial, Fraction] = {}
-        items = coeffs.items() if isinstance(coeffs, Mapping) else (coeffs or ())
-        for key, value in items:
-            mono = _parse_monomial(key) if isinstance(key, str) else (int(key[0]), int(key[1]))
-            a, b = mono
+        terms: dict[Monomial, Fraction] = {}
+        for (a, b), value in (coeffs or {}).items():
             if a < 0 or b < 0 or a + b != degree:
                 raise ValueError("monomial x^%d*y^%d is not homogeneous of degree %d" % (a, b, degree))
-            sums[mono] = sums.get(mono, _ZERO) + as_fraction(value)
+            c = as_fraction(value)
+            if c:
+                terms[a, b] = c
         self.degree = degree
-        self.coeffs = {m: c for m, c in sums.items() if c}
+        self.coeffs = terms
 
     @classmethod
     def monomial(cls, a: int, b: int, coeff=1) -> "BivarPoly":
         return cls(a + b, {(a, b): coeff})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -80,9 +76,6 @@ class BivarPoly:
 
     __hash__ = None
 
-    def __neg__(self) -> "BivarPoly":
-        return BivarPoly(self.degree, {m: -c for m, c in self.coeffs.items()})
-
     def __add__(self, other: "BivarPoly") -> "BivarPoly":
         if not isinstance(other, BivarPoly):
             return NotImplemented
@@ -90,11 +83,8 @@ class BivarPoly:
             raise ValueError("degree mismatch: %d vs %d" % (self.degree, other.degree))
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
-            out[m] = out.get(m, _ZERO) + c
+            out[m] = out.get(m, 0) + c
         return BivarPoly(self.degree, out)
-
-    def __sub__(self, other: "BivarPoly") -> "BivarPoly":
-        return self + (-other)
 
     def __mul__(self, scalar) -> "BivarPoly":
         c = as_fraction(scalar)
@@ -127,7 +117,12 @@ class BivarPoly:
             if not data:
                 raise ValueError("degree is required for an empty polynomial")
             degree = sum(_parse_monomial(next(iter(data))))
-        return cls(degree, {k: parse_rational(v) for k, v in data.items()})
+        values = [parse_rational(v) for v in data.values()]  # every value is read before any key
+        coeffs: dict[Monomial, Fraction] = {}
+        for key, c in zip(data, values):  # two spellings of one monomial ("x^2", "x^02") add up
+            mono = _parse_monomial(key)
+            coeffs[mono] = coeffs.get(mono, 0) + c
+        return cls(degree, coeffs)
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -137,23 +132,20 @@ class BivarPoly:
 
 
 def _parse_monomial(s: str) -> Monomial:
-    m = _MONOMIAL_RE.match(s)
+    m = _MONOMIAL_RE.fullmatch(s)
     if not m:
         raise ValueError("bad monomial key %r (expected 'x^a*y^b')" % (s,))
     return int(m.group(1)), int(m.group(2))
 
 
 class PeriodCheck:
-    """Outcome of :func:`is_period_poly`: truthy iff all four identities hold."""
+    """Outcome of :func:`is_period_poly`: ``ok`` iff all four identities hold, else the first that fails."""
 
     __slots__ = ("ok", "failed")
 
     def __init__(self, ok: bool, failed: str | None = None):
         self.ok = ok
         self.failed = failed
-
-    def __bool__(self) -> bool:
-        return self.ok
 
     def __repr__(self) -> str:
         return "PeriodCheck(ok)" if self.ok else "PeriodCheck(failed=%r)" % self.failed
@@ -169,25 +161,27 @@ def is_period_poly(f: BivarPoly) -> PeriodCheck:
     # a partner missing from the map reads None, which is never -c
     if any(coeffs.get((b, a)) != -c for (a, b), c in coeffs.items()):
         return PeriodCheck(False, "antisymmetry f(x,y) + f(y,x) = 0")
-    if _three_term(f):
+    if any(_three_term(f.degree, coeffs).values()):
         return PeriodCheck(False, "three-term relation f(x,y) + f(x-y,x) + f(-y,x-y) = 0")
     return PeriodCheck(True)
 
 
-def _three_term(f: BivarPoly) -> BivarPoly:
-    """``f(x,y) + f(x-y,x) + f(-y,x-y)``, each substitution expanded binomially."""
-    n = f.degree
-    out = dict(f.coeffs)
-    for (a, b), c in f.coeffs.items():
+def _three_term(n: int, coeffs: Mapping[Monomial, object]) -> dict[Monomial, object]:
+    """``f(x,y) + f(x-y,x) + f(-y,x-y)`` for ``f`` of degree ``n`` with ``coeffs``, expanded binomially.
+
+    The raw sums, zeros included, in the type of the input: ints in, ints out.
+    """
+    out = dict(coeffs)
+    for (a, b), c in coeffs.items():
         # c (x-y)^a x^b = sum_i c C(a,i) (-1)^(a-i) x^(i+b) y^(a-i)
         for i in range(a + 1):
             mono = (i + b, a - i)
-            out[mono] = out.get(mono, _ZERO) + (-1) ** (a - i) * comb(a, i) * c
+            out[mono] = out.get(mono, 0) + (-1) ** (a - i) * comb(a, i) * c
         # c (-y)^a (x-y)^b = sum_j c C(b,j) (-1)^(n-j) x^j y^(n-j)
         for j in range(b + 1):
             mono = (j, n - j)
-            out[mono] = out.get(mono, _ZERO) + (-1) ** (n - j) * comb(b, j) * c
-    return BivarPoly(n, out)
+            out[mono] = out.get(mono, 0) + (-1) ** (n - j) * comb(b, j) * c
+    return out
 
 
 class PeriodSpace:
@@ -218,9 +212,10 @@ def candidate_pairs(m: int) -> list[tuple[int, int]]:
 
 def pair_to_poly(m: int, vector: Sequence[Fraction]) -> BivarPoly:
     """Map coordinates ``(a_ij)`` over ``candidate_pairs(m)`` to ``sum a_ij (x^2i y^2j - x^2j y^2i)``."""
-    coeffs = []
+    coeffs = {}
     for (i, j), c in zip(candidate_pairs(m), vector):
-        coeffs += [((2 * i, 2 * j), c), ((2 * j, 2 * i), -c)]
+        coeffs[2 * i, 2 * j] = c
+        coeffs[2 * j, 2 * i] = -c
     return BivarPoly(2 * m, coeffs)
 
 
@@ -236,18 +231,16 @@ def period_space(weight: int) -> PeriodSpace:
     if weight % 2 != 0 or weight < 4:
         raise ValueError("weight must be an even integer >= 4, got %r" % (weight,))
     m = (weight - 2) // 2
-    cols = len(candidate_pairs(m))
-    if not cols:
-        return PeriodSpace(weight, [])
-    images = [_three_term(pair_to_poly(m, [int(k == n) for k in range(cols)])) for n in range(cols)]
+    pairs = candidate_pairs(m)
+    images = [_three_term(2 * m, {(2 * i, 2 * j): 1, (2 * j, 2 * i): -1}) for i, j in pairs]
     monomials = [(2 * m - b, b) for b in range(2 * m + 1)]
-    matrix = QMatrix([[img.coeffs.get(mono, _ZERO) for img in images] for mono in monomials], cols=cols)
+    matrix = QMatrix([[img.get(mono, 0) for img in images] for mono in monomials], cols=len(pairs))
     return PeriodSpace(weight, [pair_to_poly(m, vec).leading_normalized() for vec in kernel_basis(matrix)])
 
 
 def subspace_equal(first: Sequence[BivarPoly], second: Sequence[BivarPoly]) -> bool:
     """Decide span(first) == span(second) by comparing canonical RREF rows."""
-    polys = [p for p in list(first) + list(second) if not p.is_zero()]
+    polys = [p for p in list(first) + list(second) if p]
     if not polys:
         return True
     degree = polys[0].degree

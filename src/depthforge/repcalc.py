@@ -29,11 +29,11 @@ bookkeeping of associated graded pieces.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 TorusMonomial = tuple[int, int]
 
-_LABEL_RE = re.compile(r"^Sym(\d+)\((-?\d+)\)$")
+_LABEL_RE = re.compile(r"Sym([0-9]+)\((-?[0-9]+)\)")
 
 
 class IrrepLabel:
@@ -72,7 +72,7 @@ class IrrepLabel:
 
     @classmethod
     def parse(cls, text: str) -> "IrrepLabel":
-        m = _LABEL_RE.match(text.strip())
+        m = _LABEL_RE.fullmatch(text.strip())
         if not m:
             raise ValueError("bad irrep label %r (expected 'Sym{u}({v})')" % (text,))
         return cls(int(m.group(1)), int(m.group(2)))
@@ -87,10 +87,9 @@ class Character:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Mapping | Iterable | None = None):
+    def __init__(self, coeffs: Mapping | None = None):
         sums: dict[TorusMonomial, int] = {}
-        items = coeffs.items() if isinstance(coeffs, Mapping) else (coeffs or ())
-        for key, value in items:
+        for key, value in (coeffs or {}).items():
             mono = (int(key[0]), int(key[1]))
             if value != int(value):
                 raise ValueError("character coefficients must be integers, got %r" % (value,))

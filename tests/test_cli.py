@@ -115,6 +115,12 @@ class TestPeriodCommands:
         poly = '{"x^8*y^2": 1.5, "x^6*y^4": -4.5, "x^4*y^6": 4.5, "x^2*y^8": -1.5}'
         assert_usage_error(run_cli("period", "check", "--poly", poly))
 
+    @pytest.mark.parametrize("key", ["x^\u0662*y^\u0668", "x^2*y^8\n"])
+    def test_check_key_with_non_ascii_digit_or_newline_is_usage_error(self, key):
+        # int() reads Arabic-Indic digits and re's $ matches before a final newline, so a \d+$ pattern reads both as x^2*y^8
+        message = refusal_message("period", "check", "--poly", json.dumps({key: 1, "x^8*y^2": -1}))
+        assert "expected 'x^a*y^b'" in message
+
     def test_check_deeply_nested_json_is_usage_error(self):
         assert_usage_error(run_cli("period", "check", "--poly", "[" * 20000 + "]" * 20000))
 
@@ -263,7 +269,8 @@ class TestBrownBatchBudget:
     def batch_status(low, high):
         # in process, with the per-weight check stubbed out: only the budget is measured
         argv = ["verify", "brown", "--min-weight", str(low), "--max-weight", str(high)]
-        with mock.patch.object(cli, "_brown_case", return_value={"match": True}):
+        report = mock.Mock(to_json_obj=lambda: {"match": True})
+        with mock.patch.object(cli.depthlie, "verify_brown_criterion", return_value=report):
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
                 return cli.main(argv), err.getvalue()
 
@@ -484,6 +491,12 @@ class TestRepCommands:
     def test_decompose_bad_label(self):
         assert run_cli("rep", "decompose", "--labels", "Sym2(3),bogus").returncode == 2
 
+    @pytest.mark.parametrize("command", ["decompose", "bigrade"])
+    def test_label_with_non_ascii_digits_is_usage_error(self, command):
+        # int() reads Arabic-Indic digits, so a \d pattern reads Sym٢(٣) as Sym2(3)
+        message = refusal_message("rep", command, "--labels", "Sym\u0662(\u0663),Sym1(\u0662)")
+        assert "expected 'Sym{u}({v})'" in message
+
     def test_bigrade_standard(self):
         report = run_json("rep", "bigrade", "--labels", "Sym1(0)")
         assert report["dims"] == {"0,1": 1, "2,1": 1}
@@ -639,7 +652,7 @@ WEIGHTS = st.one_of(st.integers(2, 10).map(lambda k: str(2 * k)), INTS)  # and a
 ABOVE_CAP = st.integers(cli.MAX_DEPTH2_WEIGHT + 1, 10**12).map(str)
 M_ABOVE_CAP = st.integers(cli.MAX_DEPTH2_WEIGHT // 2, 10**12).map(str)  # 2m + 2 > cap
 RATIONALS = st.builds("{}/{}".format, st.integers(-5, 5), st.integers(-2, 5))  # "/0" and "/-1" included
-JUNK = st.sampled_from(["", "x", "1.5", "1e3", "--", "-", "0x10", "Sym", "٣", "1/2/3", "nan"])
+JUNK = st.sampled_from(["", "x", "1.5", "1e3", "--", "-", "0x10", "Sym", "٣", "Sym٢(٣)", "1/2/3", "nan"])
 JSON_TEXT = st.sampled_from(
     [
         '{"x^8*y^2": "1", "x^6*y^4": "-3", "x^4*y^6": "3", "x^2*y^8": "-1"}',
@@ -652,6 +665,7 @@ JSON_TEXT = st.sampled_from(
         '{"x^2*y^8": null}',
         '{"x^2*z^8": 1}',
         '{"x^2*y^8": 1, "x^3*y^8": 1}',
+        '{"x^٢*y^٨": 1}',
         '{"x^2*y^8": 1',
         "{}",
         "[1, 2]",

@@ -143,7 +143,6 @@ class TestBrownCriterion:
         report = verify_brown_criterion(5)
         assert isinstance(report, BrownReport)
         assert report.weight == 12
-        assert report.pairs == [(1, 4), (2, 3)]
         assert report.kernel_dim == 1
         assert report.period_dim == 1
         assert report.in_space
@@ -165,6 +164,7 @@ class TestBrownCriterion:
             "period_dim": 1,
             "in_space": True,
             "spans": True,
+            "match": True,
         }
 
     def test_small_m_rejected(self):

@@ -315,7 +315,6 @@ class TestBernoulliSumChain:
         result = check_bernoulli_sum_chain(k, p)
         assert isinstance(result, ChainCheck)
         assert result.ok
-        assert bool(result)
         assert result.checked == sum(1 for _ in gl2_elements(p))
         assert result.first_failure is None
 

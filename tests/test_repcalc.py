@@ -29,6 +29,12 @@ class TestIrrepLabel:
             with pytest.raises(ValueError):
                 IrrepLabel.parse(bad)
 
+    @pytest.mark.parametrize("bad", ["Sym\u0662(\u0663)", "Sym2(\u0663)", "Sym\u0662(3)", "Sym2(-\u0663)"])
+    def test_parse_takes_ascii_digits_only(self, bad):
+        # int() reads the Arabic-Indic digits, so a \d pattern would let these through
+        with pytest.raises(ValueError, match="expected 'Sym"):
+            IrrepLabel.parse(bad)
+
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             IrrepLabel(-1, 0)

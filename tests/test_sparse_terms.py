@@ -13,11 +13,13 @@ reads off the coefficients are decided through it, in the same order.
 from fractions import Fraction
 from math import comb
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from depthforge.exactla import QMatrix, kernel_basis
 from depthforge.ncalg import NCPoly, derivation_apply, nc_mul, word_to_str
-from depthforge.periodpoly import BivarPoly, _three_term, is_period_poly, period_space
+from depthforge.periodpoly import BivarPoly, _three_term, candidate_pairs, is_period_poly, period_space
 from depthforge.repcalc import Character
 
 rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
@@ -106,9 +108,8 @@ def test_bivarpoly_arithmetic_matches_oracle(data, degree, scalar):
     a, b = nonzero(a), nonzero(b)
     assert bivar_terms(p) == a
     assert bivar_terms(p + q) == o_add(a, b)
-    assert bivar_terms(p - q) == o_add(a, b, scales=[1, -1])
+    assert bivar_terms(p + (-1) * q) == o_add(a, b, scales=[1, -1])
     assert bivar_terms(scalar * p) == o_add(a, scales=[scalar])
-    assert bivar_terms(p - p) == {}
     assert bivar_terms(p + (-1) * p) == {}
 
 
@@ -158,9 +159,34 @@ def o_period_verdict(f, degree):
 def test_period_identities_match_substitution_oracle(case):
     degree, f = case
     p = BivarPoly(degree, f)
-    assert bivar_terms(_three_term(p)) == o_three_term(f, degree)
+    assert nonzero(_three_term(degree, f)) == o_three_term(f, degree)
     check = is_period_poly(p)
     assert (check.ok, check.failed) == o_period_verdict(f, degree)
+
+
+@settings(deadline=None)
+@given(st.data(), st.integers(0, 12))
+def test_three_term_keeps_integers_integral(data, degree):
+    f = data.draw(st.dictionaries(st.integers(0, degree).map(lambda a: (a, degree - a)), st.integers(-5, 5), max_size=5))
+    sums = _three_term(degree, f)
+    assert all(type(c) is int for c in sums.values())
+    assert nonzero(sums) == o_three_term(f, degree)
+    fractions = _three_term(degree, {mono: Fraction(c, 3) for mono, c in f.items()})
+    assert all(type(c) is Fraction for c in fractions.values())
+
+
+@pytest.mark.parametrize("weight", range(4, 73, 2))
+def test_period_space_is_the_kernel_of_the_oracle_images(weight):
+    """The canonical basis solved from o_three_term's images of the candidates."""
+    m = (weight - 2) // 2
+    candidates = [{(2 * i, 2 * j): 1, (2 * j, 2 * i): -1} for i, j in candidate_pairs(m)]
+    images = [o_three_term(f, 2 * m) for f in candidates]
+    rows = [[image.get((2 * m - b, b), 0) for image in images] for b in range(2 * m + 1)]
+    basis = [
+        BivarPoly(2 * m, o_add(*candidates, scales=vector)).leading_normalized()
+        for vector in kernel_basis(QMatrix(rows, cols=len(candidates)))
+    ]
+    assert period_space(weight).basis == basis
 
 
 @settings(deadline=None)
