@@ -55,10 +55,10 @@ DEFAULT_MAX_WEIGHT = 30
 MAX_DEPTH2_WEIGHT = 200
 # period check expands the three-term relation in O(degree^2) binomial terms
 MAX_PERIOD_DEGREE = 1000
-# and sums them over the lcm of the denominators, so the work grows with the
-# heights max(|a|, b) of the coefficients a/b, summed in bits: at degree 1000,
-# 498 of 48 bits took 24 s (14 s at 2 bits, 136 s at 333).  Every period basis
-# report up to weight 200 passes: 21,244 bits at most, at weight 200
+# over the coefficients times the lcm of their denominators, so the work grows
+# with the heights max(|a|, b) of the coefficients a/b, summed in bits: at
+# degree 1000, 498 of 48 bits take 4.4-5.7 s (0.5-0.7 s at 2 bits).  Every
+# period basis report up to weight 200 passes: 21,244 bits at most, at weight 200
 MAX_PERIOD_HEIGHT_BITS = 24000
 # verify bernsum walks all of GL2(F_p), about p^4 matrices (892,800 at p = 31),
 # one at a time, so time grows as p^4 and memory does not
@@ -544,6 +544,12 @@ def _render_csv(cases: list[dict]) -> str:
 
 
 def main(argv=None) -> int:
+    # --at and --x take a signed rational, and argparse reads a token such as
+    # "-1/2" as an option, so "--at -1/2" is passed on as "--at=-1/2"
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 2, -1, -1):
+        if argv[i] in ("--at", "--x"):
+            argv[i : i + 2] = ["%s=%s" % (argv[i], argv[i + 1])]
     parser = build_parser()
     args = parser.parse_args(argv)
     fmt = getattr(args, "format", "json")

@@ -1,9 +1,11 @@
 """Noncommutative polynomials on the letters e0, e1.
 
 Elements of the free Lie algebra on two generators are stored by their
-faithful expansion in the word basis of the tensor algebra: a word is a tuple
-over ``{E0, E1}``, a polynomial a finite ``word -> Fraction`` map.  *Weight*
-is word length, *depth* the number of ``e1`` letters.
+faithful expansion in the word basis of the tensor algebra: a word is a string
+over ``"0"`` (e0) and ``"1"`` (e1), the format of
+:func:`depthforge.depthlie.depth2_word_basis`, and a polynomial a finite
+``word -> Fraction`` map.  *Weight* is word length, *depth* the number of
+``e1`` letters, ``w.count("1")``.
 
 No pipeline computes with this module: it is the general word algebra, with
 exact untruncated products, that the closed-form depth-2 bracket of
@@ -25,34 +27,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .exactla import as_fraction, parse_rational
+from .exactla import as_fraction
 
-E0 = 0
-E1 = 1
-
-Word = tuple[int, ...]
-
-_ZERO = Fraction(0)
-
-
-def word_from_str(s: str) -> Word:
-    """Parse a word from its string form over {"0", "1"}, e.g. ``"00101"``."""
-    w = tuple(int(ch) for ch in s)
-    if any(letter not in (E0, E1) for letter in w):
-        raise ValueError("invalid word string %r: letters must be 0 or 1" % (s,))
-    return w
-
-
-def word_to_str(w: Word) -> str:
-    return "".join(str(letter) for letter in w)
-
-
-def word_depth(w: Word) -> int:
-    return sum(1 for letter in w if letter == E1)
+E0 = "0"
+E1 = "1"
 
 
 class NCPoly:
-    """A finite Fraction-linear combination of words.
+    """A finite Fraction-linear combination of words, each a string over "0" and "1".
 
     Zero coefficients are never stored: the constructor drops them, so
     arithmetic only accumulates and hands its raw sums to the constructor.
@@ -60,26 +42,21 @@ class NCPoly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping | None = None):
-        sums: dict[Word, Fraction] = {}
-        for key, value in (terms or {}).items():
-            w = word_from_str(key) if isinstance(key, str) else tuple(key)
-            if any(letter not in (E0, E1) for letter in w):
-                raise ValueError("invalid word %r" % (key,))
-            sums[w] = sums.get(w, _ZERO) + as_fraction(value)
+    def __init__(self, terms: Mapping[str, object] | None = None):
+        sums: dict[str, Fraction] = {}
+        for w, value in (terms or {}).items():
+            if not isinstance(w, str) or w.strip(E0 + E1):
+                raise ValueError("invalid word %r: a word is a string over '0' and '1'" % (w,))
+            sums[w] = sums.get(w, 0) + as_fraction(value)
         self.terms = {w: c for w, c in sums.items() if c}
 
     # -- queries -----------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def coefficient(self, w) -> Fraction:
-        key = word_from_str(w) if isinstance(w, str) else tuple(w)
-        return self.terms.get(key, _ZERO)
+    def coefficient(self, w: str) -> Fraction:
+        return self.terms.get(w, Fraction(0))
 
     def weight_component(self, n: int) -> "NCPoly":
         """The part of weight (word length) exactly ``n``."""
@@ -87,7 +64,7 @@ class NCPoly:
 
     def depth_component(self, d: int) -> "NCPoly":
         """The part of depth (number of e1 letters) exactly ``d``."""
-        return NCPoly({w: c for w, c in self.terms.items() if word_depth(w) == d})
+        return NCPoly({w: c for w, c in self.terms.items() if w.count(E1) == d})
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -106,7 +83,7 @@ class NCPoly:
             return NotImplemented
         out = dict(self.terms)
         for w, c in other.terms.items():
-            out[w] = out.get(w, _ZERO) + c
+            out[w] = out.get(w, 0) + c
         return NCPoly(out)
 
     def __sub__(self, other: "NCPoly") -> "NCPoly":
@@ -126,47 +103,25 @@ class NCPoly:
         c = as_fraction(scalar)
         return NCPoly({w: c * v for w, v in self.terms.items()})
 
-    # -- serialisation ---------------------------------------------------------
-
-    def to_json_obj(self) -> dict[str, str]:
-        """JSON-ready map, word string -> rational string, in word order."""
-        return {word_to_str(w): str(c) for w, c in sorted(self.terms.items())}
-
-    @classmethod
-    def from_json_obj(cls, data: Mapping[str, str]) -> "NCPoly":
-        if not isinstance(data, Mapping):
-            raise ValueError("an NCPoly is a JSON object of word -> coefficient, got %r" % (data,))
-        return cls({word_from_str(k): parse_rational(v) for k, v in data.items()})
-
     def __repr__(self) -> str:
         if not self.terms:
             return "NCPoly(0)"
-        bits = []
-        for w, c in sorted(self.terms.items()):
-            bits.append("%s*%s" % (c, word_to_str(w) or "1"))
-        return "NCPoly(%s)" % " + ".join(bits)
-
-
-def letter(which: int) -> NCPoly:
-    """The single-letter word e0 (``which=E0``) or e1 (``which=E1``)."""
-    if which not in (E0, E1):
-        raise ValueError("letter must be E0 or E1")
-    return NCPoly({(which,): 1})
+        return "NCPoly(%s)" % " + ".join("%s*%s" % (c, w or "1") for w, c in sorted(self.terms.items()))
 
 
 def generators() -> tuple[NCPoly, NCPoly]:
     """The pair (e0, e1)."""
-    return letter(E0), letter(E1)
+    return NCPoly({E0: 1}), NCPoly({E1: 1})
 
 
 def nc_mul(p: NCPoly, q: NCPoly) -> NCPoly:
     """Concatenation product."""
-    out: dict[Word, Fraction] = {}
+    out: dict[str, Fraction] = {}
     qitems = list(q.terms.items())
     for w1, c1 in p.terms.items():
         for w2, c2 in qitems:
             w = w1 + w2
-            out[w] = out.get(w, _ZERO) + c1 * c2
+            out[w] = out.get(w, 0) + c1 * c2
     return NCPoly(out)
 
 
@@ -191,8 +146,8 @@ def derivation_apply(x: NCPoly, y: NCPoly) -> NCPoly:
     a(x) sends e0 to [e0, x] and e1 to 0, and acts on a word by the Leibniz
     rule: replace each e0 letter in turn by [e0, x] and sum the results.
     """
-    pieces = list(lie_bracket(letter(E0), x).terms.items())
-    out: dict[Word, Fraction] = {}
+    pieces = list(lie_bracket(NCPoly({E0: 1}), x).terms.items())
+    out: dict[str, Fraction] = {}
     for w, c in y.terms.items():
         for i, ltr in enumerate(w):
             if ltr != E0:
@@ -200,7 +155,7 @@ def derivation_apply(x: NCPoly, y: NCPoly) -> NCPoly:
             pre, suf = w[:i], w[i + 1 :]
             for bw, bc in pieces:
                 nw = pre + bw + suf
-                out[nw] = out.get(nw, _ZERO) + c * bc
+                out[nw] = out.get(nw, 0) + c * bc
     return NCPoly(out)
 
 

@@ -19,15 +19,16 @@ built into the candidate spanning set ``x^(2i) y^(2j) - x^(2j) y^(2i)``
 rows.  :func:`is_period_poly` reads the first three identities off the
 coefficients (no monomial ``x^a y^0``, no odd exponent, ``c(b,a) = -c(a,b)``).
 The three-term relation is expanded in binomial sums on a plain ``{(a, b): c}``
-map, one expansion shared by the check and the solver, which feeds it each
-candidate with coefficients 1 and -1, so its matrix is solved from integers.
+map, one expansion shared by the check, which feeds it the coefficients times
+the lcm of their denominators, and the solver, which feeds it each candidate
+with coefficients 1 and -1: both run on integers.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb
+from math import lcm
 from typing import Mapping, Sequence
 
 from .exactla import QMatrix, as_fraction, kernel_basis, parse_rational, rref
@@ -50,10 +51,12 @@ class BivarPoly:
     __slots__ = ("degree", "coeffs")
 
     def __init__(self, degree: int, coeffs: Mapping[Monomial, object] | None = None):
-        if degree < 0:
-            raise ValueError("degree must be >= 0")
+        if type(degree) is not int or degree < 0:
+            raise ValueError("degree must be an int >= 0, got %r" % (degree,))
         terms: dict[Monomial, Fraction] = {}
         for (a, b), value in (coeffs or {}).items():
+            if type(a) is not int or type(b) is not int:
+                raise ValueError("exponents must be ints, got %r" % ((a, b),))
             if a < 0 or b < 0 or a + b != degree:
                 raise ValueError("monomial x^%d*y^%d is not homogeneous of degree %d" % (a, b, degree))
             c = as_fraction(value)
@@ -161,9 +164,19 @@ def is_period_poly(f: BivarPoly) -> PeriodCheck:
     # a partner missing from the map reads None, which is never -c
     if any(coeffs.get((b, a)) != -c for (a, b), c in coeffs.items()):
         return PeriodCheck(False, "antisymmetry f(x,y) + f(y,x) = 0")
-    if any(_three_term(f.degree, coeffs).values()):
+    # the relation is linear, so it holds for f iff for f times the lcm of its denominators
+    scale = lcm(*(c.denominator for c in coeffs.values()))
+    if any(_three_term(f.degree, {m: c.numerator * (scale // c.denominator) for m, c in coeffs.items()}).values()):
         return PeriodCheck(False, "three-term relation f(x,y) + f(x-y,x) + f(-y,x-y) = 0")
     return PeriodCheck(True)
+
+
+def _binomial_row(a: int) -> list[int]:
+    """C(a, 0), ..., C(a, a), each from the last as C(a, i+1) = C(a, i) (a-i) / (i+1)."""
+    row = [1]
+    for i in range(a):
+        row.append(row[-1] * (a - i) // (i + 1))
+    return row
 
 
 def _three_term(n: int, coeffs: Mapping[Monomial, object]) -> dict[Monomial, object]:
@@ -173,14 +186,15 @@ def _three_term(n: int, coeffs: Mapping[Monomial, object]) -> dict[Monomial, obj
     """
     out = dict(coeffs)
     for (a, b), c in coeffs.items():
+        signed = (c, -c)
         # c (x-y)^a x^b = sum_i c C(a,i) (-1)^(a-i) x^(i+b) y^(a-i)
-        for i in range(a + 1):
+        for i, binom in enumerate(_binomial_row(a)):
             mono = (i + b, a - i)
-            out[mono] = out.get(mono, 0) + (-1) ** (a - i) * comb(a, i) * c
+            out[mono] = out.get(mono, 0) + binom * signed[(a - i) % 2]
         # c (-y)^a (x-y)^b = sum_j c C(b,j) (-1)^(n-j) x^j y^(n-j)
-        for j in range(b + 1):
+        for j, binom in enumerate(_binomial_row(b)):
             mono = (j, n - j)
-            out[mono] = out.get(mono, 0) + (-1) ** (n - j) * comb(b, j) * c
+            out[mono] = out.get(mono, 0) + binom * signed[(n - j) % 2]
     return out
 
 

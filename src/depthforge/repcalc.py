@@ -45,6 +45,8 @@ class IrrepLabel:
     __slots__ = ("u", "v")
 
     def __init__(self, u: int, v: int = 0):
+        if type(u) is not int or type(v) is not int:  # a bool or float would print as another label
+            raise ValueError("a label's power and twist must be ints, got %r and %r" % (u, v))
         if u < 0:
             raise ValueError("symmetric power must be >= 0, got %r" % (u,))
         object.__setattr__(self, "u", u)
@@ -89,11 +91,10 @@ class Character:
 
     def __init__(self, coeffs: Mapping | None = None):
         sums: dict[TorusMonomial, int] = {}
-        for key, value in (coeffs or {}).items():
-            mono = (int(key[0]), int(key[1]))
-            if value != int(value):
-                raise ValueError("character coefficients must be integers, got %r" % (value,))
-            sums[mono] = sums.get(mono, 0) + int(value)
+        for (a, b), value in (coeffs or {}).items():
+            if not type(a) is type(b) is type(value) is int:
+                raise ValueError("a character maps int exponents to int coefficients, got %r: %r" % ((a, b), value))
+            sums[a, b] = sums.get((a, b), 0) + value
         self.coeffs = {m: c for m, c in sums.items() if c}
 
     @classmethod

@@ -100,7 +100,7 @@ def test_criterion_4_bracket_structure_randomized():
             + ihara_bracket(y, ihara_bracket(z, x))
             + ihara_bracket(z, ihara_bracket(x, y))
         )
-        ok = ok and total.is_zero()
+        ok = ok and not total
 
     for _ in range(20):  # weight/depth additivity on bihomogeneous inputs
         wx, wy = rng.randint(2, 4), rng.randint(2, 4)

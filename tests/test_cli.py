@@ -544,6 +544,14 @@ class TestBernCommands:
         report = run_json("bern", "dist", "--n", "6", "--m", "4", "--x", "2/7")
         assert report["holds"] is True
 
+    def test_negative_points_after_a_space(self):
+        # argparse alone reads "-1/2" as a flag and exits 2 with "expected one argument"
+        for sep in (" ", "="):
+            poly = run_json(*"bern poly --n 3 --at{}-1/2".format(sep).split())
+            assert (poly["at"], poly["value"]) == ("-1/2", "-3/4")
+            dist = run_json(*"bern dist --n 3 --m 2 --x{}-1/3".format(sep).split())
+            assert (dist["x"], dist["holds"]) == ("-1/3", True)
+
     def test_dist_zero_denominator_is_usage_error(self):
         assert_usage_error(run_cli("bern", "dist", "--n", "2", "--m", "3", "--x", "1/0"))
 

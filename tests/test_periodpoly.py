@@ -29,6 +29,11 @@ class TestBivarPoly:
         with pytest.raises(TypeError):
             BivarPoly(2, {(2, 0): 0.5})
 
+    @pytest.mark.parametrize("degree,coeffs", [(4, {(2.0, 2): 1}), (4, {(True, 3): 1}), (4.0, {(2, 2): 1}), (True, {})])
+    def test_rejects_non_int_exponents_and_degree(self, degree, coeffs):
+        with pytest.raises(ValueError, match="int"):
+            BivarPoly(degree, coeffs)
+
     def test_zero_carries_degree(self):
         z = BivarPoly(6)
         assert z.coeffs == {}

@@ -39,6 +39,12 @@ class TestIrrepLabel:
         with pytest.raises(ValueError):
             IrrepLabel(-1, 0)
 
+    @pytest.mark.parametrize("u,v", [(1.5, 0), (True, 2), (1, 2.5), (2, False), ("3", 0)])
+    def test_rejects_non_int_power_and_twist(self, u, v):
+        # a float or bool would print as another label: 1.5 as Sym1(0)
+        with pytest.raises(ValueError, match="ints"):
+            IrrepLabel(u, v)
+
     def test_twist_defaults_to_zero(self):
         assert IrrepLabel(3) == IrrepLabel(3, 0)
 
@@ -61,8 +67,10 @@ class TestCharacter:
         assert c.coeffs == {(1, 0): 2}
 
     def test_rejects_non_integer(self):
-        with pytest.raises(ValueError):
-            Character({(0, 0): 1.5})
+        # exponents and coefficients alike: int() would store (1.5, 0) as t1^1 and parse "3"
+        for coeffs in ({(0, 0): 1.5}, {(1.5, 0): 1}, {("3", 0): 1}, {(0, True): 1}, {(0, 0): 1.0}, {(0, 0): True}):
+            with pytest.raises(ValueError, match="int"):
+                Character(coeffs)
 
     def test_dimension(self):
         assert irrep_char(IrrepLabel(4, 7)).dimension() == 5

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depthforge.exactla import QMatrix, kernel_basis
-from depthforge.ncalg import NCPoly, derivation_apply, nc_mul, word_to_str
+from depthforge.ncalg import NCPoly, derivation_apply, nc_mul
 from depthforge.periodpoly import BivarPoly, _three_term, candidate_pairs, is_period_poly, period_space
 from depthforge.repcalc import Character
 
@@ -51,7 +51,7 @@ def o_mul(p, q, combine):
 
 def nc_terms(p: NCPoly):
     assert all(c != 0 for c in p.terms.values())
-    return {word_to_str(w): c for w, c in p.terms.items()}
+    return p.terms
 
 
 def bivar_terms(p: BivarPoly):
