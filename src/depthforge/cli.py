@@ -5,7 +5,9 @@ Grammar: ``depthforge <group> <command> [flags]`` with groups
 * ``period basis|check``   -- period-polynomial spaces and membership
 * ``depth matrix|relations`` -- depth-2 bracket matrix and its kernel
 * ``verify brown|bernsum|eigen|cgshape`` -- the verification pipelines
-* ``eis qexp|hecke|factor`` -- q-expansions and the Hecke operator
+* ``eis qexp|hecke|factor`` -- q-expansions and the Hecke operator; ``eis
+  qexp|hecke`` read Delta with ``--delta``, else E_W with ``--weight W``, and
+  ``eis factor`` reads Delta unless ``--eisenstein --weight W`` selects E_W
 * ``rep decompose|bigrade`` -- GL2 character calculus
 * ``bern number|poly|dist`` -- Bernoulli utilities
 
@@ -169,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = leaf(eis_cmd, "factor", "1 - a_p + p^(2m+1) on an eigenform")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--weight", type=int, help="Eisenstein weight (with --eisenstein)")
-    p.add_argument("--eisenstein", action="store_true", help="allow a noncuspidal eigenform")
+    p.add_argument("--eisenstein", action="store_true", help="select E_weight instead of the cusp form Delta")
     p.add_argument("--prec", type=int, help="q-expansion precision (default: enough for T_p)")
 
     rep = groups.add_parser("rep", help="GL2 character calculus")
@@ -324,10 +326,7 @@ def _cmd_verify_bernsum(args):
 
 
 def _cmd_verify_eigen(args):
-    _check_cap(args, "--weight", args.weight, MAX_BERNOULLI_N)
-    _check_cap(args, "precision", args.prec, MAX_QEXP_PREC)
-    _check_digits(args, "--weight %d" % args.weight, args.weight - 1, args.p)
-    series = eisenstein.eisenstein_qexp(args.weight, args.prec)
+    _, series = _series(args, False, args.prec, args.p)
     eigenvalue = eisenstein.hecke_eigenvalue(series, args.p)
     expected = Fraction(1 + args.p ** (args.weight - 1))
     case = {
@@ -378,28 +377,34 @@ def _cmd_verify_cgshape(args):
     return [case], shapes_ok and forbidden_absent
 
 
-def _series_from_args(args) -> tuple[str, "eisenstein.QExpansion"]:
-    _check_cap(args, "precision", args.prec, MAX_QEXP_PREC)
-    if args.delta:
+def _series(args, cusp: bool, prec: int, base: int) -> tuple[str, "eisenstein.QExpansion"]:
+    """The q-expansion a modular-forms command reads, named: Delta if ``cusp``, else E_weight.
+
+    The one place that caps ``prec`` and the weight, holds Delta to weight 12
+    and refuses an Eisenstein report whose integers, at printed indices and
+    primes up to ``base``, pass the int-to-str limit.
+    """
+    _check_cap(args, "precision", prec, MAX_QEXP_PREC)
+    if cusp:
         if args.weight not in (None, 12):
-            raise ValueError("--delta fixes the weight to 12")
-        return "delta", eisenstein.delta_qexp(args.prec)
+            raise ValueError("the cusp form Delta has weight 12; omit --weight or pass 12")
+        return "delta", eisenstein.delta_qexp(prec)
     if args.weight is None:
-        raise ValueError("one of --weight or --delta is required")
+        raise ValueError("the Eisenstein series needs --weight")
     _check_cap(args, "--weight", args.weight, MAX_BERNOULLI_N)
-    _check_digits(args, "--weight %d" % args.weight, args.weight - 1, args.prec - 1)
-    return "eisenstein", eisenstein.eisenstein_qexp(args.weight, args.prec)
+    _check_digits(args, "--weight %d" % args.weight, args.weight - 1, base)
+    return "eisenstein", eisenstein.eisenstein_qexp(args.weight, prec)
 
 
 def _cmd_eis_qexp(args):
-    name, series = _series_from_args(args)
+    name, series = _series(args, args.delta, args.prec, args.prec - 1)
     case = {"series": name}
     case.update(series.to_json_obj())
     return [case], True
 
 
 def _cmd_eis_hecke(args):
-    name, series = _series_from_args(args)
+    name, series = _series(args, args.delta, args.prec, args.prec - 1)
     # T_p's constant term is a_p a_0 = (1 + p^(w-1)) a_0, and T_p refuses p > prec / 2
     factor = 2 * abs(series.coeffs[0].numerator)
     _check_digits(args, "--weight %d" % series.weight, series.weight - 1, min(abs(args.p), series.prec), factor)
@@ -419,23 +424,13 @@ def _cmd_eis_hecke(args):
 
 def _cmd_eis_factor(args):
     prec = args.prec if args.prec is not None else max(2 * args.p + 2, 16)
-    _check_cap(args, "precision", prec, MAX_QEXP_PREC)
-    if args.eisenstein:
-        if args.weight is None:
-            raise ValueError("--eisenstein requires --weight")
-        _check_cap(args, "--weight", args.weight, MAX_BERNOULLI_N)
-        _check_digits(args, "--weight %d" % args.weight, args.weight - 1, args.p)
-        name, series = "eisenstein", eisenstein.eisenstein_qexp(args.weight, prec)
-    else:
-        if args.weight not in (None, 12):
-            raise ValueError("the cusp form used here has weight 12; omit --weight or pass 12")
-        name, series = "delta", eisenstein.delta_qexp(prec)
-    result = eisenstein.hecke_factor(series, args.p, eisenstein=args.eisenstein)
-    case = {"series": name, "weight": series.weight}
+    name, series = _series(args, not args.eisenstein, prec, args.p)
+    result = eisenstein.hecke_factor(series, args.p)
+    case = {"series": name, "weight": series.weight, "p": args.p, "m": series.weight // 2 - 1}
     case.update(result.to_json_obj())
     case["nonzero"] = result.value != 0
-    # no nonvanishing claim is made off the cuspidal wing
-    ok = args.eisenstein or (case["nonzero"] and result.weil_ok is not False)
+    # the nonvanishing claim is made where the Weil bound applies: on cusp forms
+    ok = result.weil_ok is None or (case["nonzero"] and result.weil_ok)
     return [case], ok
 
 

@@ -33,9 +33,9 @@ Three layers live here because they share the Bernoulli substrate:
 * Exact q-expansions: Eisenstein series E_w with a_0 = -B_w / w and
   a_n = sigma_{w-1}(n), the discriminant cusp form Delta as
   q prod (1-q^n)^24, the Hecke operator T_p, and the scalar factor
-  1 - a_p + p^(2m+1) of weight-(2m+2) eigenforms together with the Weil
-  bound check a_p^2 < 4 p^(2m+1) that forces it to be nonzero.  Delta is
-  q times the eighth power of Jacobi's
+  1 - a_p + p^(2m+1) of weight-(2m+2) eigenforms together with, on cusp
+  forms (a_0 = 0), the Weil bound check a_p^2 < 4 p^(2m+1) that forces it
+  to be nonzero.  Delta is q times the eighth power of Jacobi's
   ``prod (1-q^n)^3 = sum_k (-1)^k (2k+1) q^(k(k+1)/2)``, taken by squaring
   three times; each square is one big-int product (Kronecker substitution).
 """
@@ -358,42 +358,31 @@ def hecke_eigenvalue(f: QExpansion, p: int) -> Fraction:
 
 
 class HeckeFactorResult:
-    """The scalar 1 - a_p + p^(2m+1) with the Weil-bound side check."""
+    """The scalar 1 - a_p + p^(w-1) with the Weil-bound side check."""
 
-    __slots__ = ("p", "m", "eigenvalue", "value", "weil_ok")
+    __slots__ = ("eigenvalue", "value", "weil_ok")
 
-    def __init__(self, p: int, m: int, eigenvalue: Fraction, value: Fraction, weil_ok: bool | None):
-        self.p = p
-        self.m = m
+    def __init__(self, eigenvalue: Fraction, value: Fraction, weil_ok: bool | None):
         self.eigenvalue = eigenvalue
         self.value = value
-        self.weil_ok = weil_ok  # None when the Weil bound does not apply (Eisenstein)
+        self.weil_ok = weil_ok  # None when the Weil bound does not apply (a_0 != 0)
 
     def to_json_obj(self) -> dict:
-        return {
-            "p": self.p,
-            "m": self.m,
-            "eigenvalue": str(self.eigenvalue),
-            "value": str(self.value),
-            "weil_ok": self.weil_ok,
-        }
+        return {"eigenvalue": str(self.eigenvalue), "value": str(self.value), "weil_ok": self.weil_ok}
 
 
-def hecke_factor(f: QExpansion, p: int, eisenstein: bool = False) -> HeckeFactorResult:
-    """Evaluate 1 - a_p(f) + p^(2m+1) on an eigenform f of weight 2m+2.
+def hecke_factor(f: QExpansion, p: int) -> HeckeFactorResult:
+    """Evaluate 1 - a_p(f) + p^(w-1) on a normalized eigenform f of even weight w = 2m+2.
 
-    For cusp forms the Weil bound a_p^2 < 4 p^(2m+1) is checked exactly (by
-    squaring, no square roots) and reported; it forces the factor to be
-    nonzero.  Eisenstein series are rejected unless ``eisenstein=True``, in
-    which case the bound is skipped (it fails for them, and the factor can
-    legitimately vanish).
+    Cuspidality is read off a_0.  For a cusp form (a_0 = 0) the Weil bound
+    a_p^2 < 4 p^(w-1) is checked exactly (by squaring, no square roots) and
+    reported as ``weil_ok``; it forces the factor to be nonzero.  For an
+    Eisenstein series (a_0 != 0) the bound fails and the factor can vanish,
+    so ``weil_ok`` is None.
     """
     if f.weight % 2:
         raise ValueError("weight %d is odd, and no full-level form has odd weight" % (f.weight,))
-    m = (f.weight - 2) // 2
     lam = hecke_eigenvalue(f, p)  # first, so that f has the a_0 read next
-    if not eisenstein and f.coeffs[0] != 0:
-        raise ValueError("not a cusp form (a_0 != 0); pass eisenstein=True to allow")
-    value = 1 - lam + p ** (2 * m + 1)
-    weil_ok = None if eisenstein else bool(lam * lam < 4 * p ** (2 * m + 1))
-    return HeckeFactorResult(p=p, m=m, eigenvalue=lam, value=value, weil_ok=weil_ok)
+    shift = p ** (f.weight - 1)
+    weil_ok = None if f.coeffs[0] else lam * lam < 4 * shift
+    return HeckeFactorResult(lam, 1 - lam + shift, weil_ok)

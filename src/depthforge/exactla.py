@@ -4,7 +4,8 @@ Scalars are :class:`fractions.Fraction` throughout; no floats ever enter a
 computation.  ``str(Fraction)`` already produces the wire format used by the
 rest of the package (``"a/b"``, or ``"a"`` when the denominator is 1), and
 :func:`parse_rational` parses it back at every input boundary, refusing
-floats and malformed values with ``ValueError``.
+floats and malformed values with ``ValueError``.  Inside the package,
+:func:`as_fraction` takes only an ``int`` or a ``Fraction``.
 
 The row reduction here is deliberately boring: dense matrices, leftmost
 nonzero pivot, no pivot-size heuristics.  That makes :func:`rref` and
@@ -28,12 +29,16 @@ _RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def as_fraction(x) -> Fraction:
-    """Coerce to Fraction, refusing floats (which would smuggle in rounding)."""
+    """Coerce an ``int`` or a ``Fraction`` to Fraction; raise ``TypeError`` for anything else.
+
+    Floats would smuggle in rounding, a bool is no number, and text is read
+    by :func:`parse_rational` alone (``Fraction("1e99999999")`` builds 10^99999999).
+    """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, float):
-        raise TypeError("floats are not allowed in exact computations: %r" % (x,))
-    return Fraction(x)
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
+    raise TypeError("expected an int or a Fraction in an exact computation, got %r" % (x,))
 
 
 def parse_rational(x) -> Fraction:
@@ -84,7 +89,7 @@ def rref(rows: Sequence[Sequence], cols: int) -> tuple[list[list[Fraction]], tup
     """Reduced row echelon form of ``rows`` (``cols`` wide) and its pivot columns.
 
     Entries are coerced with :func:`as_fraction`, so ints become Fractions and
-    floats raise ``TypeError``.  Deterministic policy: scan columns left to
+    anything else raises ``TypeError``.  Deterministic policy: scan columns left to
     right, take the first row at or below the current one with a nonzero
     entry, swap it up, scale the pivot to 1 and clear the whole column.  The
     pivot row is zero left of column c, so only columns c onwards are touched.

@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping, Sequence
 
-from .exactla import QMatrix, as_fraction, kernel_basis, parse_rational, rref
+from .exactla import QMatrix, as_fraction, certify_kernel, kernel_basis, parse_rational, rref
 
 Monomial = tuple[int, int]
 
@@ -239,8 +239,9 @@ def period_space(weight: int) -> PeriodSpace:
     Candidates are the antisymmetrized even monomial pairs
     ``x^(2i) y^(2j) - x^(2j) y^(2i)`` (which already satisfy f(x,0)=0,
     evenness and antisymmetry); the three-term relation is imposed as an
-    exact linear system and the kernel, in the canonical basis, is mapped
-    back through :func:`pair_to_poly` and normalized to leading coefficient 1.
+    exact linear system on integer rows, and the kernel, in the canonical
+    basis and certified against every row, is mapped back through
+    :func:`pair_to_poly` and normalized to leading coefficient 1.
     """
     if weight % 2 != 0 or weight < 4:
         raise ValueError("weight must be an even integer >= 4, got %r" % (weight,))
@@ -248,8 +249,10 @@ def period_space(weight: int) -> PeriodSpace:
     pairs = candidate_pairs(m)
     images = [_three_term(2 * m, {(2 * i, 2 * j): 1, (2 * j, 2 * i): -1}) for i, j in pairs]
     monomials = [(2 * m - b, b) for b in range(2 * m + 1)]
-    matrix = QMatrix([[img.get(mono, 0) for img in images] for mono in monomials], cols=len(pairs))
-    return PeriodSpace(weight, [pair_to_poly(m, vec).leading_normalized() for vec in kernel_basis(matrix)])
+    rows = [[img.get(mono, 0) for img in images] for mono in monomials]
+    basis = kernel_basis(QMatrix(rows, cols=len(pairs)))
+    certify_kernel(rows, len(pairs), basis)
+    return PeriodSpace(weight, [pair_to_poly(m, vec).leading_normalized() for vec in basis])
 
 
 def subspace_equal(first: Sequence[BivarPoly], second: Sequence[BivarPoly]) -> bool:

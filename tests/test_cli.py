@@ -425,6 +425,42 @@ class TestEisCommands:
     def test_factor_eisenstein_requires_weight(self):
         assert run_cli("eis", "factor", "--p", "2", "--eisenstein").returncode == 2
 
+    def test_factor_m_comes_from_the_weight(self):
+        report = run_json("eis", "factor", "--p", "2", "--eisenstein", "--weight", "16")
+        assert (report["weight"], report["m"], report["p"]) == (16, 7, 2)
+
+    # Every series-reading command refuses through one builder, cli._series, so
+    # each refusal reads alike wherever it is reached.  verify eigen has no
+    # Delta, and argparse itself requires its --weight.
+    TOO_PRECISE = str(cli.MAX_QEXP_PREC + 1)
+    TOO_HEAVY = str(cli.MAX_BERNOULLI_N + 2)
+    PREC_CAP = "precision %s is above the cap of %d" % (TOO_PRECISE, cli.MAX_QEXP_PREC)
+    WEIGHT_CAP = "--weight %s is above the cap of %d" % (TOO_HEAVY, cli.MAX_BERNOULLI_N)
+    DELTA_WEIGHT = "the cusp form Delta has weight 12; omit --weight or pass 12"
+    NO_WEIGHT = "the Eisenstein series needs --weight"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("eis", "qexp", "--delta", "--prec", TOO_PRECISE), PREC_CAP),
+            (("eis", "hecke", "--weight", "12", "--p", "2", "--prec", TOO_PRECISE), PREC_CAP),
+            (("eis", "factor", "--p", "2", "--prec", TOO_PRECISE), PREC_CAP),
+            (("verify", "eigen", "--weight", "12", "--p", "2", "--prec", TOO_PRECISE), PREC_CAP),
+            (("eis", "qexp", "--weight", TOO_HEAVY), WEIGHT_CAP),
+            (("eis", "hecke", "--weight", TOO_HEAVY, "--p", "2"), WEIGHT_CAP),
+            (("eis", "factor", "--p", "2", "--eisenstein", "--weight", TOO_HEAVY), WEIGHT_CAP),
+            (("verify", "eigen", "--weight", TOO_HEAVY, "--p", "2"), WEIGHT_CAP),
+            (("eis", "qexp", "--delta", "--weight", "14"), DELTA_WEIGHT),
+            (("eis", "hecke", "--delta", "--weight", "14", "--p", "2"), DELTA_WEIGHT),
+            (("eis", "factor", "--p", "2", "--weight", "14"), DELTA_WEIGHT),
+            (("eis", "qexp"), NO_WEIGHT),
+            (("eis", "hecke", "--p", "2"), NO_WEIGHT),
+            (("eis", "factor", "--p", "2", "--eisenstein"), NO_WEIGHT),
+        ],
+    )
+    def test_series_refusals_are_shared(self, argv, message):
+        assert message in refusal_message(*argv)
+
     def test_precision_above_cap_is_usage_error(self):
         # refused before any work: a lost cap at 10^9 + 3 allocates the series at
         # once, so a short timeout catches it
@@ -620,7 +656,7 @@ class TestOutputOptions:
         lines = proc.stdout.strip().split("\n")
         assert len(lines) == 2
         header = lines[0].split(",")
-        assert "value" in header and "eigenvalue" in header
+        assert header == ["series", "weight", "p", "m", "eigenvalue", "value", "weil_ok", "nonzero"]
 
     def test_csv_batch_rows(self):
         proc = run_cli("verify", "brown", "--max-weight", "12", "--format", "csv")

@@ -166,6 +166,12 @@ class TestBernoulli:
         with pytest.raises(TypeError):
             bernoulli_poly_eval(4, 0.2)
 
+    @pytest.mark.parametrize("bad", ["0.5", "1/2", True])
+    def test_eval_rejects_text_and_bools(self, bad):
+        # Fraction() alone reads "0.5" as 1/2 and True as 1
+        with pytest.raises(TypeError):
+            bernoulli_poly_eval(2, bad)
+
     def test_eval_rejects_a_float_equal_to_a_cached_rational(self):
         # 0.5 == Fraction(1, 2) with the same hash, so a cache keyed on the raw
         # argument would answer the float from the rational's entry
@@ -219,6 +225,11 @@ class TestFracAndDistribution:
     def test_distribution_holds(self, n, m):
         for x in (Fraction(0), Fraction(1, 2), Fraction(2, 7)):
             assert distribution_check(n, m, x)
+
+    @pytest.mark.parametrize("bad", ["1/2", True])
+    def test_distribution_rejects_text_and_bools(self, bad):
+        with pytest.raises(TypeError):
+            distribution_check(2, 3, bad)
 
     def test_distribution_rejects_bad_m(self):
         with pytest.raises(ValueError):
@@ -374,6 +385,11 @@ class TestQExpansion:
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
             QExpansion(4, (0.5, Fraction(1)))
+
+    @pytest.mark.parametrize("bad", ["1/240", True])
+    def test_rejects_text_and_bools(self, bad):
+        with pytest.raises(TypeError):
+            QExpansion(4, (bad, 1))
 
     def test_json_round_trip(self):
         f = QExpansion(12, (Fraction(691, 32760), Fraction(1), Fraction(2049)))
@@ -540,18 +556,15 @@ class TestHeckeFactor:
         for p in (2, 3, 5, 7):
             assert hecke_factor(delta_qexp(8 * p), p).value != 0
 
-    def test_eisenstein_rejected_by_default(self):
-        with pytest.raises(ValueError):
-            hecke_factor(eisenstein_qexp(12, 30), 2)
+    def test_eisenstein_has_no_weil_bound(self):
+        # cuspidality is read off a_0 = -B_w / w != 0
+        assert hecke_factor(eisenstein_qexp(12, 30), 2).weil_ok is None
 
     def test_eisenstein_vanishes_when_allowed(self):
-        res = hecke_factor(eisenstein_qexp(12, 30), 2, eisenstein=True)
+        res = hecke_factor(eisenstein_qexp(12, 30), 2)
         assert res.eigenvalue == 2049
         assert res.value == 0
         assert res.weil_ok is None
-
-    def test_m_comes_from_the_weight(self):
-        assert hecke_factor(eisenstein_qexp(16, 30), 2, eisenstein=True).to_json_obj()["m"] == 7
 
     def test_odd_weight_refused(self):
         with pytest.raises(ValueError, match="odd"):
@@ -560,8 +573,6 @@ class TestHeckeFactor:
     def test_json(self):
         obj = hecke_factor(delta_qexp(30), 2).to_json_obj()
         assert obj == {
-            "p": 2,
-            "m": 5,
             "eigenvalue": "-24",
             "value": "2073",
             "weil_ok": True,

@@ -4,7 +4,7 @@ from math import lcm
 
 import pytest
 
-from depthforge.exactla import QMatrix, certify_kernel, kernel_basis, parse_rational, rref
+from depthforge.exactla import QMatrix, as_fraction, certify_kernel, kernel_basis, parse_rational, rref
 
 
 def F(x):
@@ -31,6 +31,25 @@ class TestQMatrix:
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             QMatrix([[0.5]])
+
+    @pytest.mark.parametrize("bad", ["1", "0.25", True])
+    def test_text_and_bools_rejected(self, bad):
+        with pytest.raises(TypeError):
+            QMatrix([[1, bad]])
+
+
+class TestAsFraction:
+    @pytest.mark.parametrize("given", [0, -7, 2**70, Fraction(-2, 3)])
+    def test_ints_and_fractions(self, given):
+        assert as_fraction(given) == given
+        assert type(as_fraction(given)) is Fraction
+
+    @pytest.mark.parametrize("bad", ["1/2", "7", " 1.5e0 ", "1e9", True, False])
+    def test_text_and_bools_rejected(self, bad):
+        # text goes through parse_rational; Fraction() alone reads "1e99999999"
+        # by building 10^99999999
+        with pytest.raises(TypeError):
+            as_fraction(bad)
 
 
 class TestParseRational:
@@ -92,6 +111,11 @@ class TestRref:
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             rref([[1, 0.5]], 2)
+
+    @pytest.mark.parametrize("bad", ["1/2", True])
+    def test_text_and_bools_rejected(self, bad):
+        with pytest.raises(TypeError):
+            rref([[1, bad]], 2)
 
 
 class TestKernel:

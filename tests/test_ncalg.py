@@ -127,9 +127,16 @@ class TestNCPoly:
         assert ((e0 + e1) * e1).terms == {"01": 1, "11": 1}
 
     def test_scalar_mul(self):
-        p = NCPoly({"01": "1/2"})
+        p = NCPoly({"01": Fraction(1, 2)})
         assert (2 * p).terms == {"01": 1}
         assert (p * Fraction(-2, 3)).terms == {"01": Fraction(-1, 3)}
+
+    @pytest.mark.parametrize("bad", ["1/2", " 1.5e0 ", True])
+    def test_text_and_bool_coefficients_rejected(self, bad):
+        with pytest.raises(TypeError):
+            NCPoly({"01": bad})
+        with pytest.raises(TypeError):
+            NCPoly({"01": 1}) * bad
 
     def test_components(self):
         p = NCPoly({"01": 1, "11": 2, "0": 5})

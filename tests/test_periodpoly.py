@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from depthforge import periodpoly
+from depthforge.exactla import kernel_basis
 from depthforge.periodpoly import (
     BivarPoly,
     candidate_pairs,
@@ -29,6 +31,13 @@ class TestBivarPoly:
         with pytest.raises(TypeError):
             BivarPoly(2, {(2, 0): 0.5})
 
+    @pytest.mark.parametrize("bad", ["1/2", " 1.5e0 ", True])
+    def test_rejects_text_and_bool_coefficients(self, bad):
+        with pytest.raises(TypeError):
+            BivarPoly.monomial(2, 8, bad)
+        with pytest.raises(TypeError):
+            GOLDEN_12 * bad
+
     @pytest.mark.parametrize("degree,coeffs", [(4, {(2.0, 2): 1}), (4, {(True, 3): 1}), (4.0, {(2, 2): 1}), (True, {})])
     def test_rejects_non_int_exponents_and_degree(self, degree, coeffs):
         with pytest.raises(ValueError, match="int"):
@@ -41,7 +50,7 @@ class TestBivarPoly:
         assert not z
 
     def test_monomial_constructor(self):
-        p = BivarPoly.monomial(3, 1, coeff="1/2")
+        p = BivarPoly.monomial(3, 1, coeff=Fraction(1, 2))
         assert p.degree == 4
         assert p.coeffs == {(3, 1): Fraction(1, 2)}
 
@@ -156,6 +165,15 @@ class TestPeriodSpace:
         for b in period_space(weight).basis:
             assert is_period_poly(b).ok
             assert b.degree == weight - 2
+
+    def test_wrong_kernel_vector_rejected(self, monkeypatch):
+        def perturbed(matrix):
+            basis = kernel_basis(matrix)
+            return [basis[0][:-1] + (basis[0][-1] + 1,)]
+
+        monkeypatch.setattr(periodpoly, "kernel_basis", perturbed)
+        with pytest.raises(AssertionError):
+            period_space(12)
 
     def test_odd_or_small_weight_rejected(self):
         with pytest.raises(ValueError):
