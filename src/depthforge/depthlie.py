@@ -27,15 +27,22 @@ reference the tests compare this against.  The matrix is returned as
 ``(rows, cols)``, integer row tuples and a column count, the form that
 :func:`depthforge.exactla.rref` and ``certify_kernel`` take.
 
-:func:`relation_kernel` solves for the kernel on the last 2m+1 rows only,
-the words ``e1 e0^b e1 e0^c`` that begin with ``e1`` (a = 0).  A depth-2 Lie
-element is determined by its coefficients at y0 = 0, which are exactly these
-words (Brown, *Depth-graded motivic multiple zeta values*, arXiv:1301.3053),
-so those rows carry the whole kernel.  The code does not rely on that: the
-basis is certified against every row of the full integer matrix.  Dropping
-rows can only enlarge a kernel, so a passing certificate proves the two
-kernels equal, and since the canonical basis depends only on the kernel, it
-is the basis the full matrix would give.
+:func:`relation_kernel` solves for the kernel on m+1 rows only, the words
+``e1 e0^b e1 e0^(2m-b)`` with b >= m.  A depth-2 Lie element is determined
+by its coefficients at y0 = 0, which are exactly the 2m+1 words that begin
+with ``e1`` (a = 0) (Brown, *Depth-graded motivic multiple zeta values*,
+arXiv:1301.3053), and the rows of ``e1 e0^b e1 e0^(2m-b)`` and
+``e1 e0^(2m-b) e1 e0^b`` are equal or opposite (the tests check m <= 40),
+so the m+1 rows with b >= m carry the whole kernel.  The code relies on
+neither fact.  Reversing a word,
+``e0^a e1 e0^b e1 e0^c -> e0^c e1 e0^b e1 e0^a``, negates its row: that is
+checked on every row by comparing tuples, with no products, and then
+``M v = 0`` is checked in integers on the rows with a < c only.  A vector
+kills a row exactly when it kills its negative, and a row with a = c is its
+own negative, hence zero, so the two checks prove ``M v = 0`` on every row
+of the full matrix.  Dropping rows can only enlarge a kernel, so a passing
+certificate proves the two kernels equal, and since the canonical basis
+depends only on the kernel, it is the basis the full matrix would give.
 
 Writing the brackets as the columns of a matrix, a rational vector (a_ij)
 over ``candidate_pairs(m)`` gives a relation
@@ -55,6 +62,7 @@ and the column pairs included.
 from __future__ import annotations
 
 from math import comb
+from operator import neg
 
 from . import periodpoly
 from .exactla import QMatrix, Vector, certify_kernel, kernel_basis
@@ -125,14 +133,40 @@ def bracket_matrix(m: int) -> tuple[list[tuple[int, ...]], int]:
 def relation_kernel(m: int) -> list[Vector]:
     """Canonical kernel basis of :func:`bracket_matrix`, over ``candidate_pairs(m)``.
 
-    The basis is solved on the last 2m+1 rows, the words that begin with
-    ``e1``, and certified (``M v = 0`` on every row, in integers) before it
-    is returned; a failed certificate raises ``AssertionError``.
+    The basis is solved on the m+1 rows ``e1 e0^b e1 e0^(2m-b)`` with b >= m
+    and certified before it is returned: reversal must negate every row (see
+    :func:`_reversal_half`), and ``M v = 0`` must hold, in integers, on every
+    row with a < c; together they prove ``M v = 0`` on every row of the full
+    matrix.  A failed check raises ``AssertionError`` naming a row of the
+    full matrix.
     """
     rows, cols = bracket_matrix(m)
-    basis = kernel_basis(QMatrix(rows[-(2 * m + 1) :], cols=cols))
-    certify_kernel(rows, cols, basis)
+    basis = kernel_basis(QMatrix(rows[-(2 * m + 1) : -m], cols=cols))
+    certify_kernel(rows, cols, basis, _reversal_half(m, rows))
     return basis
+
+
+def _reversal_half(m: int, rows: list[tuple[int, ...]]) -> list[int]:
+    """Indices of the bracket rows with a < c, once reversal is seen to negate every row.
+
+    Row (a, b) sits at index T(2m - a) + c, with T(k) = k(k+1)/2 and
+    c = 2m - a - b (:func:`_depth2_indices`), so its reversal (c, b) sits at
+    T(2m - c) + a.  Raises ``AssertionError`` naming the (a, b) of the first
+    pair whose rows are not opposite.
+    """
+    n = 2 * m
+    half = []
+    for i, (a, b) in enumerate(_depth2_indices(n + 2)):
+        c = n - a - b
+        if a > c:
+            continue
+        if rows[i] != tuple(map(neg, rows[(n - c) * (n - c + 1) // 2 + a])):
+            raise AssertionError(
+                "the bracket row of (a, b) = (%d, %d) is not minus the row of its reversal (%d, %d)" % (a, b, c, b)
+            )
+        if a < c:
+            half.append(i)
+    return half
 
 
 class BrownReport:

@@ -16,7 +16,15 @@ cusp forms, which is how the tests cross-check the solver.
 :func:`period_space` solves for a basis.  The first three conditions are
 built into the candidate spanning set ``x^(2i) y^(2j) - x^(2j) y^(2i)``
 (i + j = m, 1 <= i < j), so only the three-term relation contributes matrix
-rows.  :func:`is_period_poly` reads the first three identities off the
+rows, one per monomial ``x^(2m-b) y^b``.  The three-term image of a
+candidate is itself antisymmetric: for f even and antisymmetric, swapping x
+and y sends f(x, y) to -f(x, y), and f(x-y, x) and f(-y, x-y) each to minus
+the other.  So row 2m - b is minus row b, the middle row is zero, and the
+solve reads only the m rows with b < m.  The code does not rely on that
+symmetry, which the tests check at every weight up to 200: the basis is
+certified against all 2m + 1 rows, and as dropping rows can only enlarge a
+kernel, a passing certificate proves it is the kernel of the full system.
+:func:`is_period_poly` reads the first three identities off the
 coefficients (no monomial ``x^a y^0``, no odd exponent, ``c(b,a) = -c(a,b)``).
 The three-term relation is expanded in binomial sums on a plain ``{(a, b): c}``
 map, one expansion shared by the check, which feeds it the coefficients times
@@ -239,18 +247,19 @@ def period_space(weight: int) -> PeriodSpace:
     Candidates are the antisymmetrized even monomial pairs
     ``x^(2i) y^(2j) - x^(2j) y^(2i)`` (which already satisfy f(x,0)=0,
     evenness and antisymmetry); the three-term relation is imposed as an
-    exact linear system on integer rows, and the kernel, in the canonical
-    basis and certified against every row, is mapped back through
-    :func:`pair_to_poly` and normalized to leading coefficient 1.
+    exact linear system on integer rows.  The kernel is solved on the m rows
+    ``x^(2m-b) y^b`` with b < m, which carry it (see the module docstring),
+    and certified against all 2m + 1 rows; in the canonical basis, it is
+    mapped back through :func:`pair_to_poly` and normalized to leading
+    coefficient 1.
     """
     if weight % 2 != 0 or weight < 4:
         raise ValueError("weight must be an even integer >= 4, got %r" % (weight,))
     m = (weight - 2) // 2
     pairs = candidate_pairs(m)
     images = [_three_term(2 * m, {(2 * i, 2 * j): 1, (2 * j, 2 * i): -1}) for i, j in pairs]
-    monomials = [(2 * m - b, b) for b in range(2 * m + 1)]
-    rows = [[img.get(mono, 0) for img in images] for mono in monomials]
-    basis = kernel_basis(QMatrix(rows, cols=len(pairs)))
+    rows = [[img.get((2 * m - b, b), 0) for img in images] for b in range(2 * m + 1)]
+    basis = kernel_basis(QMatrix(rows[:m], cols=len(pairs)))
     certify_kernel(rows, len(pairs), basis)
     return PeriodSpace(weight, [pair_to_poly(m, vec).leading_normalized() for vec in basis])
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import pytest
@@ -24,6 +25,22 @@ def oracle_sigma(m):
         word = "0" * (2 * m - k) + "1" + "0" * k
         terms[word] = Fraction((-1) ** k * comb(2 * m, k))
     return NCPoly(terms)
+
+
+@lru_cache(maxsize=None)
+def oracle_bracket_rows(m):
+    # the bracket matrix from the NCPoly word algebra, rows in depth2_word_basis order
+    words = depth2_word_basis(2 * m + 2)
+    columns = []
+    for i, j in candidate_pairs(m):
+        br = ihara_bracket(sigma_leading(i), sigma_leading(j)).depth_component(2)
+        columns.append([br.coefficient(w) for w in words])
+    return [tuple(col[r] for col in columns) for r in range(len(words))]
+
+
+def a_below_c(word):
+    # e0^a e1 e0^b e1 e0^c with a < c: the rows whose certificate products are taken
+    return word.index("1") < len(word) - 1 - word.rindex("1")
 
 
 class TestSigmaLeading:
@@ -80,15 +97,24 @@ class TestBracketMatrix:
 
     def test_columns_are_depth2_brackets(self):
         # the closed form against the NCPoly word algebra, column by column
-        sigma = {i: sigma_leading(i) for i in range(1, 20)}
         for m in range(2, 21):
-            words = depth2_word_basis(2 * m + 2)
-            columns = []
-            for i, j in candidate_pairs(m):
-                br = ihara_bracket(sigma[i], sigma[j]).depth_component(2)
-                columns.append([br.coefficient(w) for w in words])
-            expected = [tuple(col[r] for col in columns) for r in range(len(words))]
-            assert bracket_matrix(m) == (expected, len(columns)), "m=%d" % m
+            rows = oracle_bracket_rows(m)
+            assert bracket_matrix(m) == (rows, len(candidate_pairs(m))), "m=%d" % m
+
+    def test_reversal_negates_every_oracle_row(self):
+        # reversing the "01" string maps e0^a e1 e0^b e1 e0^c to e0^c e1 e0^b e1 e0^a
+        for m in range(2, 21):
+            rows = oracle_bracket_rows(m)
+            index = {w: r for r, w in enumerate(depth2_word_basis(2 * m + 2))}
+            for w, r in index.items():
+                assert rows[index[w[::-1]]] == tuple(-x for x in rows[r]), (m, w)
+
+    def test_e1_rows_pair_up(self):
+        # e1 e0^b e1 e0^(2m-b) and e1 e0^(2m-b) e1 e0^b: the solved rows b >= m hold one of each pair
+        for m in range(2, 41):
+            e1_rows = bracket_matrix(m)[0][-(2 * m + 1) :]  # b = 2m, ..., 0
+            for row, twin in zip(e1_rows, reversed(e1_rows)):
+                assert row == twin or row == tuple(-x for x in twin), "m=%d" % m
 
     def test_m_below_two_rejected(self):
         with pytest.raises(ValueError):
@@ -117,6 +143,36 @@ class TestRelationKernel:
         monkeypatch.setattr(depthlie, "kernel_basis", perturbed)
         with pytest.raises(AssertionError):
             relation_kernel(5)
+
+    @pytest.mark.parametrize("a, b", [(3, 1), (6, 1), (2, 6), (0, 10), (10, 0)])
+    def test_broken_reversal_pairing_is_named(self, monkeypatch, a, b):
+        rows, cols = bracket_matrix(5)
+        r = depth2_word_basis(12).index("0" * a + "1" + "0" * b + "1" + "0" * (10 - a - b))
+        rows[r] = (rows[r][0] + 1,) + rows[r][1:]
+        monkeypatch.setattr(depthlie, "bracket_matrix", lambda m: (rows, cols))
+        with pytest.raises(AssertionError, match=r"\(%d, %d\)" % (a, b)):
+            relation_kernel(5)
+
+    def test_certificate_failure_names_a_full_matrix_row(self, monkeypatch):
+        m = 11
+        good = relation_kernel(m)[0]
+        bad = good[:-1] + (good[-1] + 1,)
+        monkeypatch.setattr(depthlie, "kernel_basis", lambda matrix: [bad])
+        rows, _ = bracket_matrix(m)
+        words = depth2_word_basis(2 * m + 2)
+        # the first checked row that bad fails is named
+        checked = [r for r, w in enumerate(words) if a_below_c(w)]
+        first = next(r for r in checked if sum(x * y for x, y in zip(rows[r], bad)))
+        assert checked.index(first) != first  # an index into the checked rows would read differently
+        with pytest.raises(AssertionError, match="fails row %d of the matrix$" % first):
+            relation_kernel(m)
+
+    def test_checked_half_is_the_rows_with_a_below_c(self):
+        for m in range(2, 31):
+            rows, _ = bracket_matrix(m)
+            words = depth2_word_basis(2 * m + 2)
+            expected = [r for r, w in enumerate(words) if a_below_c(w)]
+            assert depthlie._reversal_half(m, rows) == expected, "m=%d" % m
 
     @pytest.mark.parametrize("m", range(2, 9))
     def test_kernel_annihilates_matrix(self, m):

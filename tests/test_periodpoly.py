@@ -7,6 +7,7 @@ from depthforge import periodpoly
 from depthforge.exactla import kernel_basis
 from depthforge.periodpoly import (
     BivarPoly,
+    _three_term,
     candidate_pairs,
     is_period_poly,
     pair_to_poly,
@@ -166,6 +167,14 @@ class TestPeriodSpace:
             assert is_period_poly(b).ok
             assert b.degree == weight - 2
 
+    def test_three_term_images_of_candidates_are_antisymmetric(self):
+        # so the middle row is zero, and the rows x^(2m-b) y^b with b < m carry the kernel
+        for weight in range(4, 201, 2):
+            n = weight - 2
+            for i, j in candidate_pairs(n // 2):
+                image = _three_term(n, {(2 * i, 2 * j): 1, (2 * j, 2 * i): -1})
+                assert all(image.get((b, a), 0) == -c for (a, b), c in image.items()), (weight, i, j)
+
     def test_wrong_kernel_vector_rejected(self, monkeypatch):
         def perturbed(matrix):
             basis = kernel_basis(matrix)
@@ -173,6 +182,18 @@ class TestPeriodSpace:
 
         monkeypatch.setattr(periodpoly, "kernel_basis", perturbed)
         with pytest.raises(AssertionError):
+            period_space(12)
+
+    def test_certificate_reads_the_rows_past_the_solved_half(self, monkeypatch):
+        three_term = periodpoly._three_term
+
+        def broken(n, coeffs):
+            image = three_term(n, coeffs)
+            image[1, n - 1] = image.get((1, n - 1), 0) + 1  # row b = n - 1, which the solve skips
+            return image
+
+        monkeypatch.setattr(periodpoly, "_three_term", broken)
+        with pytest.raises(AssertionError, match="fails row 9 of the matrix"):
             period_space(12)
 
     def test_odd_or_small_weight_rejected(self):
