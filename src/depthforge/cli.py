@@ -51,7 +51,7 @@ from .exactla import parse_rational
 DEFAULT_MIN_WEIGHT = 6
 DEFAULT_MAX_WEIGHT = 30
 # the weight of verify brown --weight|--max-weight, period basis --weight and
-# depth matrix|relations (as 2m+2 from --m).  At 200: verify brown 5 s and 83 MB,
+# depth matrix|relations (as 2m+2 from --m).  At 200: verify brown 3.8-4.7 s and 82 MB,
 # depth matrix 3.7 s and 313 MB for a 50 MB report, period basis 0.6-0.8 s; a
 # verify brown batch runs each even weight, 230 s for 6..200
 MAX_DEPTH2_WEIGHT = 200

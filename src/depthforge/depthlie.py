@@ -54,9 +54,12 @@ format, from :func:`relation_kernel` to the reports.  The criterion verified
 by :func:`verify_brown_criterion` says these relations correspond, via
 ``periodpoly.pair_to_poly`` (``(i, j) -> x^2i y^2j - x^2j y^2i``), to the
 restricted even period polynomials of weight 2m+2 -- an executable bridge
-checked here by running both solvers independently and comparing the spans.
-Its :class:`BrownReport` writes the ``verify brown`` case itself, ``match``
-and the column pairs included.
+checked here by running both solvers independently and comparing their
+canonical bases.  Both return ``kernel_basis`` vectors over
+``candidate_pairs(m)``, read off an RREF that depends only on the kernel;
+``pair_to_poly`` is linear and injective and ``leading_normalized`` is
+deterministic, so the two lists of normalized images are equal exactly when
+the spans are, and a ``True`` trusts neither solver.
 """
 
 from __future__ import annotations
@@ -133,12 +136,9 @@ def bracket_matrix(m: int) -> tuple[list[tuple[int, ...]], int]:
 def relation_kernel(m: int) -> list[Vector]:
     """Canonical kernel basis of :func:`bracket_matrix`, over ``candidate_pairs(m)``.
 
-    The basis is solved on the m+1 rows ``e1 e0^b e1 e0^(2m-b)`` with b >= m
-    and certified before it is returned: reversal must negate every row (see
-    :func:`_reversal_half`), and ``M v = 0`` must hold, in integers, on every
-    row with a < c; together they prove ``M v = 0`` on every row of the full
-    matrix.  A failed check raises ``AssertionError`` naming a row of the
-    full matrix.
+    Solved on the m+1 rows ``e1 e0^b e1 e0^(2m-b)`` with b >= m and certified
+    on every row of the full matrix (see the module docstring); a failed check
+    raises ``AssertionError`` naming a row of the full matrix.
     """
     rows, cols = bracket_matrix(m)
     basis = kernel_basis(QMatrix(rows[-(2 * m + 1) : -m], cols=cols))
@@ -200,22 +200,23 @@ class BrownReport:
 def verify_brown_criterion(m: int) -> BrownReport:
     """Check that bracket relations = period polynomials at weight 2m+2.
 
-    Pushes each kernel basis vector through ``pair_to_poly`` and reports
-    whether every image satisfies the four period identities (membership is
-    decided by the defining equations, not by the period solver) and whether
-    the images span the independently solved period space.
+    Maps each kernel basis vector as ``period_space`` maps its own, through
+    ``pair_to_poly`` and ``leading_normalized``, and reports whether every
+    image satisfies the four period identities (decided by the defining
+    equations, not by the period solver) and whether the images equal the
+    independently solved basis, which holds exactly when the spans are equal
+    (see the module docstring).
     """
     if m < 2:
         raise ValueError("criterion applies from m >= 2, got %r" % (m,))
     kernel = relation_kernel(m)
-    images = [periodpoly.pair_to_poly(m, vec) for vec in kernel]
+    images = [periodpoly.pair_to_poly(m, vec).leading_normalized() for vec in kernel]
     space = periodpoly.period_space(2 * m + 2)
     in_space = all(periodpoly.is_period_poly(p).ok for p in images)
-    spans = periodpoly.subspace_equal(images, space.basis)
     return BrownReport(
         weight=2 * m + 2,
         kernel_dim=len(kernel),
         period_dim=space.dim,
         in_space=in_space,
-        spans=spans,
+        spans=images == space.basis,
     )

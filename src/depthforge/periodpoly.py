@@ -234,8 +234,11 @@ def candidate_pairs(m: int) -> list[tuple[int, int]]:
 
 def pair_to_poly(m: int, vector: Sequence[Fraction]) -> BivarPoly:
     """Map coordinates ``(a_ij)`` over ``candidate_pairs(m)`` to ``sum a_ij (x^2i y^2j - x^2j y^2i)``."""
+    pairs = candidate_pairs(m)
+    if len(vector) != len(pairs):
+        raise ValueError("m=%d has %d candidate pairs, got a vector of length %d" % (m, len(pairs), len(vector)))
     coeffs = {}
-    for (i, j), c in zip(candidate_pairs(m), vector):
+    for (i, j), c in zip(pairs, vector):
         coeffs[2 * i, 2 * j] = c
         coeffs[2 * j, 2 * i] = -c
     return BivarPoly(2 * m, coeffs)
@@ -244,14 +247,10 @@ def pair_to_poly(m: int, vector: Sequence[Fraction]) -> BivarPoly:
 def period_space(weight: int) -> PeriodSpace:
     """Solve for a basis of the weight-``weight`` period-polynomial space.
 
-    Candidates are the antisymmetrized even monomial pairs
-    ``x^(2i) y^(2j) - x^(2j) y^(2i)`` (which already satisfy f(x,0)=0,
-    evenness and antisymmetry); the three-term relation is imposed as an
-    exact linear system on integer rows.  The kernel is solved on the m rows
-    ``x^(2m-b) y^b`` with b < m, which carry it (see the module docstring),
-    and certified against all 2m + 1 rows; in the canonical basis, it is
-    mapped back through :func:`pair_to_poly` and normalized to leading
-    coefficient 1.
+    The three-term rows of the candidates (see the module docstring) are
+    solved on the m rows ``x^(2m-b) y^b`` with b < m and certified on all
+    2m + 1; each canonical kernel vector goes through :func:`pair_to_poly`
+    and ``leading_normalized``, as ``verify_brown_criterion``'s images do.
     """
     if weight % 2 != 0 or weight < 4:
         raise ValueError("weight must be an even integer >= 4, got %r" % (weight,))

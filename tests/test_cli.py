@@ -302,6 +302,16 @@ class TestVerifyCommands:
         assert report["spans"] is True
         assert report["match"] is True
 
+    def test_brown_mismatch_exits_1(self, monkeypatch):
+        # a period solver that loses one of the two weight-24 basis vectors
+        space = periodpoly.period_space
+        monkeypatch.setattr(periodpoly, "period_space", lambda w: periodpoly.PeriodSpace(w, space(w).basis[:1]))
+        with redirect_stdout(io.StringIO()) as out:
+            assert cli.main(["verify", "brown", "--weight", "24"]) == 1
+        report = json.loads(out.getvalue())
+        assert (report["ok"], report["match"], report["spans"], report["in_space"]) == (False, False, False, True)
+        assert (report["kernel_dim"], report["period_dim"]) == (2, 1)
+
     def test_brown_rejects_odd_weight(self):
         assert run_cli("verify", "brown", "--weight", "13").returncode == 2
 

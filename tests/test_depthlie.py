@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from depthforge import depthlie
+from depthforge import depthlie, periodpoly
 from depthforge.depthlie import (
     BrownReport,
     bracket_matrix,
@@ -15,7 +15,7 @@ from depthforge.depthlie import (
 )
 from depthforge.exactla import QMatrix, kernel_basis
 from depthforge.ncalg import NCPoly, ihara_bracket
-from depthforge.periodpoly import candidate_pairs, is_period_poly, pair_to_poly
+from depthforge.periodpoly import candidate_pairs, is_period_poly, pair_to_poly, period_space, subspace_equal
 
 
 def oracle_sigma(m):
@@ -220,6 +220,31 @@ class TestBrownCriterion:
     def test_small_m_rejected(self):
         with pytest.raises(ValueError):
             verify_brown_criterion(1)
+
+    def test_short_period_basis_does_not_span(self, monkeypatch):
+        # weight 24 has two relations; a period solver that loses one must fail the match
+        monkeypatch.setattr(periodpoly, "period_space", lambda w: periodpoly.PeriodSpace(w, period_space(w).basis[:1]))
+        report = verify_brown_criterion(11)
+        assert report.in_space is True
+        assert report.spans is False
+        assert report.matches is False
+        assert (report.kernel_dim, report.period_dim) == (2, 1)
+
+    def test_wrong_relation_is_neither_in_space_nor_spanning(self, monkeypatch):
+        # (1, 1) over [(1, 4), (2, 3)] is not the weight-12 relation (-1/3, 1)
+        monkeypatch.setattr(depthlie, "relation_kernel", lambda m: [(Fraction(1), Fraction(1))])
+        report = verify_brown_criterion(5)
+        assert report.in_space is False
+        assert report.spans is False
+        assert report.matches is False
+
+    def test_spans_agrees_with_the_general_span_comparison(self):
+        # subspace_equal row-reduces both spans over every monomial: the oracle for the basis comparison
+        for m in range(2, 31):
+            images = [pair_to_poly(m, vec) for vec in relation_kernel(m)]
+            expected = subspace_equal(images, period_space(2 * m + 2).basis)
+            assert expected is True, "m=%d" % m
+            assert verify_brown_criterion(m).spans is expected, "m=%d" % m
 
 
 def test_ihara_antisymmetry_of_generators():

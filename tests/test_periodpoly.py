@@ -235,6 +235,12 @@ class TestPairPolynomials:
         )
         assert p == expected
 
+    @pytest.mark.parametrize("vector", [[1, 2, 3], [1]])
+    def test_pair_poly_refuses_a_vector_of_the_wrong_length(self, vector):
+        # m = 5 has the two pairs (1, 4) and (2, 3); zip alone would drop or ignore a coordinate
+        with pytest.raises(ValueError, match="m=5 has 2 candidate pairs, got a vector of length %d$" % len(vector)):
+            pair_to_poly(5, [Fraction(c) for c in vector])
+
     def test_kernel_coefficients_give_golden(self):
         p = pair_to_poly(5, [Fraction(-1, 3), Fraction(1)])
         assert p.leading_normalized() == GOLDEN_12
