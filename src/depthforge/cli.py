@@ -14,25 +14,10 @@ Grammar: ``depthforge <group> <command> [flags]`` with groups
 Reports are deterministic (byte-identical for identical configs): JSON with
 a top-level ``"schema": 1``, or CSV with one row per case via ``--format
 csv``.  Exit status: 0 all checks passed, 1 a verification failed, 2 invalid
-flags or values, 3 output could not be written.  ``verify brown --weight``
-and ``--max-weight``, ``period basis --weight`` and ``depth matrix|relations``
-(through the weight 2m+2 of ``--m``) refuse a weight above
-``MAX_DEPTH2_WEIGHT`` (200), a ``verify brown`` batch refuses weights whose
-matrices hold more than ``MAX_BROWN_BATCH_CELLS`` (975,100, the size at weight
-200) entries in total, ``rep decompose|bigrade`` refuse a product of dimension
-above ``MAX_REP_DIMENSION`` (10^6), ``period check`` refuses a polynomial of degree
-above ``MAX_PERIOD_DEGREE`` (1000) or coefficients a/b whose heights max(|a|, b)
-sum to more than ``MAX_PERIOD_HEIGHT_BITS`` (24000) bits, ``verify bernsum``
-refuses a prime above ``MAX_BERNSUM_P`` (31), every command refuses a Bernoulli
-index above ``MAX_BERNOULLI_N`` (2000) and a q-expansion precision above
-``MAX_QEXP_PREC`` (20000), ``bern dist`` refuses ``--m`` above
-``MAX_BERN_DIST_TERMS`` (100000) // (n + 1), ``bern poly --at`` and ``bern dist
---x`` a point whose height has more than ``MAX_BERN_POINT_BITS`` (8000) // (n + 1)
-bits, ``verify cgshape`` refuses ``--max-sym`` above ``MAX_CGSHAPE_SYM`` (30) and
-``--max-twist`` above ``MAX_CGSHAPE_TWIST`` (10), and an Eisenstein series or
-B_n(x) whose report could hold an integer of more than ``MAX_INT_DIGITS`` (4300)
-digits is refused before it is computed.  Each refusal is exit 2 with a message
-that names the cap.
+flags or values, 3 output could not be written.  A value past one of the
+``MAX_*`` caps below (each says why it is there), or a report that would print
+an integer of more than ``MAX_INT_DIGITS`` digits, is exit 2 with a message
+that names the cap; README lists the caps a user meets.
 """
 
 from __future__ import annotations
@@ -43,7 +28,6 @@ import io
 import json
 import sys
 from fractions import Fraction
-from math import factorial
 
 from . import depthlie, eisenstein, periodpoly, repcalc
 from .exactla import parse_rational
@@ -63,7 +47,8 @@ MAX_PERIOD_DEGREE = 1000
 # period basis report up to weight 200 passes: 21,244 bits at most, at weight 200
 MAX_PERIOD_HEIGHT_BITS = 24000
 # verify bernsum walks all of GL2(F_p), about p^4 matrices (892,800 at p = 31),
-# one at a time, so time grows as p^4 and memory does not
+# one at a time, so time grows as p^4 and memory does not: at p = 31, about 1 s
+# at k = 2 and 6-8 s at k = 1998, the cap MAX_BERNOULLI_N sets on k
 MAX_BERNSUM_P = 31
 # B_n fills the cache with B_0..B_n from one O(n^2) big-int triangle (0.9-1.2 s
 # cold at n = 2000; 4.4 s at 3000), and str() refuses numerators of more than
@@ -85,18 +70,24 @@ MAX_BERN_POINT_BITS = 8000
 # each: 2.4 s at --max-sym 30 --max-twist 8, 9 s at 40 and 10
 MAX_CGSHAPE_SYM = 30
 MAX_CGSHAPE_TWIST = 10
-# a verify brown batch builds (w-1)w/2 rows by len(candidate_pairs) columns at
-# each weight w, and the sum over its weights may not pass that of one run at
-# MAX_DEPTH2_WEIGHT (975,100).  The default batch 6..30 sums to 10,773; 6..200
-# sums to 25 times the budget and ran for 230 s
-MAX_BROWN_BATCH_CELLS = 975100
 # rep bigrade multiplies characters in up to prod(u_i + 1) steps, and rep
 # decompose lists up to that many components: two Sym999(0) took 0.65 s to
 # bigrade, 23 Sym1(0) (dimension 8.4 million) 1.9 s and 253 MB to decompose
 MAX_REP_DIMENSION = 10**6
-# CPython's default limit on int-to-str conversion; a report holding a longer
-# integer would fail only when printed, after all the work
+# CPython's default limit on int-to-str conversion: a report that would print a
+# longer integer is refused (by _check_printed) rather than failing in str()
 MAX_INT_DIGITS = 4300
+
+
+def _brown_cells(weight: int) -> int:
+    """Entries of the bracket matrix at ``weight``: (w-1)w/2 rows by len(candidate_pairs) columns."""
+    return (weight - 1) * weight // 2 * len(periodpoly.candidate_pairs((weight - 2) // 2))
+
+
+# a verify brown batch may not pass the cells of one run at MAX_DEPTH2_WEIGHT
+# (975,100), summed over its weights.  The default batch 6..30 sums to 10,773;
+# 6..200 sums to 25 times the budget and ran for 230 s
+MAX_BROWN_BATCH_CELLS = _brown_cells(MAX_DEPTH2_WEIGHT)
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
@@ -206,28 +197,15 @@ def _check_cap(args, what: str, value: int, cap: int) -> None:
         raise ValueError("%s %s is above the cap of %d for %s %s" % (what, shown, cap, args.group, args.command))
 
 
-def _check_digits(args, flags: str, exponent: int, base: int, factor: int = 4) -> None:
-    """Refuse, before any work, a report whose integers may reach
-    ``factor * base^exponent >= 10^MAX_INT_DIGITS``; ``flags`` names the input.
-
-    Eisenstein coefficients are sigma_(w-1)(n) < 2 n^(w-1).  A report prints
-    such coefficients, T_p's sums of two of them, or a_p beside 1 + p^(w-1),
-    so with every printed index n and p at most ``base``, each is below
-    4 base^(w-1).
-
-    B_n(a/b) L b^n = sum_k C(n,k) B_k L a^(n-k) b^k with L = lcm den(B_k) <
-    4^(n+1) (von Staudt-Clausen), and |B_k| < 4 k!/6^k, so both integers of
-    B_n(a/b) are below 4 e^6 4^(n+1) n! h^n / 6^n < 6456 (2/3)^n n! h^n, h = max(|a|, b).
-
-    The bit length is compared first, so a huge base costs nothing.
-    """
-    exponent, base = max(exponent, 0), abs(base)
-    if exponent * (base.bit_length() - 1) < 4 * MAX_INT_DIGITS and factor * base**exponent < 10**MAX_INT_DIGITS:
-        return
-    raise ValueError(
-        "%s gives integers of more than %d digits, the int-to-string limit, in the %s %s report"
-        % (flags, MAX_INT_DIGITS, args.group, args.command)
-    )
+def _check_printed(args, flags: str, values) -> None:
+    """Refuse a report that would print one of the rationals ``values`` with a
+    numerator or denominator of more than ``MAX_INT_DIGITS`` digits; ``flags`` names the input."""
+    limit = 10**MAX_INT_DIGITS
+    if any(abs(x.numerator) >= limit or x.denominator >= limit for x in values):
+        raise ValueError(
+            "%s gives integers of more than %d digits, the int-to-string limit, in the %s %s report"
+            % (flags, MAX_INT_DIGITS, args.group, args.command)
+        )
 
 
 def _height(x: Fraction) -> int:
@@ -304,7 +282,7 @@ def _cmd_verify_brown(args):
         if low % 2 != 0 or low < 6 or high < low:
             raise ValueError("bad weight range [%d, %d]" % (low, high))
         weights = range(low, high + 1, 2)
-        cells = sum((w - 1) * w // 2 * len(periodpoly.candidate_pairs((w - 2) // 2)) for w in weights)
+        cells = sum(map(_brown_cells, weights))
         _check_cap(args, "weights %d..%d: rows x columns summed =" % (low, high), cells, MAX_BROWN_BATCH_CELLS)
     cases = [depthlie.verify_brown_criterion((w - 2) // 2).to_json_obj() for w in weights]
     return cases, all(c["match"] for c in cases)
@@ -381,8 +359,10 @@ def _series(args, cusp: bool, prec: int, base: int) -> tuple[str, "eisenstein.QE
     """The q-expansion a modular-forms command reads, named: Delta if ``cusp``, else E_weight.
 
     The one place that caps ``prec`` and the weight, holds Delta to weight 12
-    and refuses an Eisenstein report whose integers, at printed indices and
-    primes up to ``base``, pass the int-to-str limit.
+    and refuses, before the series is computed, an Eisenstein report whose
+    integers at printed indices and primes up to ``base`` could pass the
+    int-to-str limit: they are sigma_(w-1)(n) < 2 n^(w-1), T_p's sums of two
+    of them, or a_p beside 1 + p^(w-1), so each is below 4 base^(w-1).
     """
     _check_cap(args, "precision", prec, MAX_QEXP_PREC)
     if cusp:
@@ -392,7 +372,10 @@ def _series(args, cusp: bool, prec: int, base: int) -> tuple[str, "eisenstein.QE
     if args.weight is None:
         raise ValueError("the Eisenstein series needs --weight")
     _check_cap(args, "--weight", args.weight, MAX_BERNOULLI_N)
-    _check_digits(args, "--weight %d" % args.weight, args.weight - 1, base)
+    exponent, base = max(args.weight - 1, 0), abs(base)
+    # base^exponent >= 2^(4 MAX_INT_DIGITS) > 10^MAX_INT_DIGITS is read off the bit length unformed
+    huge = exponent * (base.bit_length() - 1) >= 4 * MAX_INT_DIGITS
+    _check_printed(args, "--weight %d" % args.weight, [10**MAX_INT_DIGITS if huge else 4 * base**exponent])
     return "eisenstein", eisenstein.eisenstein_qexp(args.weight, prec)
 
 
@@ -405,11 +388,10 @@ def _cmd_eis_qexp(args):
 
 def _cmd_eis_hecke(args):
     name, series = _series(args, args.delta, args.prec, args.prec - 1)
-    # T_p's constant term is a_p a_0 = (1 + p^(w-1)) a_0, and T_p refuses p > prec / 2
-    factor = 2 * abs(series.coeffs[0].numerator)
-    _check_digits(args, "--weight %d" % series.weight, series.weight - 1, min(abs(args.p), series.prec), factor)
     eigenvalue = eisenstein.hecke_eigenvalue(series, args.p)
     out_prec = series.prec // args.p  # T_p f = a_p f was checked on exactly these coefficients
+    coeffs = [eigenvalue * c for c in series.coeffs[:out_prec]]  # the constant term is (1 + p^(w-1)) a_0
+    _check_printed(args, "--weight %d" % series.weight, [eigenvalue, *coeffs])
     case = {
         "series": name,
         "weight": series.weight,
@@ -417,7 +399,7 @@ def _cmd_eis_hecke(args):
         "input_prec": series.prec,
         "output_prec": out_prec,
         "eigenvalue": str(eigenvalue),
-        "coeffs": [str(eigenvalue * c) for c in series.coeffs[:out_prec]],
+        "coeffs": list(map(str, coeffs)),
     }
     return [case], True
 
@@ -478,12 +460,14 @@ def _cmd_bern_number(args):
 
 def _cmd_bern_poly(args):
     _check_cap(args, "--n", args.n, MAX_BERNOULLI_N)
-    if args.at is not None:
-        x, n = _bern_point(args, "--at", args.at), max(args.n, 0)
-        _check_digits(args, "--n %d --at %s" % (n, args.at), n, _height(x), 6456 * 2**n * factorial(n) // 3**n + 1)
-    case = {"n": args.n, "coeffs": [str(c) for c in eisenstein.bernoulli_polynomial(args.n)]}
-    if args.at is not None:
-        case.update(at=args.at, value=str(eisenstein.bernoulli_poly_eval(args.n, x)))
+    x = None if args.at is None else _bern_point(args, "--at", args.at)
+    printed = list(eisenstein.bernoulli_polynomial(args.n))
+    if x is not None:
+        printed.append(eisenstein.bernoulli_poly_eval(args.n, x))
+    _check_printed(args, "--n %d" % args.n + ("" if x is None else " --at %s" % args.at), printed)
+    case = {"n": args.n, "coeffs": [str(c) for c in printed[: args.n + 1]]}
+    if x is not None:
+        case.update(at=args.at, value=str(printed[-1]))
     return [case], True
 
 

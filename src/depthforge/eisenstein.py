@@ -23,12 +23,12 @@ Three layers live here because they share the Bernoulli substrate:
   the rewriting of a unit-restricted double Bernoulli sum into
   ``p B_{k+2}/(k+2)`` plus such a line sum.  Every term depends on the
   matrix only through its bottom row, so the chain is evaluated once per
-  bottom row and each matrix reads the verdict of its row.  The double sums
-  are taken in integers, over the values B_{k+2}(t/p) scaled by the lcm of
-  their denominators, and divided by it once per row.  The chain
-  balances when the line sum reads entry d; ``entry`` is a parameter so both
-  variants can be exercised (the c-variant fails, e.g. at the identity
-  matrix).
+  bottom row, the line sum once per value of its entry, and each matrix reads
+  the verdict of its row.  The double sums are taken in integers, over the
+  values B_{k+2}(t/p) scaled by the lcm of their denominators, and divided by
+  it once per row.  The chain balances when the line sum reads entry d;
+  ``entry`` is a parameter so both variants can be exercised (the c-variant
+  fails, e.g. at the identity matrix).
 
 * Exact q-expansions: Eisenstein series E_w with a_0 = -B_w / w and
   a_n = sigma_{w-1}(n), the discriminant cusp form Delta as
@@ -157,7 +157,7 @@ def _check_phi_args(k: int, n: int, g: Mat) -> None:
         raise ValueError("matrix %r is not invertible mod %d" % (g, n))
 
 
-def phi_line_sum(k: int, p: int, g: Mat, entry: str = "c") -> Fraction:
+def phi_line_sum(k: int, p: int, g: Mat, entry: str) -> Fraction:
     """-(p^(k+1)/(k+2)) * sum over alpha in F_p of B_{k+2}(<alpha*e/p>).
 
     ``e`` is the matrix entry named by ``entry`` ("c" or "d").  The value
@@ -208,10 +208,15 @@ def check_bernoulli_sum_chain(k: int, p: int, entry: str = "d") -> ChainCheck:
 
     # Every term depends on g only through its bottom row (c, d): the chain is
     # evaluated at the first g with a new row, and each g reads that verdict.
+    # The line sum reads only the entry e of that row, so it is summed once per e.
     holds: dict[tuple[int, int], bool] = {}
+    line: dict[int, Fraction] = {}
     for checked, g in enumerate(gl2_elements(p), start=1):
         c, d = g[2], g[3]
         if (c, d) not in holds:
+            e = c if entry == "c" else d
+            if e not in line:
+                line[e] = phi_line_sum(k, p, g, entry)
             restricted = sum(
                 ival[(alpha * c + beta * d) % p] for alpha in range(1, p) for beta in range(p)
             )
@@ -219,7 +224,7 @@ def check_bernoulli_sum_chain(k: int, p: int, entry: str = "d") -> ChainCheck:
             zero_slice = sum(ival[(beta * d) % p] for beta in range(p))
             lhs = prefactor * Fraction(restricted, scale)
             middle = prefactor * Fraction(full - zero_slice, scale)
-            rhs = constant + phi_line_sum(k, p, g, entry)
+            rhs = constant + line[e]
             holds[c, d] = lhs == middle == rhs
         if not holds[c, d]:
             return ChainCheck(False, checked, first_failure=g)

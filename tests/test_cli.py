@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -6,7 +7,6 @@ import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
-from math import factorial
 from unittest import mock
 
 import pytest
@@ -278,6 +278,12 @@ class TestBrownBatchBudget:
         w = cli.MAX_DEPTH2_WEIGHT
         assert cli.MAX_BROWN_BATCH_CELLS == (w - 1) * w // 2 * ((w - 2) // 2 - 1) // 2 == 975100
 
+    def test_budget_counts_the_matrix_at_the_weight_cap(self):
+        # the bracket matrix at MAX_DEPTH2_WEIGHT: a row per depth-2 word, a column per candidate pair
+        w = cli.MAX_DEPTH2_WEIGHT
+        rows, cols = len(depthlie.depth2_word_basis(w)), len(periodpoly.candidate_pairs((w - 2) // 2))
+        assert cli.MAX_BROWN_BATCH_CELLS == rows * cols
+
     def test_batches_up_to_the_budget_run(self):
         # 6..88 sums to 911,845 cells, 6..90 to 977,823
         assert self.batch_status(6, 88) == (0, "")
@@ -503,6 +509,9 @@ class TestEisCommands:
         # these print a_p and 1 + p^1999 only: 3972 digits at p = 97
         assert run_json("eis", "factor", "--p", "97", "--eisenstein", "--weight", "2000")["value"] == "0"
         assert run_json("verify", "eigen", "--weight", "2000", "--p", "97", "--prec", "200")["match"] is True
+        # eis hecke reads its printed integers: (1 + 2^1841) a_0 has a numerator of exactly 4300 digits
+        constant = Fraction(run_json("eis", "hecke", "--weight", "1842", "--p", "2", "--prec", "4")["coeffs"][0])
+        assert len(str(abs(constant.numerator))) == cli.MAX_INT_DIGITS
         for argv in (
             ("eis", "qexp", "--weight", "2000", "--prec", "200"),
             ("eis", "factor", "--p", "211", "--eisenstein", "--weight", "2000"),  # 1 + 211^1999
@@ -635,19 +644,31 @@ class TestBernCommands:
             assert named in refusal_message(*argv), argv
 
     def test_values_beyond_str_limit_are_refused_first(self):
-        # B_2000(1/2) = (2^-1999 - 1) B_2000 has a 4754-digit numerator; uncapped,
-        # str() refused it after 2 s of work
-        message = refusal_message("bern", "poly", "--n", "2000", "--at", "1/2")
-        assert "--n 2000 --at 1/2 gives integers of more than %d digits" % cli.MAX_INT_DIGITS in message
+        # B_2000(1/2) = (2^-1999 - 1) B_2000 has a 4754-digit numerator, which
+        # str() refuses.  The refusal reads the value itself, so it comes after
+        # the Bernoulli numbers (about 1 s cold at n = 2000) and before any output
+        proc = run_cli("bern", "poly", "--n", "2000", "--at", "1/2", timeout=10)
+        assert_usage_error(proc)
+        assert "--n 2000 --at 1/2 gives integers of more than %d digits" % cli.MAX_INT_DIGITS in proc.stderr
         assert run_json("bern", "poly", "--n", "1000", "--at=-7/5")["at"] == "-7/5"
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 5, 12, 40, 101, 300])
-    def test_printed_integers_are_below_the_digit_bound(self, n):
-        # the bound of cli._check_digits: max(|numerator|, denominator) of B_n(a/b)
-        # is below 6456 (2/3)^n n! h^n, h = max(|a|, b)
-        for x in (Fraction(0), Fraction(1, 2), Fraction(-7, 5), Fraction(3), Fraction(22, 7), Fraction(-1, 1000)):
-            h = cli._height(x)
-            assert cli._height(eisenstein.bernoulli_poly_eval(n, x)) * 3**n < 6456 * 2**n * factorial(n) * h**n
+    def test_values_inside_str_limit_are_printed(self):
+        # each was refused by an a priori bound on B_n(a/b), though str() prints it
+        assert run_json("bern", "poly", "--n", "1700", "--at", "0")["value"] == str(eisenstein.bernoulli_number(1700))
+        for n, at, digits in ((1600, "1/2", 3652), (1700, "1/3", 4214)):
+            value = Fraction(run_json("bern", "poly", "--n", str(n), "--at", at)["value"])
+            assert value == eisenstein.bernoulli_poly_eval(n, Fraction(at))
+            assert len(str(abs(value.numerator))) == digits
+
+    def test_printed_limit_is_exact(self):
+        # MAX_INT_DIGITS digits print, and one more is refused, in numerator or denominator
+        args = argparse.Namespace(group="bern", command="poly")
+        edge, over = 10**cli.MAX_INT_DIGITS - 1, 10**cli.MAX_INT_DIGITS
+        assert len(str(edge)) == cli.MAX_INT_DIGITS
+        cli._check_printed(args, "--n 0", [Fraction(edge), Fraction(-edge), Fraction(1, edge), Fraction(-edge, edge - 1)])
+        for value in (Fraction(over), Fraction(-over), Fraction(1, over), Fraction(edge, over)):
+            with pytest.raises(ValueError, match="--n 0 gives integers of more than %d digits" % cli.MAX_INT_DIGITS):
+                cli._check_printed(args, "--n 0", [Fraction(1), value])
 
     def test_dist_m_above_cap_is_usage_error(self):
         # the cap on --m shrinks as B_n grows: MAX_BERN_DIST_TERMS // (n + 1)

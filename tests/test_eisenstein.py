@@ -302,20 +302,20 @@ class TestPhi:
 
 class TestPhiLineSum:
     def test_frozen_values(self):
-        assert phi_line_sum(2, 3, (1, 0, 1, 1)) == Fraction(1, 120)
-        assert phi_line_sum(2, 3, (1, 0, 0, 1)) == Fraction(27, 40)
+        assert phi_line_sum(2, 3, (1, 0, 1, 1), "c") == Fraction(1, 120)
+        assert phi_line_sum(2, 3, (1, 0, 0, 1), "c") == Fraction(27, 40)
         assert phi_line_sum(2, 3, (1, 0, 1, 1), entry="d") == Fraction(1, 120)
 
     def test_depends_only_on_vanishing(self):
-        nonzero = {phi_line_sum(2, 5, g) for g in gl2_elements(5) if g[2] % 5}
-        zero = {phi_line_sum(2, 5, g) for g in gl2_elements(5) if g[2] % 5 == 0}
+        nonzero = {phi_line_sum(2, 5, g, "c") for g in gl2_elements(5) if g[2] % 5}
+        zero = {phi_line_sum(2, 5, g, "c") for g in gl2_elements(5) if g[2] % 5 == 0}
         assert len(nonzero) == 1
         assert len(zero) == 1
         assert nonzero != zero
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
-            phi_line_sum(2, 4, (1, 0, 1, 1))  # composite p
+            phi_line_sum(2, 4, (1, 0, 1, 1), "c")  # composite p
         with pytest.raises(ValueError):
             phi_line_sum(2, 3, (1, 0, 1, 1), entry="a")
 
