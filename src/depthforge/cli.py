@@ -25,7 +25,9 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -74,8 +76,8 @@ MAX_CGSHAPE_TWIST = 10
 # decompose lists up to that many components: two Sym999(0) took 0.65 s to
 # bigrade, 23 Sym1(0) (dimension 8.4 million) 1.9 s and 253 MB to decompose
 MAX_REP_DIMENSION = 10**6
-# CPython's default limit on int-to-str conversion: a report that would print a
-# longer integer is refused (by _check_printed) rather than failing in str()
+# CPython's default limit on int-to-str conversion: a report that would print a longer
+# integer is refused (by _check_printed, or earlier by a lower bound) rather than failing in str()
 MAX_INT_DIGITS = 4300
 
 
@@ -197,15 +199,37 @@ def _check_cap(args, what: str, value: int, cap: int) -> None:
         raise ValueError("%s %s is above the cap of %d for %s %s" % (what, shown, cap, args.group, args.command))
 
 
+def _too_long(args, flags: str) -> ValueError:
+    return ValueError(
+        "%s gives integers of more than %d digits, the int-to-string limit, in the %s %s report"
+        % (flags, MAX_INT_DIGITS, args.group, args.command)
+    )
+
+
 def _check_printed(args, flags: str, values) -> None:
     """Refuse a report that would print one of the rationals ``values`` with a
     numerator or denominator of more than ``MAX_INT_DIGITS`` digits; ``flags`` names the input."""
     limit = 10**MAX_INT_DIGITS
     if any(abs(x.numerator) >= limit or x.denominator >= limit for x in values):
-        raise ValueError(
-            "%s gives integers of more than %d digits, the int-to-string limit, in the %s %s report"
-            % (flags, MAX_INT_DIGITS, args.group, args.command)
-        )
+        raise _too_long(args, flags)
+
+
+def _bern_value_digits(n: int, x: Fraction) -> float:
+    """A lower bound on log10 |numerator| of B_n(x), from floats, so a long value is refused unformed.
+
+    For m = floor(x), the Fourier series gives |B_n(x - m)| >= 2 n!/(2 pi)^n (|cos(2 pi (x - m) - n pi/2)|
+    - 2^(2-n)) at n >= 2, and B_n(x) - B_n(x - m) is n |m| powers n - 1 of numbers below |m| + 1.  Each
+    p^e || b of x = a/b puts p^(en) into the denominator through the term x^n alone, bar 2 || b at odd n.
+    Float error and the shift cost 10^-12 and a digit; -inf where the bound cannot tell, as at n < 2.
+    """
+    m, b = math.floor(x), x.denominator
+    cosine = abs(math.cos(2 * math.pi * float(x - m) - n % 4 * math.pi / 2)) - 2.0 ** (2 - max(n, 2)) - 1e-12
+    if cosine <= 0:
+        return -math.inf
+    size = math.log10(2 * cosine) + (math.lgamma(n + 1) - n * math.log(2 * math.pi)) / math.log(10)
+    if m and math.log10(n * abs(m)) + (n - 1) * math.log10(abs(m) + 1) >= size - 1:
+        return -math.inf
+    return size - 1 + n * math.log10(b // 2 if n % 2 and b % 4 == 2 else b)
 
 
 def _height(x: Fraction) -> int:
@@ -324,30 +348,23 @@ def _cmd_verify_cgshape(args):
     _check_cap(args, "--max-sym", args.max_sym, MAX_CGSHAPE_SYM)
     _check_cap(args, "--max-twist", args.max_twist, MAX_CGSHAPE_TWIST)
     forbidden = [repcalc.IrrepLabel(2 * n, 2 * n + 1) for n in range(1, args.max_sym + 1)]
-    products = 0
     components = 0
     shapes_ok = True
     forbidden_absent = True
-    for n1 in range(args.max_sym + 1):
-        for n2 in range(args.max_sym + 1):
-            for r1 in range(args.max_twist + 1):
-                for r2 in range(args.max_twist + 1):
-                    labels = [
-                        repcalc.IrrepLabel(n1, n1 + 1 + r1),
-                        repcalc.IrrepLabel(n2, n2 + 1 + r2),
-                    ]
-                    decomp = repcalc.tensor_decompose(labels)
-                    products += 1
-                    components += len(decomp)
-                    if not all(map(repcalc.has_positive_shift, decomp)):
-                        shapes_ok = False
-                    # the forbidden Sym^(2n)(V)(2n+1) for each n the product can reach
-                    if not set(decomp).isdisjoint(forbidden[: (n1 + n2) // 2]):
-                        forbidden_absent = False
+    sym, twist = range(args.max_sym + 1), range(args.max_twist + 1)
+    for n1, n2, r1, r2 in itertools.product(sym, sym, twist, twist):
+        labels = [repcalc.IrrepLabel(n1, n1 + 1 + r1), repcalc.IrrepLabel(n2, n2 + 1 + r2)]
+        decomp = repcalc.tensor_decompose(labels)
+        components += len(decomp)
+        if not all(map(repcalc.has_positive_shift, decomp)):
+            shapes_ok = False
+        # the forbidden Sym^(2n)(V)(2n+1) for each n the product can reach
+        if not set(decomp).isdisjoint(forbidden[: (n1 + n2) // 2]):
+            forbidden_absent = False
     case = {
         "max_sym": args.max_sym,
         "max_twist": args.max_twist,
-        "products_checked": products,
+        "products_checked": len(sym) ** 2 * len(twist) ** 2,
         "components_checked": components,
         "shapes_ok": shapes_ok,
         "forbidden_absent": forbidden_absent,
@@ -373,9 +390,9 @@ def _series(args, cusp: bool, prec: int, base: int) -> tuple[str, "eisenstein.QE
         raise ValueError("the Eisenstein series needs --weight")
     _check_cap(args, "--weight", args.weight, MAX_BERNOULLI_N)
     exponent, base = max(args.weight - 1, 0), abs(base)
-    # base^exponent >= 2^(4 MAX_INT_DIGITS) > 10^MAX_INT_DIGITS is read off the bit length unformed
-    huge = exponent * (base.bit_length() - 1) >= 4 * MAX_INT_DIGITS
-    _check_printed(args, "--weight %d" % args.weight, [10**MAX_INT_DIGITS if huge else 4 * base**exponent])
+    # the bit length decides a huge base unformed: base^exponent >= 2^(4 MAX_INT_DIGITS) > 10^MAX_INT_DIGITS
+    if exponent * (base.bit_length() - 1) >= 4 * MAX_INT_DIGITS or 4 * base**exponent >= 10**MAX_INT_DIGITS:
+        raise _too_long(args, "--weight %d" % args.weight)
     return "eisenstein", eisenstein.eisenstein_qexp(args.weight, prec)
 
 
@@ -440,9 +457,7 @@ def _cmd_rep_decompose(args):
 
 def _cmd_rep_bigrade(args):
     labels = _parse_labels(args)
-    char = repcalc.Character.one()
-    for label in labels:
-        char = char * repcalc.irrep_char(label)
+    char = math.prod(map(repcalc.irrep_char, labels), start=repcalc.Character.one())
     dims = repcalc.bigraded_dims(char)
     case = {
         "factors": [str(l) for l in labels],
@@ -461,10 +476,13 @@ def _cmd_bern_number(args):
 def _cmd_bern_poly(args):
     _check_cap(args, "--n", args.n, MAX_BERNOULLI_N)
     x = None if args.at is None else _bern_point(args, "--at", args.at)
+    flags = "--n %d" % args.n + ("" if x is None else " --at %s" % args.at)
+    if x is not None and _bern_value_digits(args.n, x) >= MAX_INT_DIGITS:
+        raise _too_long(args, flags)  # at once: the exact check below follows B_0..B_n
     printed = list(eisenstein.bernoulli_polynomial(args.n))
     if x is not None:
         printed.append(eisenstein.bernoulli_poly_eval(args.n, x))
-    _check_printed(args, "--n %d" % args.n + ("" if x is None else " --at %s" % args.at), printed)
+    _check_printed(args, flags, printed)
     case = {"n": args.n, "coeffs": [str(c) for c in printed[: args.n + 1]]}
     if x is not None:
         case.update(at=args.at, value=str(printed[-1]))
@@ -500,10 +518,6 @@ HANDLERS = {  # command -> (handler, the statement its report carries)
     "bern poly": (_cmd_bern_poly, "Bernoulli polynomial"),
     "bern dist": (_cmd_bern_dist, "Bernoulli distribution relation"),
 }
-
-
-def _render_json(envelope: dict) -> str:
-    return json.dumps(envelope, indent=2, sort_keys=True) + "\n"
 
 
 def _flatten(value) -> object:
@@ -553,7 +567,7 @@ def main(argv=None) -> int:
             envelope.update(cases[0])
         else:
             envelope["cases"] = cases
-        text = _render_json(envelope)
+        text = json.dumps(envelope, indent=2, sort_keys=True) + "\n"
     try:
         if out_path:
             with open(out_path, "w", encoding="utf-8") as handle:

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import io
 import json
+import math
 import subprocess
 import sys
 import time
@@ -275,14 +276,10 @@ class TestBrownBatchBudget:
                 return cli.main(argv), err.getvalue()
 
     def test_budget_is_one_run_at_the_weight_cap(self):
-        w = cli.MAX_DEPTH2_WEIGHT
-        assert cli.MAX_BROWN_BATCH_CELLS == (w - 1) * w // 2 * ((w - 2) // 2 - 1) // 2 == 975100
-
-    def test_budget_counts_the_matrix_at_the_weight_cap(self):
         # the bracket matrix at MAX_DEPTH2_WEIGHT: a row per depth-2 word, a column per candidate pair
         w = cli.MAX_DEPTH2_WEIGHT
         rows, cols = len(depthlie.depth2_word_basis(w)), len(periodpoly.candidate_pairs((w - 2) // 2))
-        assert cli.MAX_BROWN_BATCH_CELLS == rows * cols
+        assert cli.MAX_BROWN_BATCH_CELLS == (w - 1) * w // 2 * ((w - 2) // 2 - 1) // 2 == rows * cols == 975100
 
     def test_batches_up_to_the_budget_run(self):
         # 6..88 sums to 911,845 cells, 6..90 to 977,823
@@ -644,13 +641,29 @@ class TestBernCommands:
             assert named in refusal_message(*argv), argv
 
     def test_values_beyond_str_limit_are_refused_first(self):
-        # B_2000(1/2) = (2^-1999 - 1) B_2000 has a 4754-digit numerator, which
-        # str() refuses.  The refusal reads the value itself, so it comes after
-        # the Bernoulli numbers (about 1 s cold at n = 2000) and before any output
-        proc = run_cli("bern", "poly", "--n", "2000", "--at", "1/2", timeout=10)
-        assert_usage_error(proc)
-        assert "--n 2000 --at 1/2 gives integers of more than %d digits" % cli.MAX_INT_DIGITS in proc.stderr
+        # B_2000(1/2) = (2^-1999 - 1) B_2000 has a 4754-digit numerator; uncapped,
+        # str() refused it after 2 s of work
+        message = refusal_message("bern", "poly", "--n", "2000", "--at", "1/2")
+        assert "--n 2000 --at 1/2 gives integers of more than %d digits" % cli.MAX_INT_DIGITS in message
         assert run_json("bern", "poly", "--n", "1000", "--at=-7/5")["at"] == "-7/5"
+
+    def test_values_the_bound_cannot_tell_are_refused_exactly(self):
+        # B_2000(1/4) has a 4754-digit numerator, but cos(pi/2) = 0 leaves the early bound
+        # silent, so the exact check refuses it once B_0..B_2000 are computed
+        proc = run_cli("bern", "poly", "--n", "2000", "--at", "1/4", timeout=10)
+        assert_usage_error(proc)
+        assert "--n 2000 --at 1/4 gives integers of more than %d digits" % cli.MAX_INT_DIGITS in proc.stderr
+
+    def test_value_digit_bound_is_below_the_numerator(self):
+        # the early refusal's float bound gives up at least a digit, and cannot tell at the zeros of cos
+        points = [Fraction(a, b) for a, b in ((0, 1), (1, 2), (1, 3), (3, 4), (1, 6), (-7, 5), (22, 7), (-5, 2), (31, 2))]
+        for n in [*range(64), 101, 300]:
+            for x in points:
+                value = eisenstein.bernoulli_poly_eval(n, x).numerator
+                bound = cli._bern_value_digits(n, x)
+                assert bound == -math.inf or value and bound < math.log10(abs(value)) - 0.9, (n, x)
+        assert cli._bern_value_digits(2000, Fraction(1, 4)) == -math.inf  # |cos(pi/2)|: left to the exact check
+        assert 4740 < cli._bern_value_digits(2000, Fraction(1, 2)) < 4754
 
     def test_values_inside_str_limit_are_printed(self):
         # each was refused by an a priori bound on B_n(a/b), though str() prints it
