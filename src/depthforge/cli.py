@@ -37,8 +37,8 @@ from .exactla import parse_rational
 DEFAULT_MIN_WEIGHT = 6
 DEFAULT_MAX_WEIGHT = 30
 # the weight of verify brown --weight|--max-weight, period basis --weight and
-# depth matrix|relations (as 2m+2 from --m).  At 200: verify brown 3.8-4.7 s and 82 MB,
-# depth matrix 3.7 s and 313 MB for a 50 MB report, period basis 0.6-0.8 s; a
+# depth matrix|relations (as 2m+2 from --m).  At 200: verify brown 2.7-3.4 s and 80 MB,
+# depth matrix 3.7 s and 313 MB for a 50 MB report, period basis 0.3 s; a
 # verify brown batch runs each even weight, 230 s for 6..200
 MAX_DEPTH2_WEIGHT = 200
 # period check expands the three-term relation in O(degree^2) binomial terms
@@ -218,15 +218,25 @@ def _bern_value_digits(n: int, x: Fraction) -> float:
     """A lower bound on log10 |numerator| of B_n(x), from floats, so a long value is refused unformed.
 
     For m = floor(x), the Fourier series gives |B_n(x - m)| >= 2 n!/(2 pi)^n (|cos(2 pi (x - m) - n pi/2)|
-    - 2^(2-n)) at n >= 2, and B_n(x) - B_n(x - m) is n |m| powers n - 1 of numbers below |m| + 1.  Each
-    p^e || b of x = a/b puts p^(en) into the denominator through the term x^n alone, bar 2 || b at odd n.
-    Float error and the shift cost 10^-12 and a digit; -inf where the bound cannot tell, as at n < 2.
+    - 2^(2-n)) at n >= 2.  Where that cosine vanishes at even n, x - m = 1/4 or 3/4, the k = 2 term
+    takes its place: the odd terms vanish too, so |B_n(x - m)| >= 2 n!/(2 pi)^n (2^-n - sum_(k>=3) k^-n),
+    and the sum is below 3^-n (1 + 3/(n - 1)).  B_n(x) - B_n(x - m) is n |m| powers n - 1 of numbers below
+    |m| + 1.  Each p^e || b of x = a/b puts p^(en) into the denominator through the term x^n alone, bar
+    2 || b at odd n.  Float error and the shift cost 10^-12 and a digit; -inf where the bound cannot tell,
+    as at n < 2.
     """
     m, b = math.floor(x), x.denominator
     cosine = abs(math.cos(2 * math.pi * float(x - m) - n % 4 * math.pi / 2)) - 2.0 ** (2 - max(n, 2)) - 1e-12
-    if cosine <= 0:
+    if cosine > 0:
+        terms = math.log10(cosine)
+    elif n % 2 == 0 and b == 4 and n >= 4:
+        rest = 1 - (2 / 3) ** n * (1 + 3 / (n - 1)) - 1e-12  # 2^-n (rest) in logs: 2^-2000 underflows
+        if rest <= 0:
+            return -math.inf
+        terms = math.log10(rest) - n * math.log10(2)
+    else:
         return -math.inf
-    size = math.log10(2 * cosine) + (math.lgamma(n + 1) - n * math.log(2 * math.pi)) / math.log(10)
+    size = math.log10(2) + terms + (math.lgamma(n + 1) - n * math.log(2 * math.pi)) / math.log(10)
     if m and math.log10(n * abs(m)) + (n - 1) * math.log10(abs(m) + 1) >= size - 1:
         return -math.inf
     return size - 1 + n * math.log10(b // 2 if n % 2 and b % 4 == 2 else b)

@@ -65,7 +65,7 @@ the spans are, and a ``True`` trusts neither solver.
 from __future__ import annotations
 
 from math import comb
-from operator import neg
+from operator import add
 
 from . import periodpoly
 from .exactla import QMatrix, Vector, certify_kernel, kernel_basis
@@ -129,7 +129,8 @@ def bracket_matrix(m: int) -> tuple[list[tuple[int, ...]], int]:
     if m < 2:
         raise ValueError("bracket matrix needs m >= 2, got %r" % (m,))
     columns = [_depth2_bracket(i, j) for i, j in candidate_pairs(m)]
-    rows = [tuple(col[a][b] for col in columns) for a, b in _depth2_indices(2 * m + 2)]
+    # each row is built at its final length (see exactla.kernel_basis on resized tuples)
+    rows = [tuple([col[a][b] for col in columns]) for a, b in _depth2_indices(2 * m + 2)]
     return rows, len(columns)
 
 
@@ -160,7 +161,7 @@ def _reversal_half(m: int, rows: list[tuple[int, ...]]) -> list[int]:
         c = n - a - b
         if a > c:
             continue
-        if rows[i] != tuple(map(neg, rows[(n - c) * (n - c + 1) // 2 + a])):
+        if any(map(add, rows[i], rows[(n - c) * (n - c + 1) // 2 + a])):
             raise AssertionError(
                 "the bracket row of (a, b) = (%d, %d) is not minus the row of its reversal (%d, %d)" % (a, b, c, b)
             )

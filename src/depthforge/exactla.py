@@ -1,16 +1,20 @@
 """Exact linear algebra over the rationals.
 
-Scalars are :class:`fractions.Fraction` throughout; no floats ever enter a
+Scalars are ``int`` or :class:`fractions.Fraction`; no floats ever enter a
 computation.  ``str(Fraction)`` already produces the wire format used by the
 rest of the package (``"a/b"``, or ``"a"`` when the denominator is 1), and
 :func:`parse_rational` parses it back at every input boundary, refusing
 floats and malformed values with ``ValueError``.  Inside the package,
-:func:`as_fraction` takes only an ``int`` or a ``Fraction``.
+:func:`as_fraction` takes only an ``int`` or a ``Fraction``, and
+:class:`QMatrix` keeps each entry as the one of the two it was given.
 
 The row reduction here is deliberately boring: dense matrices, leftmost
-nonzero pivot, no pivot-size heuristics.  That makes :func:`rref` and
-:func:`kernel_basis` fully deterministic, which the callers rely on (kernel
-vectors are compared against frozen expected values and emitted
+nonzero pivot, no pivot-size heuristics.  :func:`rref` works in Fractions;
+:func:`kernel_basis` eliminates fraction-free, as Bareiss does (Math. Comp.
+22, 1968), but divides each integer row combination by its gcd, and reads
+the canonical basis off the reduced rows, so its vectors equal those read
+off :func:`rref`.  Both are fully deterministic, which the callers rely on
+(kernel vectors are compared against frozen expected values and emitted
 byte-identically in reports).
 """
 
@@ -19,7 +23,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -59,7 +63,7 @@ def parse_rational(x) -> Fraction:
 
 
 class QMatrix:
-    """A dense matrix of Fractions with a fixed rectangular shape: the argument of :func:`kernel_basis`.
+    """A dense matrix of ints and Fractions with a fixed rectangular shape: the argument of :func:`kernel_basis`.
 
     Instances are immutable.  ``cols`` must be given explicitly when
     constructing a matrix with zero rows, since the column count cannot be
@@ -69,7 +73,10 @@ class QMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries: Iterable[Sequence], cols: int | None = None):
-        rows = tuple(tuple(as_fraction(x) for x in row) for row in entries)
+        rows = tuple(map(tuple, entries))
+        for x in chain.from_iterable(rows):
+            if type(x) is not int:
+                as_fraction(x)  # a Fraction passes; a bool, float or text raises TypeError
         if rows:
             ncols = len(rows[0])
             if any(len(r) != ncols for r in rows):
@@ -121,19 +128,52 @@ def kernel_basis(m: QMatrix) -> list[Vector]:
 
     One vector per free (non-pivot) column, in ascending column order: the
     free coordinate is set to 1, the other free coordinates to 0, and the
-    pivot coordinates are filled by back substitution from the RREF.  With
-    this normalisation the basis is unique, so results can be compared and
+    pivot coordinates are read off the reduced rows.  With this
+    normalisation the basis is unique, so results can be compared and
     serialised verbatim.
+
+    Each row is scaled by the lcm of its denominators, then reduced
+    Gauss-Jordan with the pivot policy of :func:`rref`, in integers: a row
+    with f in the pivot column c of pivot row r (p there) becomes
+    ``p row - f row_r``, divided by its gcd.  A reduced row is its
+    :func:`rref` row times its pivot entry, so ``v[pivot] = -row[f] / row[pivot]``.
     """
-    reduced, pivots = rref(m.entries, m.cols)
+    work = []
+    for row in m.entries:
+        # a list, not a generator: tuple() resizes a generator's tuple, and CPython
+        # keeps every resized tuple on a free list, so a long-lived caller grows
+        scale = lcm(*[x.denominator for x in row])
+        work.append([x.numerator * (scale // x.denominator) for x in row])
+    pivots: list[int] = []
+    r = 0
+    for c in range(m.cols):
+        sel = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if sel is None:
+            continue
+        work[r], work[sel] = work[sel], work[r]
+        pivot = work[r]
+        for i, row in enumerate(work):
+            if i != r and row[c]:
+                g = gcd(pivot[c], row[c])
+                p, f = pivot[c] // g, row[c] // g
+                # the pivot row is zero left of column c
+                row[:c] = [p * x for x in row[:c]]
+                row[c:] = [p * x - f * y for x, y in zip(row[c:], pivot[c:])]
+                g = gcd(*row)
+                if g > 1:
+                    row[:] = [x // g for x in row]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
     pivot_set = set(pivots)
     free_cols = [c for c in range(m.cols) if c not in pivot_set]
     basis: list[Vector] = []
     for f in free_cols:
         v = [Fraction(0)] * m.cols
         v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -reduced[r][f]
+        for row, p in zip(work, pivots):
+            v[p] = Fraction(-row[f], row[p])
         basis.append(tuple(v))
     # rank-nullity, checked on every call: cheap and catches bookkeeping bugs
     if len(pivots) + len(basis) != m.cols:
@@ -163,7 +203,7 @@ def certify_kernel(
         checked = range(len(rows))
     vectors = []
     for v in basis:
-        scale = lcm(*(x.denominator for x in v))
+        scale = lcm(*[x.denominator for x in v])
         vectors.append([x.numerator * scale // x.denominator for x in v])
     # Pack the vectors side by side, ``bits`` apart, into one integer per
     # column: row . packed is sum_k (row . v_k) 2^(k bits), and as every

@@ -648,22 +648,40 @@ class TestBernCommands:
         assert run_json("bern", "poly", "--n", "1000", "--at=-7/5")["at"] == "-7/5"
 
     def test_values_the_bound_cannot_tell_are_refused_exactly(self):
-        # B_2000(1/4) has a 4754-digit numerator, but cos(pi/2) = 0 leaves the early bound
-        # silent, so the exact check refuses it once B_0..B_2000 are computed
-        proc = run_cli("bern", "poly", "--n", "2000", "--at", "1/4", timeout=10)
+        # B_1840(1/4) has a 4306-digit numerator, but the early bound reads 4294.7 (it counts
+        # only the power of b = 4 in the denominator, not B_1840's own 10-digit one), so the
+        # exact check refuses it once B_0..B_1840 are computed
+        assert cli._bern_value_digits(1840, Fraction(1, 4)) < cli.MAX_INT_DIGITS
+        proc = run_cli("bern", "poly", "--n", "1840", "--at", "1/4", timeout=10)
         assert_usage_error(proc)
-        assert "--n 2000 --at 1/4 gives integers of more than %d digits" % cli.MAX_INT_DIGITS in proc.stderr
+        assert "--n 1840 --at 1/4 gives integers of more than %d digits" % cli.MAX_INT_DIGITS in proc.stderr
+
+    def test_cosine_zeros_are_refused_before_any_bernoulli_number(self, monkeypatch):
+        # at x - floor(x) = 1/4 or 3/4 the leading cosine vanishes; the k = 2 term bounds the value
+        def unreachable(n):
+            raise AssertionError("B_0..B_%d computed for a value the bound refuses" % n)
+
+        monkeypatch.setattr(eisenstein, "bernoulli_polynomial", unreachable)
+        for at in ("1/4", "3/4", "-7/4"):
+            with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+                assert cli.main(["bern", "poly", "--n", "2000", "--at", at]) == 2
+            assert out.getvalue() == ""
+            assert "--n 2000 --at %s gives integers of more than %d digits" % (at, cli.MAX_INT_DIGITS) in err.getvalue()
 
     def test_value_digit_bound_is_below_the_numerator(self):
-        # the early refusal's float bound gives up at least a digit, and cannot tell at the zeros of cos
+        # the early refusal's float bound gives up at least a digit, and cannot tell at odd n's zeros of cos
         points = [Fraction(a, b) for a, b in ((0, 1), (1, 2), (1, 3), (3, 4), (1, 6), (-7, 5), (22, 7), (-5, 2), (31, 2))]
+        points += [Fraction(1, 4), Fraction(-7, 4), Fraction(9, 4)]
         for n in [*range(64), 101, 300]:
             for x in points:
                 value = eisenstein.bernoulli_poly_eval(n, x).numerator
                 bound = cli._bern_value_digits(n, x)
                 assert bound == -math.inf or value and bound < math.log10(abs(value)) - 0.9, (n, x)
-        assert cli._bern_value_digits(2000, Fraction(1, 4)) == -math.inf  # |cos(pi/2)|: left to the exact check
-        assert 4740 < cli._bern_value_digits(2000, Fraction(1, 2)) < 4754
+        for n in (4, 10, 64, 300):  # B_n(1/4) = 2^-n B_n(1/2) at even n, which the k = 2 term reads
+            assert eisenstein.bernoulli_poly_eval(n, Fraction(1, 4)) * 2**n == eisenstein.bernoulli_poly_eval(n, Fraction(1, 2))
+            assert cli._bern_value_digits(n, Fraction(1, 4)) > -math.inf
+        for x in (Fraction(1, 4), Fraction(3, 4), Fraction(1, 2)):
+            assert 4740 < cli._bern_value_digits(2000, x) < 4754, x
 
     def test_values_inside_str_limit_are_printed(self):
         # each was refused by an a priori bound on B_n(a/b), though str() prints it

@@ -3,6 +3,7 @@ from functools import lru_cache
 from math import comb
 
 import pytest
+from rref_oracle import rref_kernel
 
 from depthforge import depthlie, periodpoly
 from depthforge.depthlie import (
@@ -13,7 +14,7 @@ from depthforge.depthlie import (
     sigma_leading,
     verify_brown_criterion,
 )
-from depthforge.exactla import QMatrix, kernel_basis
+from depthforge.exactla import kernel_basis
 from depthforge.ncalg import NCPoly, ihara_bracket
 from depthforge.periodpoly import candidate_pairs, is_period_poly, pair_to_poly, period_space, subspace_equal
 
@@ -182,10 +183,15 @@ class TestRelationKernel:
             assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in rows)
 
     def test_e1_rows_give_the_full_kernel(self):
-        # the full-matrix RREF survives only here, as the oracle
+        # the Fraction RREF of the full matrix is the oracle: it shares no code with kernel_basis
         for m in range(2, 31):
             rows, cols = bracket_matrix(m)
-            assert relation_kernel(m) == kernel_basis(QMatrix(rows, cols=cols)), "m=%d" % m
+            assert relation_kernel(m) == rref_kernel(rows, cols), "m=%d" % m
+
+    @pytest.mark.parametrize("m", [50, 75, 99])
+    def test_e1_block_kernel_matches_rref_at_high_weight(self, m):
+        rows, cols = bracket_matrix(m)
+        assert relation_kernel(m) == rref_kernel(rows[-(2 * m + 1) : -m], cols)
 
 
 class TestBrownCriterion:

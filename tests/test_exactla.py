@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from rref_oracle import rref_kernel
 
 from depthforge.exactla import QMatrix, as_fraction, certify_kernel, kernel_basis, parse_rational, rref
 
@@ -29,13 +30,30 @@ class TestQMatrix:
         assert (m.rows, m.cols) == (0, 4)
 
     def test_floats_rejected(self):
-        with pytest.raises(TypeError):
-            QMatrix([[0.5]])
+        for bad in (0.5, 1.5):
+            with pytest.raises(TypeError):
+                QMatrix([[bad]])
+
+    def test_int_entries_stay_int(self):
+        m = QMatrix([[2**70, -3], [0, Fraction(1, 2)]])
+        assert [[type(x) for x in row] for row in m.entries] == [[int, int], [int, Fraction]]
+        assert m.entries[1][1] == Fraction(1, 2)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_rational_rows_and_their_integer_scalings_share_a_kernel(self, seed):
+        rng = random.Random(300 + seed)
+        m = _random_matrix(rng, rng.randint(1, 6), rng.randint(1, 7))
+        scales = [rng.randint(1, 9) * lcm(*(x.denominator for x in row)) for row in m.entries]
+        scaled = [[int(x * s) for x in row] for row, s in zip(m.entries, scales)]
+        assert all(type(x) is int for row in QMatrix(scaled).entries for x in row)
+        assert kernel_basis(QMatrix(scaled)) == kernel_basis(m)
 
     @pytest.mark.parametrize("bad", ["1", "0.25", True])
     def test_text_and_bools_rejected(self, bad):
         with pytest.raises(TypeError):
             QMatrix([[1, bad]])
+        with pytest.raises(TypeError):
+            QMatrix([[bad]])
 
 
 class TestAsFraction:
@@ -186,6 +204,44 @@ class TestKernel:
         assert len(basis) == 2
         assert (basis[0][1], basis[0][3]) == (F(1), F(0))
         assert (basis[1][1], basis[1][3]) == (F(0), F(1))
+
+
+class TestKernelOracle:
+    """``kernel_basis`` (integer elimination) against the basis read off the Fraction ``rref``."""
+
+    KINDS = ("integer", "rational", "30-digit integer", "30-digit rational")
+
+    def _entry(self, rng, kind):
+        if rng.random() < 0.3:
+            return 0
+        big = 10**30 if kind.startswith("30-digit") else 9
+        if kind.endswith("integer"):
+            return rng.randint(-big, big)
+        return Fraction(rng.randint(-big, big), rng.randint(1, big))
+
+    def _matrix(self, rng, kind):
+        rows, cols = rng.randint(0, 7), rng.randint(1, 8)
+        entries = [[self._entry(rng, kind) for _ in range(cols)] for _ in range(rows)]
+        shape = rng.randrange(4)
+        if shape == 1 and rows:  # a dependent row, combining two others
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            first, second = rng.choice(entries), rng.choice(entries)
+            entries.insert(rng.randint(0, rows), [a * x + b * y for x, y in zip(first, second)])
+        elif shape == 2:  # a zero row
+            entries.insert(rng.randint(0, rows), [0] * cols)
+        elif shape == 3:  # a zero column
+            c = rng.randrange(cols)
+            entries = [row[:c] + [0] + row[c + 1 :] for row in entries]
+        return entries, cols
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_equals_the_basis_read_off_rref(self, kind):
+        rng = random.Random("kernel oracle " + kind)
+        for trial in range(1000):
+            entries, cols = self._matrix(rng, kind)
+            basis = kernel_basis(QMatrix(entries, cols=cols))
+            assert basis == rref_kernel(entries, cols), (kind, trial, entries)
+            assert all(type(x) is Fraction for v in basis for x in v)
 
 
 def _random_matrix(rng, rows, cols):
