@@ -222,7 +222,9 @@ def _bern_value_digits(n: int, x: Fraction) -> float:
     takes its place: the odd terms vanish too, so |B_n(x - m)| >= 2 n!/(2 pi)^n (2^-n - sum_(k>=3) k^-n),
     and the sum is below 3^-n (1 + 3/(n - 1)).  B_n(x) - B_n(x - m) is n |m| powers n - 1 of numbers below
     |m| + 1.  Each p^e || b of x = a/b puts p^(en) into the denominator through the term x^n alone, bar
-    2 || b at odd n.  Float error and the shift cost 10^-12 and a digit; -inf where the bound cannot tell,
+    2 || b at odd n.  At even n, b^n (B_n(a/b) - B_n) is an integer (Almkvist-Meurman), so each prime
+    p not dividing b with (p - 1) | n, which divides B_n's denominator once (von Staudt-Clausen), divides
+    B_n(x)'s too.  Float error and the shift cost 10^-12 and a digit; -inf where the bound cannot tell,
     as at n < 2.
     """
     m, b = math.floor(x), x.denominator
@@ -239,7 +241,11 @@ def _bern_value_digits(n: int, x: Fraction) -> float:
     size = math.log10(2) + terms + (math.lgamma(n + 1) - n * math.log(2 * math.pi)) / math.log(10)
     if m and math.log10(n * abs(m)) + (n - 1) * math.log10(abs(m) + 1) >= size - 1:
         return -math.inf
-    return size - 1 + n * math.log10(b // 2 if n % 2 and b % 4 == 2 else b)
+    if n % 2:
+        return size - 1 + n * math.log10(b // 2 if b % 4 == 2 else b)
+    clausen = [p for p in range(2, n + 2) if n % (p - 1) == 0 and b % p]
+    clausen = [p for p in clausen if all(p % q for q in range(2, math.isqrt(p) + 1))]  # the primes
+    return size - 1 + n * math.log10(b) + sum(map(math.log10, clausen))
 
 
 def _height(x: Fraction) -> int:

@@ -25,7 +25,7 @@ x_a y_b, so each column is an O(w^2) sum.  The generic word algebra in
 :mod:`depthforge.ncalg` (``ihara_bracket`` on :func:`sigma_leading`) is the
 reference the tests compare this against.  The matrix is returned as
 ``(rows, cols)``, integer row tuples and a column count, the form that
-:func:`depthforge.exactla.rref` and ``certify_kernel`` take.
+:func:`depthforge.exactla.certify_kernel` and the tests' ``rref`` oracle take.
 
 :func:`relation_kernel` solves for the kernel on m+1 rows only, the words
 ``e1 e0^b e1 e0^(2m-b)`` with b >= m.  A depth-2 Lie element is determined

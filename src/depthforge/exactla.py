@@ -9,13 +9,16 @@ floats and malformed values with ``ValueError``.  Inside the package,
 :class:`QMatrix` keeps each entry as the one of the two it was given.
 
 The row reduction here is deliberately boring: dense matrices, leftmost
-nonzero pivot, no pivot-size heuristics.  :func:`rref` works in Fractions;
-:func:`kernel_basis` eliminates fraction-free, as Bareiss does (Math. Comp.
-22, 1968), but divides each integer row combination by its gcd, and reads
-the canonical basis off the reduced rows, so its vectors equal those read
-off :func:`rref`.  Both are fully deterministic, which the callers rely on
-(kernel vectors are compared against frozen expected values and emitted
-byte-identically in reports).
+nonzero pivot, no pivot-size heuristics.  :func:`_integer_rref` eliminates
+fraction-free, as Bareiss does (Math. Comp. 22, 1968), but divides each
+integer row combination by its gcd.  :func:`kernel_basis` reads the
+canonical basis off its reduced rows, so its vectors equal those read off
+the Fraction :func:`rref`, and ``periodpoly.subspace_equal`` compares spans
+on its rows.  Both eliminations are fully deterministic, which the callers
+rely on (kernel vectors are compared against frozen expected values and
+emitted byte-identically in reports).  :func:`rref` has no caller in the package:
+it is the tests' oracle, and it stays here only because the benchmark's
+tracer (``perfbench/tracing.py``) wraps ``exactla.rref`` by name.
 """
 
 from __future__ import annotations
@@ -123,30 +126,24 @@ def rref(rows: Sequence[Sequence], cols: int) -> tuple[list[list[Fraction]], tup
     return work, tuple(pivots)
 
 
-def kernel_basis(m: QMatrix) -> list[Vector]:
-    """Canonical basis of ``{v : m @ v = 0}``.
+def _integer_rref(rows: Iterable[Sequence], cols: int) -> tuple[list[list[int]], list[int]]:
+    """Gauss-Jordan in integers: the reduced rows of ``rows`` (``cols`` wide) and their pivot columns.
 
-    One vector per free (non-pivot) column, in ascending column order: the
-    free coordinate is set to 1, the other free coordinates to 0, and the
-    pivot coordinates are read off the reduced rows.  With this
-    normalisation the basis is unique, so results can be compared and
-    serialised verbatim.
-
-    Each row is scaled by the lcm of its denominators, then reduced
-    Gauss-Jordan with the pivot policy of :func:`rref`, in integers: a row
-    with f in the pivot column c of pivot row r (p there) becomes
-    ``p row - f row_r``, divided by its gcd.  A reduced row is its
-    :func:`rref` row times its pivot entry, so ``v[pivot] = -row[f] / row[pivot]``.
+    Each row is scaled by the lcm of its denominators, then reduced with the
+    pivot policy of :func:`rref`: a row with f in the pivot column c of
+    pivot row r (p there) becomes ``p row - f row_r``, divided by its gcd.
+    The first ``len(pivots)`` rows are their :func:`rref` rows times a
+    nonzero integer, and the rest are zero.
     """
     work = []
-    for row in m.entries:
+    for row in rows:
         # a list, not a generator: tuple() resizes a generator's tuple, and CPython
         # keeps every resized tuple on a free list, so a long-lived caller grows
         scale = lcm(*[x.denominator for x in row])
         work.append([x.numerator * (scale // x.denominator) for x in row])
     pivots: list[int] = []
     r = 0
-    for c in range(m.cols):
+    for c in range(cols):
         sel = next((i for i in range(r, len(work)) if work[i][c]), None)
         if sel is None:
             continue
@@ -166,6 +163,22 @@ def kernel_basis(m: QMatrix) -> list[Vector]:
         r += 1
         if r == len(work):
             break
+    return work, pivots
+
+
+def kernel_basis(m: QMatrix) -> list[Vector]:
+    """Canonical basis of ``{v : m @ v = 0}``.
+
+    One vector per free (non-pivot) column, in ascending column order: the
+    free coordinate is set to 1, the other free coordinates to 0, and the
+    pivot coordinates are read off the reduced rows.  With this
+    normalisation the basis is unique, so results can be compared and
+    serialised verbatim.
+
+    The rows come from :func:`_integer_rref`.  A reduced row is its
+    :func:`rref` row times its pivot entry, so ``v[pivot] = -row[f] / row[pivot]``.
+    """
+    work, pivots = _integer_rref(m.entries, m.cols)
     pivot_set = set(pivots)
     free_cols = [c for c in range(m.cols) if c not in pivot_set]
     basis: list[Vector] = []

@@ -36,10 +36,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
-from .exactla import QMatrix, as_fraction, certify_kernel, kernel_basis, parse_rational, rref
+from .exactla import QMatrix, _integer_rref, as_fraction, certify_kernel, kernel_basis, parse_rational
 
 Monomial = tuple[int, int]
 
@@ -264,8 +264,16 @@ def period_space(weight: int) -> PeriodSpace:
 
 
 def subspace_equal(first: Sequence[BivarPoly], second: Sequence[BivarPoly]) -> bool:
-    """Decide span(first) == span(second) by comparing canonical RREF rows."""
-    polys = [p for p in list(first) + list(second) if p]
+    """Decide span(first) == span(second); raise ``ValueError`` unless every polynomial has one degree.
+
+    Each group's coefficient rows, over every monomial, are reduced in
+    integers by ``exactla._integer_rref``, and each nonzero reduced row is
+    made canonical: divided by its gcd, with its pivot entry positive.  The
+    RREF of a span is unique and each reduced row is a nonzero rational
+    multiple of its RREF row, so the canonical rows agree exactly when the
+    RREFs do.
+    """
+    polys = [*first, *second]
     if not polys:
         return True
     degree = polys[0].degree
@@ -273,9 +281,13 @@ def subspace_equal(first: Sequence[BivarPoly], second: Sequence[BivarPoly]) -> b
         raise ValueError("all polynomials must share one degree")
     monomials = [(degree - b, b) for b in range(degree + 1)]
 
-    def row_space(group: Sequence[BivarPoly]) -> list:
+    def row_space(group: Sequence[BivarPoly]) -> list[list[int]]:
         rows = [[p.coeffs.get(mono, 0) for mono in monomials] for p in group]
-        reduced, pivots = rref(rows, len(monomials))
-        return reduced[: len(pivots)]
+        reduced, pivots = _integer_rref(rows, len(monomials))
+        canonical = []
+        for row, c in zip(reduced, pivots):
+            g = gcd(*row) if row[c] > 0 else -gcd(*row)
+            canonical.append([x // g for x in row])
+        return canonical
 
     return row_space(first) == row_space(second)

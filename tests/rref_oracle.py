@@ -1,4 +1,4 @@
-"""The canonical kernel basis read off ``exactla.rref``: the tests' oracle for ``kernel_basis``."""
+"""Answers read off the Fraction ``exactla.rref``: the tests' oracles for ``kernel_basis`` and ``subspace_equal``."""
 
 from fractions import Fraction
 
@@ -16,3 +16,17 @@ def rref_kernel(rows, cols):
             v[p] = -row[free]
         basis.append(tuple(v))
     return basis
+
+
+def rref_spans_equal(first, second, degree):
+    """Whether two groups of degree-``degree`` ``BivarPoly`` span one space.
+
+    They do when their nonzero RREF rows over every monomial agree.
+    """
+    monomials = [(degree - b, b) for b in range(degree + 1)]
+
+    def row_space(group):
+        reduced, pivots = rref([[p.coeffs.get(mono, 0) for mono in monomials] for p in group], len(monomials))
+        return reduced[: len(pivots)]
+
+    return row_space(first) == row_space(second)

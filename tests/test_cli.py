@@ -647,26 +647,31 @@ class TestBernCommands:
         assert "--n 2000 --at 1/2 gives integers of more than %d digits" % cli.MAX_INT_DIGITS in message
         assert run_json("bern", "poly", "--n", "1000", "--at=-7/5")["at"] == "-7/5"
 
-    def test_values_the_bound_cannot_tell_are_refused_exactly(self):
-        # B_1840(1/4) has a 4306-digit numerator, but the early bound reads 4294.7 (it counts
-        # only the power of b = 4 in the denominator, not B_1840's own 10-digit one), so the
-        # exact check refuses it once B_0..B_1840 are computed
-        assert cli._bern_value_digits(1840, Fraction(1, 4)) < cli.MAX_INT_DIGITS
-        proc = run_cli("bern", "poly", "--n", "1840", "--at", "1/4", timeout=10)
-        assert_usage_error(proc)
-        assert "--n 1840 --at 1/4 gives integers of more than %d digits" % cli.MAX_INT_DIGITS in proc.stderr
+    def test_values_the_bound_cannot_tell_are_refused_exactly(self, monkeypatch):
+        # with the early bound blind, the exact check refuses B_1840(1/4), a 4306-digit numerator,
+        # once B_0..B_1840 are computed, and still prints B_1600(1/2), 3652 digits
+        monkeypatch.setattr(cli, "_bern_value_digits", lambda n, x: -math.inf)
+        with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+            assert cli.main(["bern", "poly", "--n", "1840", "--at", "1/4"]) == 2
+        assert out.getvalue() == ""
+        assert "--n 1840 --at 1/4 gives integers of more than %d digits" % cli.MAX_INT_DIGITS in err.getvalue()
+        with redirect_stdout(io.StringIO()) as out:
+            assert cli.main(["bern", "poly", "--n", "1600", "--at", "1/2"]) == 0
+        assert json.loads(out.getvalue())["value"] == str(eisenstein.bernoulli_poly_eval(1600, Fraction(1, 2)))
 
     def test_cosine_zeros_are_refused_before_any_bernoulli_number(self, monkeypatch):
-        # at x - floor(x) = 1/4 or 3/4 the leading cosine vanishes; the k = 2 term bounds the value
+        # at x - floor(x) = 1/4 or 3/4 the leading cosine vanishes; the k = 2 term bounds the value.
+        # B_1840(1/4) needs B_1840's own denominator too: without it the bound read 4294.7 digits
         def unreachable(n):
             raise AssertionError("B_0..B_%d computed for a value the bound refuses" % n)
 
         monkeypatch.setattr(eisenstein, "bernoulli_polynomial", unreachable)
-        for at in ("1/4", "3/4", "-7/4"):
+        for n, at in ((2000, "1/4"), (2000, "3/4"), (2000, "-7/4"), (1840, "1/4")):
             with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
-                assert cli.main(["bern", "poly", "--n", "2000", "--at", at]) == 2
+                assert cli.main(["bern", "poly", "--n", str(n), "--at", at]) == 2
             assert out.getvalue() == ""
-            assert "--n 2000 --at %s gives integers of more than %d digits" % (at, cli.MAX_INT_DIGITS) in err.getvalue()
+            message = "--n %d --at %s gives integers of more than %d digits" % (n, at, cli.MAX_INT_DIGITS)
+            assert message in err.getvalue()
 
     def test_value_digit_bound_is_below_the_numerator(self):
         # the early refusal's float bound gives up at least a digit, and cannot tell at odd n's zeros of cos

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from rref_oracle import rref_spans_equal
 
 from depthforge import periodpoly
 from depthforge.exactla import kernel_basis
@@ -267,6 +268,14 @@ class TestSubspaceEqual:
         with pytest.raises(ValueError):
             subspace_equal([GOLDEN_12], [BivarPoly(2, {(2, 0): 1})])
 
+    @pytest.mark.parametrize(
+        "groups",
+        [([GOLDEN_12, BivarPoly(4)], [GOLDEN_12]), ([GOLDEN_12], [BivarPoly(4)]), ([BivarPoly(4)], [BivarPoly(10)])],
+    )
+    def test_degree_of_a_zero_polynomial_is_checked(self, groups):
+        with pytest.raises(ValueError, match="all polynomials must share one degree"):
+            subspace_equal(*groups)
+
     def test_random_change_of_basis(self):
         rng = random.Random(99)
         basis = period_space(24).basis
@@ -282,3 +291,72 @@ class TestSubspaceEqual:
             assert subspace_equal(basis, mixed)
             tried += 1
         assert tried >= 5
+
+
+class TestSubspaceOracle:
+    """``subspace_equal`` (integer elimination, canonical rows) against the Fraction RREFs of ``rref_spans_equal``."""
+
+    # kind: (families, share of nonzero coefficients); a dense row of independent 30-digit
+    # denominators scales to a 1800-digit integer row, so that kind is kept sparser
+    KINDS = {"small": (800, 0.7), "sparse": (800, 0.2), "30-digit denominators": (400, 0.3)}
+
+    def _coeff(self, rng, kind):
+        if kind == "30-digit denominators":
+            return Fraction(rng.randint(-(10**30), 10**30), rng.randint(10**29, 10**30))
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+    def _poly(self, rng, kind, degree):
+        share = self.KINDS[kind][1]
+        monomials = [(degree - b, b) for b in range(degree + 1) if rng.random() < share]
+        return BivarPoly(degree, {mono: self._coeff(rng, kind) for mono in monomials})
+
+    def _same_span(self, rng, group, kind, degree):
+        """Scaled rows, each plus a multiple of a later one, shuffled, with zero and dependent rows added."""
+        other = [(self._coeff(rng, kind) or 1) * p for p in group]
+        for i in range(len(other) - 1):
+            other[i] = other[i] + self._coeff(rng, kind) * other[rng.randint(i + 1, len(other) - 1)]
+        if group and rng.random() < 0.5:
+            other.append(self._coeff(rng, kind) * rng.choice(group) + rng.choice(group))
+        if rng.random() < 0.3:
+            other.append(BivarPoly(degree))
+        rng.shuffle(other)
+        return other
+
+    def _family(self, rng, kind):
+        degree = rng.randint(0, 60)
+        group = [self._poly(rng, kind, degree) for _ in range(rng.randint(0, 5))]
+        other = self._same_span(rng, group, kind, degree)
+        change = rng.randrange(3)
+        if change == 1 and other:  # drop a row, which may or may not shrink the span
+            other.pop(rng.randrange(len(other)))
+        elif change == 2:  # add a random row, usually outside the span
+            other.insert(rng.randint(0, len(other)), self._poly(rng, kind, degree))
+        return group, other, degree
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_random_families_agree_with_the_fraction_rref(self, kind):
+        rng = random.Random("span oracle " + kind)
+        families = self.KINDS[kind][0]
+        equal = 0
+        for trial in range(families):
+            first, second, degree = self._family(rng, kind)
+            expected = rref_spans_equal(first, second, degree)
+            assert subspace_equal(first, second) is expected, (kind, trial, first, second)
+            equal += expected
+        assert families // 4 < equal < 3 * families // 4, kind  # both answers are tested often
+
+    @pytest.mark.parametrize("weight", range(12, 201, 4))
+    def test_period_bases_under_triangular_changes_of_basis(self, weight):
+        rng = random.Random("span oracle %d" % weight)
+        basis = period_space(weight).basis
+        degree = weight - 2
+        for keep in (True, False):
+            # a triangular change of basis with nonzero diagonal keeps the span; dropping a vector shrinks it
+            other = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9)) * b for b in basis]
+            for i in range(len(other) - 1):
+                other[i] = other[i] + Fraction(rng.randint(-9, 9), rng.randint(1, 9)) * other[i + 1]
+            if not keep:
+                other.pop(rng.randrange(len(other)))
+            assert subspace_equal(basis, other) is keep, (weight, keep)
+            if weight <= 100:  # the Fraction RREF takes seconds a call at the top weights
+                assert rref_spans_equal(basis, other, degree) is keep, (weight, keep)
