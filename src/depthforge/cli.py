@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import json
 import math
 import sys
@@ -37,8 +36,8 @@ from .exactla import parse_rational
 DEFAULT_MIN_WEIGHT = 6
 DEFAULT_MAX_WEIGHT = 30
 # the weight of verify brown --weight|--max-weight, period basis --weight and
-# depth matrix|relations (as 2m+2 from --m).  At 200: verify brown 2.7-3.4 s and 80 MB,
-# depth matrix 3.7 s and 313 MB for a 50 MB report, period basis 0.3 s; a
+# depth matrix|relations (as 2m+2 from --m).  At 200: verify brown 1.6-1.7 s and 80 MB,
+# depth matrix 1.5-1.7 s and 281 MB for a 50 MB report, period basis 0.3 s; a
 # verify brown batch runs each even weight, 230 s for 6..200
 MAX_DEPTH2_WEIGHT = 200
 # period check expands the three-term relation in O(degree^2) binomial terms
@@ -359,28 +358,13 @@ def _cmd_verify_eigen(args):
 
 
 def _cmd_verify_cgshape(args):
-    if args.max_sym < 0 or args.max_twist < 0:
-        raise ValueError("--max-sym and --max-twist must be >= 0")
     _check_cap(args, "--max-sym", args.max_sym, MAX_CGSHAPE_SYM)
     _check_cap(args, "--max-twist", args.max_twist, MAX_CGSHAPE_TWIST)
-    forbidden = [repcalc.IrrepLabel(2 * n, 2 * n + 1) for n in range(1, args.max_sym + 1)]
-    components = 0
-    shapes_ok = True
-    forbidden_absent = True
-    sym, twist = range(args.max_sym + 1), range(args.max_twist + 1)
-    for n1, n2, r1, r2 in itertools.product(sym, sym, twist, twist):
-        labels = [repcalc.IrrepLabel(n1, n1 + 1 + r1), repcalc.IrrepLabel(n2, n2 + 1 + r2)]
-        decomp = repcalc.tensor_decompose(labels)
-        components += len(decomp)
-        if not all(map(repcalc.has_positive_shift, decomp)):
-            shapes_ok = False
-        # the forbidden Sym^(2n)(V)(2n+1) for each n the product can reach
-        if not set(decomp).isdisjoint(forbidden[: (n1 + n2) // 2]):
-            forbidden_absent = False
+    components, shapes_ok, forbidden_absent = repcalc.check_no_eisenstein_component(args.max_sym, args.max_twist)
     case = {
         "max_sym": args.max_sym,
         "max_twist": args.max_twist,
-        "products_checked": len(sym) ** 2 * len(twist) ** 2,
+        "products_checked": (args.max_sym + 1) ** 2 * (args.max_twist + 1) ** 2,
         "components_checked": components,
         "shapes_ok": shapes_ok,
         "forbidden_absent": forbidden_absent,

@@ -55,11 +55,11 @@ by :func:`verify_brown_criterion` says these relations correspond, via
 ``periodpoly.pair_to_poly`` (``(i, j) -> x^2i y^2j - x^2j y^2i``), to the
 restricted even period polynomials of weight 2m+2 -- an executable bridge
 checked here by running both solvers independently and comparing their
-canonical bases.  Both return ``kernel_basis`` vectors over
-``candidate_pairs(m)``, read off an RREF that depends only on the kernel;
-``pair_to_poly`` is linear and injective and ``leading_normalized`` is
-deterministic, so the two lists of normalized images are equal exactly when
-the spans are, and a ``True`` trusts neither solver.
+kernels.  Both solve for vectors over ``candidate_pairs(m)``, and
+``period_space`` keeps its canonical ``kernel_basis`` vectors; a canonical
+basis is read off an RREF that depends only on the kernel, so the two lists
+of vectors are equal exactly when the kernels are, with no normalization in
+between, and a ``True`` trusts neither solver.
 """
 
 from __future__ import annotations
@@ -104,11 +104,12 @@ def _depth2_bracket(i: int, j: int) -> list[list[int]]:
     minus sign) that the product x_a y_b lands on.
     """
     n, k = 2 * i, 2 * j
+    y = [(-1) ** b * comb(k, b) for b in range(k + 1)]
     out = [[0] * (n + k + 1) for _ in range(n + k + 1)]
     for a in range(n + 1):
         xa = (-1) ** a * comb(n, a)
-        for b in range(k + 1):
-            xy = xa * (-1) ** b * comb(k, b)
+        for b, yb in enumerate(y):
+            xy = xa * yb
             out[a + b][n - a] += xy  # a(X)Y: e0^b X e1 e0^(k-b)
             out[b][k - b + a] += xy  # a(X)Y: e0^b e1 e0^(k-b) X
             out[b][a] -= xy  # a(X)Y: -e0^b e1 X e0^(k-b)
@@ -201,23 +202,20 @@ class BrownReport:
 def verify_brown_criterion(m: int) -> BrownReport:
     """Check that bracket relations = period polynomials at weight 2m+2.
 
-    Maps each kernel basis vector as ``period_space`` maps its own, through
-    ``pair_to_poly`` and ``leading_normalized``, and reports whether every
-    image satisfies the four period identities (decided by the defining
-    equations, not by the period solver) and whether the images equal the
-    independently solved basis, which holds exactly when the spans are equal
-    (see the module docstring).
+    Reports whether the image of each kernel vector under ``pair_to_poly``
+    satisfies the four period identities (decided by the defining equations,
+    not by the period solver) and whether the kernel basis equals the
+    independently solved ``period_space(2m+2).vectors``, which holds exactly
+    when the kernels are equal (see the module docstring).
     """
     if m < 2:
         raise ValueError("criterion applies from m >= 2, got %r" % (m,))
     kernel = relation_kernel(m)
-    images = [periodpoly.pair_to_poly(m, vec).leading_normalized() for vec in kernel]
     space = periodpoly.period_space(2 * m + 2)
-    in_space = all(periodpoly.is_period_poly(p).ok for p in images)
     return BrownReport(
         weight=2 * m + 2,
         kernel_dim=len(kernel),
         period_dim=space.dim,
-        in_space=in_space,
-        spans=images == space.basis,
+        in_space=all(periodpoly.is_period_poly(periodpoly.pair_to_poly(m, vec)).ok for vec in kernel),
+        spans=kernel == space.vectors,
     )

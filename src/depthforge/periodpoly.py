@@ -39,7 +39,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
-from .exactla import QMatrix, _integer_rref, as_fraction, certify_kernel, kernel_basis, parse_rational
+from .exactla import QMatrix, Vector, _integer_rref, as_fraction, certify_kernel, kernel_basis, parse_rational
 
 Monomial = tuple[int, int]
 
@@ -207,17 +207,24 @@ def _three_term(n: int, coeffs: Mapping[Monomial, object]) -> dict[Monomial, obj
 
 
 class PeriodSpace:
-    """Canonical basis of the degree-(w-2) restricted even period polynomials."""
+    """The degree-(w-2) restricted even period polynomials, from a canonical kernel basis.
 
-    __slots__ = ("weight", "basis")
+    ``vectors`` are the canonical ``kernel_basis`` vectors over
+    ``candidate_pairs(m)``, m = w/2 - 1, that the space is built from;
+    ``basis`` holds their images under :func:`pair_to_poly`, each scaled by
+    ``leading_normalized``.
+    """
 
-    def __init__(self, weight: int, basis: Sequence[BivarPoly]):
+    __slots__ = ("weight", "vectors", "basis")
+
+    def __init__(self, weight: int, vectors: Sequence[Vector]):
         self.weight = weight
-        self.basis = list(basis)
+        self.vectors = list(vectors)
+        self.basis = [pair_to_poly(weight // 2 - 1, vec).leading_normalized() for vec in self.vectors]
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.vectors)
 
     def to_json_obj(self) -> dict:
         return {
@@ -249,8 +256,8 @@ def period_space(weight: int) -> PeriodSpace:
 
     The three-term rows of the candidates (see the module docstring) are
     solved on the m rows ``x^(2m-b) y^b`` with b < m and certified on all
-    2m + 1; each canonical kernel vector goes through :func:`pair_to_poly`
-    and ``leading_normalized``, as ``verify_brown_criterion``'s images do.
+    2m + 1; the space keeps the canonical kernel vectors, which
+    ``verify_brown_criterion`` compares with its own.
     """
     if weight % 2 != 0 or weight < 4:
         raise ValueError("weight must be an even integer >= 4, got %r" % (weight,))
@@ -260,7 +267,7 @@ def period_space(weight: int) -> PeriodSpace:
     rows = [[img.get((2 * m - b, b), 0) for img in images] for b in range(2 * m + 1)]
     basis = kernel_basis(QMatrix(rows[:m], cols=len(pairs)))
     certify_kernel(rows, len(pairs), basis)
-    return PeriodSpace(weight, [pair_to_poly(m, vec).leading_normalized() for vec in basis])
+    return PeriodSpace(weight, basis)
 
 
 def subspace_equal(first: Sequence[BivarPoly], second: Sequence[BivarPoly]) -> bool:

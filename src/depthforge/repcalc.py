@@ -20,6 +20,10 @@ highest-weight peeling instead: the lexicographically largest monomial
 t1^a t2^b always has a >= b and belongs to Sym^(a-b)(V)(-b); subtract and
 repeat.  Peeling is the independent oracle the fold is tested against, and
 both list components by descending highest weight (a, b) = (u - v, -v).
+:func:`check_no_eisenstein_component` folds the twisted products
+Sym^n1(V)(n1+1+r1) tensor Sym^n2(V)(n2+1+r2) over a grid of n_i and r_i, the
+sweep that ``verify cgshape`` reports: no component is the Eisenstein
+Sym^(2n)(V)(2n+1), and every one is Sym^u(V)(u+1+w) with w >= 1.
 
 The bigrading view relabels a monomial t1^a t2^b as the pair (2b, a+b)
 (twice the lower-triangular grading, total weight), used for dimension
@@ -28,6 +32,7 @@ bookkeeping of associated graded pieces.
 
 from __future__ import annotations
 
+import itertools
 import re
 from typing import Mapping, Sequence
 
@@ -199,30 +204,28 @@ def character_decompose(char: Character) -> list[IrrepLabel]:
     return out
 
 
-def has_positive_shift(label: IrrepLabel) -> bool:
-    """True iff ``label`` is Sym^u(V)(u+1+w) with w >= 1."""
-    return label.v - label.u - 1 >= 1
+def check_no_eisenstein_component(max_sym: int, max_twist: int) -> tuple[int, bool, bool]:
+    """Sweep the products Sym^n1(V)(n1+1+r1) tensor Sym^n2(V)(n2+1+r2) for the Eisenstein component.
 
-
-def check_no_eisenstein_component(n: int, factor_labels: Sequence[IrrepLabel]) -> bool:
-    """Tensor the factors and test for the absence of Sym^(2n)(V)(2n+1).
-
-    Every factor must look like Sym^(n_i)(V)(n_i + 1 + r_i) with r_i >= 0
-    (malformed factors raise).  Returns True iff the forbidden component
-    Sym^(2n)(V)(2n+1) is absent AND every component has the shape
-    Sym^u(V)(u+1+w) with w >= 1 -- the stronger claim, which implies the
-    absence (the forbidden label has w = 0).
+    Runs over every n1, n2 <= ``max_sym`` and r1, r2 <= ``max_twist`` and
+    returns ``(components, shapes_ok, forbidden_absent)``: the components
+    counted over all products with multiplicity; whether every one has the
+    shape Sym^u(V)(u+1+w) with w >= 1; and whether none is a forbidden
+    Sym^(2n)(V)(2n+1), n >= 1.  The shape claim is the stronger (the forbidden
+    labels have w = 0); both are reported.  A component has u <= n1 + n2, so
+    the forbidden labels with n <= ``max_sym`` are all a product can reach.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if len(factor_labels) < 2:
-        raise ValueError("need at least two tensor factors, got %d" % (len(factor_labels),))
-    for label in factor_labels:
-        if label.v - label.u - 1 < 0:
-            raise ValueError("factor %s is not of the form Sym^n(V)(n+1+r), r >= 0" % (label,))
-    forbidden = IrrepLabel(2 * n, 2 * n + 1)
-    components = tensor_decompose(factor_labels)
-    return all(map(has_positive_shift, components)) and forbidden not in components
+    if max_sym < 0 or max_twist < 0:
+        raise ValueError("max_sym and max_twist must be >= 0, got %r and %r" % (max_sym, max_twist))
+    forbidden = {IrrepLabel(2 * n, 2 * n + 1) for n in range(1, max_sym + 1)}
+    components = 0
+    shapes_ok = forbidden_absent = True
+    for n1, r1, n2, r2 in itertools.product(range(max_sym + 1), range(max_twist + 1), repeat=2):
+        decomp = tensor_decompose([IrrepLabel(n1, n1 + 1 + r1), IrrepLabel(n2, n2 + 1 + r2)])
+        components += len(decomp)
+        shapes_ok = shapes_ok and all(c.v - c.u - 1 >= 1 for c in decomp)
+        forbidden_absent = forbidden_absent and forbidden.isdisjoint(decomp)
+    return components, shapes_ok, forbidden_absent
 
 
 def bigraded_dims(char: Character) -> dict[tuple[int, int], int]:

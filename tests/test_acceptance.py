@@ -184,14 +184,9 @@ def test_criterion_9_character_engine():
         for l in range(k + 1):
             expected = [IrrepLabel(k + l - 2 * i, -i) for i in range(l + 1)]
             ok = ok and tensor_decompose([IrrepLabel(k), IrrepLabel(l)]) == expected
-    for n1 in range(7):  # twisted component-shape sweep
-        for n2 in range(7):
-            for r1 in range(4):
-                for r2 in range(4):
-                    labels = [IrrepLabel(n1, n1 + 1 + r1), IrrepLabel(n2, n2 + 1 + r2)]
-                    decomp = tensor_decompose(labels)
-                    ok = ok and all(c.v - c.u - 1 >= 1 for c in decomp)
-                    ok = ok and check_no_eisenstein_component(max(1, (n1 + n2) // 2), labels)
+    # twisted component-shape sweep: Sym^n1 tensor Sym^n2 has min(n1, n2) + 1 components, at each of 4 x 4 twists
+    components = 16 * sum(min(n1, n2) + 1 for n1 in range(7) for n2 in range(7))
+    ok = ok and check_no_eisenstein_component(6, 3) == (components, True, True)
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 5.0
     assert report(9, ok, "tensor rule exact for 0 <= l <= k <= 10; twisted products (sym <= 6, shift <= 3) have no forbidden component (%.2fs)" % elapsed)

@@ -308,7 +308,7 @@ class TestVerifyCommands:
     def test_brown_mismatch_exits_1(self, monkeypatch):
         # a period solver that loses one of the two weight-24 basis vectors
         space = periodpoly.period_space
-        monkeypatch.setattr(periodpoly, "period_space", lambda w: periodpoly.PeriodSpace(w, space(w).basis[:1]))
+        monkeypatch.setattr(periodpoly, "period_space", lambda w: periodpoly.PeriodSpace(w, space(w).vectors[:1]))
         with redirect_stdout(io.StringIO()) as out:
             assert cli.main(["verify", "brown", "--weight", "24"]) == 1
         report = json.loads(out.getvalue())

@@ -229,7 +229,7 @@ class TestBrownCriterion:
 
     def test_short_period_basis_does_not_span(self, monkeypatch):
         # weight 24 has two relations; a period solver that loses one must fail the match
-        monkeypatch.setattr(periodpoly, "period_space", lambda w: periodpoly.PeriodSpace(w, period_space(w).basis[:1]))
+        monkeypatch.setattr(periodpoly, "period_space", lambda w: periodpoly.PeriodSpace(w, period_space(w).vectors[:1]))
         report = verify_brown_criterion(11)
         assert report.in_space is True
         assert report.spans is False

@@ -1,11 +1,16 @@
 import copy
+import io
+import itertools
+import json
 import pickle
 import random
+from contextlib import redirect_stdout
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from depthforge import cli, repcalc
 from depthforge.repcalc import (
     Character,
     IrrepLabel,
@@ -190,35 +195,35 @@ class TestCharacterDecompose:
 
 
 class TestNoEisensteinComponent:
-    def test_two_square_factors(self):
-        assert check_no_eisenstein_component(2, [IrrepLabel(2, 4), IrrepLabel(2, 4)])
-
-    def test_mixed_factors(self):
-        assert check_no_eisenstein_component(3, [IrrepLabel(2, 4), IrrepLabel(4, 6)])
-
-    def test_single_factor_rejected(self):
-        with pytest.raises(ValueError):
-            check_no_eisenstein_component(1, [IrrepLabel(2, 3)])
-
-    def test_malformed_factor_rejected(self):
-        # Sym^2(2) has v - u - 1 = -1 < 0
-        with pytest.raises(ValueError):
-            check_no_eisenstein_component(2, [IrrepLabel(2, 2), IrrepLabel(2, 4)])
-
-    def test_bad_n_rejected(self):
-        with pytest.raises(ValueError):
-            check_no_eisenstein_component(0, [IrrepLabel(2, 4), IrrepLabel(2, 4)])
-
     def test_exhaustive_small_grid(self):
-        for n1 in range(4):
-            for r1 in range(3):
-                for n2 in range(4):
-                    for r2 in range(3):
-                        factors = [
-                            IrrepLabel(n1, n1 + 1 + r1),
-                            IrrepLabel(n2, n2 + 1 + r2),
-                        ]
-                        assert check_no_eisenstein_component(max(1, (n1 + n2) // 2), factors)
+        # the sweep against each of its products decomposed on its own
+        for max_sym in range(5):
+            for max_twist in range(3):
+                forbidden = {IrrepLabel(2 * n, 2 * n + 1) for n in range(1, max_sym + 1)}
+                components, shapes_ok, forbidden_absent = 0, True, True
+                for n1, r1, n2, r2 in itertools.product(range(max_sym + 1), range(max_twist + 1), repeat=2):
+                    decomp = tensor_decompose([IrrepLabel(n1, n1 + 1 + r1), IrrepLabel(n2, n2 + 1 + r2)])
+                    components += len(decomp)
+                    shapes_ok = shapes_ok and all(c.v - c.u - 1 >= 1 for c in decomp)
+                    forbidden_absent = forbidden_absent and not forbidden & set(decomp)
+                expected = (components, shapes_ok, forbidden_absent)
+                assert expected[1:] == (True, True)
+                assert check_no_eisenstein_component(max_sym, max_twist) == expected, (max_sym, max_twist)
+
+    def test_negative_bounds_rejected(self):
+        for max_sym, max_twist in ((-1, 0), (0, -1), (-2, -2)):
+            with pytest.raises(ValueError):
+                check_no_eisenstein_component(max_sym, max_twist)
+
+    def test_an_eisenstein_component_clears_both_flags(self, monkeypatch):
+        # Sym^2(V)(3) is the forbidden label for n = 1, and its shift w = 0 is not >= 1
+        decompose = repcalc.tensor_decompose
+        monkeypatch.setattr(repcalc, "tensor_decompose", lambda labels: decompose(labels) + [IrrepLabel(2, 3)])
+        assert check_no_eisenstein_component(1, 0) == (9, False, False)
+        with redirect_stdout(io.StringIO()) as out:
+            assert cli.main(["verify", "cgshape", "--max-sym", "1", "--max-twist", "0"]) == 1
+        report = json.loads(out.getvalue())
+        assert (report["ok"], report["shapes_ok"], report["forbidden_absent"]) == (False, False, False)
 
 
 class TestBigrading:
