@@ -195,6 +195,22 @@ class TestCharacterDecompose:
 
 
 class TestNoEisensteinComponent:
+    def test_two_square_factors(self):
+        # Sym^2(V)(4) tensor Sym^2(V)(4) is n1 = n2 = 2, r1 = r2 = 1: in the sweep at (2, 1)
+        decomp = tensor_decompose([IrrepLabel(2, 4), IrrepLabel(2, 4)])
+        assert decomp == [IrrepLabel(4, 8), IrrepLabel(2, 7), IrrepLabel(0, 6)]
+        assert all(c.v - c.u - 1 >= 1 for c in decomp)
+        assert not {IrrepLabel(2, 3), IrrepLabel(4, 5)} & set(decomp)
+        assert check_no_eisenstein_component(2, 1)[1:] == (True, True)
+
+    def test_mixed_factors(self):
+        # Sym^2(V)(4) tensor Sym^4(V)(6) is n1 = 2, n2 = 4, r1 = r2 = 1: in the sweep at (4, 1)
+        decomp = tensor_decompose([IrrepLabel(2, 4), IrrepLabel(4, 6)])
+        assert decomp == [IrrepLabel(6, 10), IrrepLabel(4, 9), IrrepLabel(2, 8)]
+        assert all(c.v - c.u - 1 >= 1 for c in decomp)
+        assert not {IrrepLabel(2 * n, 2 * n + 1) for n in range(1, 5)} & set(decomp)
+        assert check_no_eisenstein_component(4, 1)[1:] == (True, True)
+
     def test_exhaustive_small_grid(self):
         # the sweep against each of its products decomposed on its own
         for max_sym in range(5):
