@@ -56,7 +56,10 @@ MAX_BERNSUM_P = 31
 # 4300 digits from about n = 2080 on.  The cap bounds bern --n, the Eisenstein
 # --weight (its constant term is B_w / w) and verify bernsum's k + 2.
 MAX_BERNOULLI_N = 2000
-# delta_qexp(20000) takes 0.5-0.8 s; the cap also bounds eis factor's derived
+# delta_qexp(20000) takes 0.5-0.7 s, and E_2000 to 20000 terms 2.4 s from one
+# divisor sieve (9.4 s with a trial division per coefficient); verify eigen
+# --weight 2000 --p 2 --prec 20000 takes 5.0-5.2 s and 110 MB (10.3-10.7 s and
+# 101 MB by trial division).  The cap also bounds eis factor's derived
 # precision max(2p + 2, 16)
 MAX_QEXP_PREC = 20000
 # bern dist evaluates B_n(X), n + 1 terms, at m points, and each term grows
@@ -343,9 +346,10 @@ def _cmd_verify_bernsum(args):
 
 
 def _cmd_verify_eigen(args):
-    _, series = _series(args, False, args.prec, args.p)
+    _, series = _series(args, False, args.prec, args.p)  # 1 + p^(w-1) is printed
     eigenvalue = eisenstein.hecke_eigenvalue(series, args.p)
     expected = Fraction(1 + args.p ** (args.weight - 1))
+    _check_printed(args, "--weight %d" % args.weight, [eigenvalue, expected])
     case = {
         "weight": args.weight,
         "p": args.p,
@@ -375,11 +379,12 @@ def _cmd_verify_cgshape(args):
 def _series(args, cusp: bool, prec: int, base: int) -> tuple[str, "eisenstein.QExpansion"]:
     """The q-expansion a modular-forms command reads, named: Delta if ``cusp``, else E_weight.
 
-    The one place that caps ``prec`` and the weight, holds Delta to weight 12
-    and refuses, before the series is computed, an Eisenstein report whose
-    integers at printed indices and primes up to ``base`` could pass the
-    int-to-str limit: they are sigma_(w-1)(n) < 2 n^(w-1), T_p's sums of two
-    of them, or a_p beside 1 + p^(w-1), so each is below 4 base^(w-1).
+    The one place that caps ``prec`` and the weight and holds Delta to
+    weight 12.  By the caller's lower bound, an Eisenstein report prints an
+    integer of at least |base|^(w-1), so it is refused before the series is
+    computed when that power has more than ``MAX_INT_DIGITS`` digits; each
+    caller then checks the rationals it prints exactly, with
+    :func:`_check_printed`.
     """
     _check_cap(args, "precision", prec, MAX_QEXP_PREC)
     if cusp:
@@ -391,20 +396,24 @@ def _series(args, cusp: bool, prec: int, base: int) -> tuple[str, "eisenstein.QE
     _check_cap(args, "--weight", args.weight, MAX_BERNOULLI_N)
     exponent, base = max(args.weight - 1, 0), abs(base)
     # the bit length decides a huge base unformed: base^exponent >= 2^(4 MAX_INT_DIGITS) > 10^MAX_INT_DIGITS
-    if exponent * (base.bit_length() - 1) >= 4 * MAX_INT_DIGITS or 4 * base**exponent >= 10**MAX_INT_DIGITS:
+    if exponent * (base.bit_length() - 1) >= 4 * MAX_INT_DIGITS or base**exponent >= 10**MAX_INT_DIGITS:
         raise _too_long(args, "--weight %d" % args.weight)
     return "eisenstein", eisenstein.eisenstein_qexp(args.weight, prec)
 
 
 def _cmd_eis_qexp(args):
+    # sigma_(w-1)(n) >= n^(w-1) is printed for n = prec - 1
     name, series = _series(args, args.delta, args.prec, args.prec - 1)
+    _check_printed(args, "--weight %d" % series.weight, series.coeffs)
     case = {"series": name}
     case.update(series.to_json_obj())
     return [case], True
 
 
 def _cmd_eis_hecke(args):
-    name, series = _series(args, args.delta, args.prec, args.prec - 1)
+    # a_p a_n >= (pn)^(w-1) is printed for n = prec // p - 1; T_p itself refuses p < 2 and prec < 2p
+    base = args.p * (args.prec // args.p - 1) if args.prec >= 2 * args.p >= 4 else 0
+    name, series = _series(args, args.delta, args.prec, base)
     eigenvalue = eisenstein.hecke_eigenvalue(series, args.p)
     out_prec = series.prec // args.p  # T_p f = a_p f was checked on exactly these coefficients
     coeffs = [eigenvalue * c for c in series.coeffs[:out_prec]]  # the constant term is (1 + p^(w-1)) a_0
@@ -423,8 +432,9 @@ def _cmd_eis_hecke(args):
 
 def _cmd_eis_factor(args):
     prec = args.prec if args.prec is not None else max(2 * args.p + 2, 16)
-    name, series = _series(args, not args.eisenstein, prec, args.p)
+    name, series = _series(args, not args.eisenstein, prec, args.p)  # a_p >= p^(w-1) is printed
     result = eisenstein.hecke_factor(series, args.p)
+    _check_printed(args, "--weight %d" % series.weight, [result.eigenvalue, result.value])
     case = {"series": name, "weight": series.weight, "p": args.p, "m": series.weight // 2 - 1}
     case.update(result.to_json_obj())
     case["nonzero"] = result.value != 0

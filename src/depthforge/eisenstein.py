@@ -31,8 +31,10 @@ Three layers live here because they share the Bernoulli substrate:
   fails, e.g. at the identity matrix).
 
 * Exact q-expansions: Eisenstein series E_w with a_0 = -B_w / w and
-  a_n = sigma_{w-1}(n), the discriminant cusp form Delta as
-  q prod (1-q^n)^24, the Hecke operator T_p, and the scalar factor
+  a_n = sigma_{w-1}(n) (Stein, *Modular Forms: A Computational Approach*,
+  2007, ch. 2), every a_n from one divisor sieve that raises each d^(w-1)
+  once and adds it at every multiple of d; the discriminant cusp form Delta
+  as q prod (1-q^n)^24, the Hecke operator T_p, and the scalar factor
   1 - a_p + p^(2m+1) of weight-(2m+2) eigenforms together with, on cusp
   forms (a_0 = 0), the Weil bound check a_p^2 < 4 p^(2m+1) that forces it
   to be nonzero.  Delta is q times the eighth power of Jacobi's
@@ -234,19 +236,6 @@ def check_bernoulli_sum_chain(k: int, p: int, entry: str = "d") -> ChainCheck:
 # -- q-expansions and the Hecke operator ------------------------------------
 
 
-def divisor_power_sum(n: int, k: int) -> int:
-    """sigma_k(n) = sum of d^k over positive divisors d of n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    total = 0
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            total += d**k
-            if d != n // d:
-                total += (n // d) ** k
-    return total
-
-
 class QExpansion:
     """Truncated q-series a_0 + a_1 q + ... + a_{prec-1} q^(prec-1), prec = len(coeffs)."""
 
@@ -270,13 +259,20 @@ class QExpansion:
 
 
 def eisenstein_qexp(weight: int, prec: int) -> QExpansion:
-    """E_weight with a_0 = -B_weight/weight and a_n = sigma_{weight-1}(n)."""
+    """E_weight with a_0 = -B_weight/weight and a_n = sigma_{weight-1}(n).
+
+    The a_n come from one divisor sieve: each d^(weight-1), 0 < d < prec, is
+    raised once and added to the coefficient of every multiple of d.
+    """
     if weight < 4 or weight % 2 != 0:
         raise ValueError("weight must be an even integer >= 4, got %r" % (weight,))
     if prec < 1:
         raise ValueError("prec must be >= 1")
-    coeffs = [-bernoulli_number(weight) / weight]
-    coeffs.extend(Fraction(divisor_power_sum(n, weight - 1)) for n in range(1, prec))
+    coeffs = [-bernoulli_number(weight) / weight] + [0] * (prec - 1)
+    for d in range(1, prec):
+        power = d ** (weight - 1)
+        for n in range(d, prec, d):
+            coeffs[n] += power
     return QExpansion(weight, coeffs)
 
 

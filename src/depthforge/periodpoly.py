@@ -211,16 +211,20 @@ class PeriodSpace:
 
     ``vectors`` are the canonical ``kernel_basis`` vectors over
     ``candidate_pairs(m)``, m = w/2 - 1, that the space is built from;
-    ``basis`` holds their images under :func:`pair_to_poly`, each scaled by
-    ``leading_normalized``.
+    ``basis`` is made from them on each read, so a caller that compares
+    vectors alone builds no polynomial.
     """
 
-    __slots__ = ("weight", "vectors", "basis")
+    __slots__ = ("weight", "vectors")
 
     def __init__(self, weight: int, vectors: Sequence[Vector]):
         self.weight = weight
         self.vectors = list(vectors)
-        self.basis = [pair_to_poly(weight // 2 - 1, vec).leading_normalized() for vec in self.vectors]
+
+    @property
+    def basis(self) -> list[BivarPoly]:
+        """The images of ``vectors`` under :func:`pair_to_poly`, each scaled by ``leading_normalized``."""
+        return [pair_to_poly(self.weight // 2 - 1, vec).leading_normalized() for vec in self.vectors]
 
     @property
     def dim(self) -> int:

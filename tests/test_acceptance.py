@@ -10,13 +10,13 @@ from fractions import Fraction
 from math import isqrt
 
 from coset_oracle import CosetFn
+from divisor_oracle import divisor_power_sum
 
 from depthforge.depthlie import relation_kernel, verify_brown_criterion
 from depthforge.eisenstein import (
     check_bernoulli_sum_chain,
     delta_qexp,
     distribution_check,
-    divisor_power_sum,
     eisenstein_qexp,
     hecke_factor,
     hecke_tp,

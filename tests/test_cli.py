@@ -500,8 +500,8 @@ class TestEisCommands:
         assert "too small" in proc.stderr
 
     def test_integers_beyond_str_limit_are_refused_first(self):
-        # sigma_1999(n) < 2 n^1999 has at most 3990 digits for n < 100, but
-        # from n = 142 on can have more than CPython's 4300
+        # sigma_1999(n) has at most 3990 digits for n < 100, and more than
+        # CPython's 4300 from n = 142 on
         assert len(run_json("eis", "qexp", "--weight", "2000", "--prec", "100")["coeffs"]) == 100
         # these print a_p and 1 + p^1999 only: 3972 digits at p = 97
         assert run_json("eis", "factor", "--p", "97", "--eisenstein", "--weight", "2000")["value"] == "0"
@@ -518,6 +518,31 @@ class TestEisCommands:
             proc = run_cli(*argv, timeout=10)
             assert_usage_error(proc)
             assert "more than %d digits" % cli.MAX_INT_DIGITS in proc.stderr, argv
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eis", "qexp", "--weight", "1200", "--prec", "3855"),  # sigma_1199(3854)
+            ("eis", "hecke", "--weight", "1200", "--p", "2", "--prec", "3856"),  # a_2 sigma_1199(1927)
+            ("eis", "factor", "--p", "191", "--eisenstein", "--weight", "1886"),  # a_191 = 1 + 191^1885
+            ("verify", "eigen", "--weight", "1886", "--p", "191", "--prec", "400"),  # and 1 + 191^1885
+        ],
+    )
+    def test_integers_at_str_limit_are_printed(self, argv):
+        # the longest printed integer has exactly MAX_INT_DIGITS digits: the rule is exact
+        report = run_json(*argv)
+        printed = [Fraction(report[k]) for k in ("eigenvalue", "expected", "value") if k in report]
+        printed += map(Fraction, report.get("coeffs", []))
+        digits = max(len(str(abs(n))) for x in printed for n in (x.numerator, x.denominator))
+        assert digits == cli.MAX_INT_DIGITS, argv
+
+    def test_integers_surely_past_str_limit_are_refused_before_the_series(self):
+        # 3859^1199 has 4301 digits, and sigma_1199(3859) is at least that
+        argv = ["eis", "qexp", "--weight", "1200", "--prec", "3860"]
+        with mock.patch.object(eisenstein, "eisenstein_qexp") as qexp, redirect_stderr(io.StringIO()) as err:
+            assert cli.main(argv) == 2
+        qexp.assert_not_called()
+        assert "--weight 1200 gives integers of more than %d digits" % cli.MAX_INT_DIGITS in err.getvalue()
 
     def test_weight_above_bernoulli_cap_is_usage_error(self):
         # the constant term of E_w is B_w / w; the weights are even so that

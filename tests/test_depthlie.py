@@ -236,6 +236,15 @@ class TestBrownCriterion:
         assert report.matches is False
         assert (report.kernel_dim, report.period_dim) == (2, 1)
 
+    def test_builds_no_period_basis(self, monkeypatch):
+        # spans compares vectors and in_space reads pair_to_poly unscaled: no leading_normalized basis is made
+        calls = []
+        normalize = periodpoly.BivarPoly.leading_normalized
+        monkeypatch.setattr(periodpoly.BivarPoly, "leading_normalized", lambda p: calls.append(p) or normalize(p))
+        assert verify_brown_criterion(11).matches is True
+        assert calls == []
+        assert len(period_space(24).basis) == 2 and len(calls) == 2
+
     def test_wrong_relation_is_neither_in_space_nor_spanning(self, monkeypatch):
         # (1, 1) over [(1, 4), (2, 3)] is not the weight-12 relation (-1/3, 1)
         monkeypatch.setattr(depthlie, "relation_kernel", lambda m: [(Fraction(1), Fraction(1))])

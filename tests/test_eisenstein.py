@@ -5,6 +5,7 @@ from math import comb, gcd, isqrt, lcm, prod
 
 import pytest
 from coset_oracle import CosetFn, mat_mul, phi
+from divisor_oracle import divisor_power_sum
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -19,7 +20,6 @@ from depthforge.eisenstein import (
     check_bernoulli_sum_chain,
     delta_qexp,
     distribution_check,
-    divisor_power_sum,
     eisenstein_qexp,
     gl2_elements,
     hecke_eigenvalue,
@@ -372,10 +372,6 @@ class TestDivisorPowerSum:
             k = rng.choice([1, 3, 11])
             assert divisor_power_sum(a * b, k) == divisor_power_sum(a, k) * divisor_power_sum(b, k)
 
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            divisor_power_sum(0, 3)
-
 
 class TestQExpansion:
     def test_prec_is_the_number_of_coefficients(self):
@@ -419,11 +415,23 @@ class TestEisensteinSeries:
         assert e12.coeffs[2] == 2049
         assert e12.coeffs[3] == 177148
 
+    @pytest.mark.parametrize("weight, prec", [*((w, 300) for w in range(4, 41, 2)), (200, 150), (1200, 150), (2000, 150)])
+    def test_sieve_matches_trial_division(self, weight, prec):
+        coeffs = eisenstein_qexp(weight, prec).coeffs
+        assert coeffs[0] == -bernoulli_number(weight) / weight
+        assert coeffs[1:] == tuple(divisor_power_sum(n, weight - 1) for n in range(1, prec))
+
     def test_bad_weight(self):
         with pytest.raises(ValueError):
             eisenstein_qexp(2, 10)
         with pytest.raises(ValueError):
             eisenstein_qexp(7, 10)
+
+    def test_bad_prec(self):
+        assert eisenstein_qexp(4, 1).coeffs == (Fraction(1, 120),)
+        for prec in (0, -3):
+            with pytest.raises(ValueError, match="prec must be >= 1"):
+                eisenstein_qexp(4, prec)
 
 
 class TestDelta:
