@@ -79,7 +79,8 @@ MAX_CGSHAPE_TWIST = 10
 # bigrade, 23 Sym1(0) (dimension 8.4 million) 1.9 s and 253 MB to decompose
 MAX_REP_DIMENSION = 10**6
 # CPython's default limit on int-to-str conversion: a report that would print a longer
-# integer is refused (by _check_printed, or earlier by a lower bound) rather than failing in str()
+# integer is refused by _check_printed (or, for the q-expansion commands, earlier
+# by a lower bound in _series) rather than failing in str()
 MAX_INT_DIGITS = 4300
 
 
@@ -216,40 +217,6 @@ def _check_printed(args, flags: str, values) -> None:
         raise _too_long(args, flags)
 
 
-def _bern_value_digits(n: int, x: Fraction) -> float:
-    """A lower bound on log10 |numerator| of B_n(x), from floats, so a long value is refused unformed.
-
-    For m = floor(x), the Fourier series gives |B_n(x - m)| >= 2 n!/(2 pi)^n (|cos(2 pi (x - m) - n pi/2)|
-    - 2^(2-n)) at n >= 2.  Where that cosine vanishes at even n, x - m = 1/4 or 3/4, the k = 2 term
-    takes its place: the odd terms vanish too, so |B_n(x - m)| >= 2 n!/(2 pi)^n (2^-n - sum_(k>=3) k^-n),
-    and the sum is below 3^-n (1 + 3/(n - 1)).  B_n(x) - B_n(x - m) is n |m| powers n - 1 of numbers below
-    |m| + 1.  Each p^e || b of x = a/b puts p^(en) into the denominator through the term x^n alone, bar
-    2 || b at odd n.  At even n, b^n (B_n(a/b) - B_n) is an integer (Almkvist-Meurman), so each prime
-    p not dividing b with (p - 1) | n, which divides B_n's denominator once (von Staudt-Clausen), divides
-    B_n(x)'s too.  Float error and the shift cost 10^-12 and a digit; -inf where the bound cannot tell,
-    as at n < 2.
-    """
-    m, b = math.floor(x), x.denominator
-    cosine = abs(math.cos(2 * math.pi * float(x - m) - n % 4 * math.pi / 2)) - 2.0 ** (2 - max(n, 2)) - 1e-12
-    if cosine > 0:
-        terms = math.log10(cosine)
-    elif n % 2 == 0 and b == 4 and n >= 4:
-        rest = 1 - (2 / 3) ** n * (1 + 3 / (n - 1)) - 1e-12  # 2^-n (rest) in logs: 2^-2000 underflows
-        if rest <= 0:
-            return -math.inf
-        terms = math.log10(rest) - n * math.log10(2)
-    else:
-        return -math.inf
-    size = math.log10(2) + terms + (math.lgamma(n + 1) - n * math.log(2 * math.pi)) / math.log(10)
-    if m and math.log10(n * abs(m)) + (n - 1) * math.log10(abs(m) + 1) >= size - 1:
-        return -math.inf
-    if n % 2:
-        return size - 1 + n * math.log10(b // 2 if b % 4 == 2 else b)
-    clausen = [p for p in range(2, n + 2) if n % (p - 1) == 0 and b % p]
-    clausen = [p for p in clausen if all(p % q for q in range(2, math.isqrt(p) + 1))]  # the primes
-    return size - 1 + n * math.log10(b) + sum(map(math.log10, clausen))
-
-
 def _height(x: Fraction) -> int:
     return max(abs(x.numerator), x.denominator)
 
@@ -381,9 +348,10 @@ def _series(args, cusp: bool, prec: int, base: int) -> tuple[str, "eisenstein.QE
 
     The one place that caps ``prec`` and the weight and holds Delta to
     weight 12.  By the caller's lower bound, an Eisenstein report prints an
-    integer of at least |base|^(w-1), so it is refused before the series is
-    computed when that power has more than ``MAX_INT_DIGITS`` digits; each
-    caller then checks the rationals it prints exactly, with
+    integer of at least base^(w-1), so at base >= 2 it is refused before the
+    series is computed when that power has more than ``MAX_INT_DIGITS``
+    digits; a smaller base, as a negative flag gives, is left to the library's
+    own checks.  Each caller then checks the rationals it prints exactly, with
     :func:`_check_printed`.
     """
     _check_cap(args, "precision", prec, MAX_QEXP_PREC)
@@ -394,9 +362,9 @@ def _series(args, cusp: bool, prec: int, base: int) -> tuple[str, "eisenstein.QE
     if args.weight is None:
         raise ValueError("the Eisenstein series needs --weight")
     _check_cap(args, "--weight", args.weight, MAX_BERNOULLI_N)
-    exponent, base = max(args.weight - 1, 0), abs(base)
+    exponent = max(args.weight - 1, 0)
     # the bit length decides a huge base unformed: base^exponent >= 2^(4 MAX_INT_DIGITS) > 10^MAX_INT_DIGITS
-    if exponent * (base.bit_length() - 1) >= 4 * MAX_INT_DIGITS or base**exponent >= 10**MAX_INT_DIGITS:
+    if base >= 2 and (exponent * (base.bit_length() - 1) >= 4 * MAX_INT_DIGITS or base**exponent >= 10**MAX_INT_DIGITS):
         raise _too_long(args, "--weight %d" % args.weight)
     return "eisenstein", eisenstein.eisenstein_qexp(args.weight, prec)
 
@@ -487,8 +455,6 @@ def _cmd_bern_poly(args):
     _check_cap(args, "--n", args.n, MAX_BERNOULLI_N)
     x = None if args.at is None else _bern_point(args, "--at", args.at)
     flags = "--n %d" % args.n + ("" if x is None else " --at %s" % args.at)
-    if x is not None and _bern_value_digits(args.n, x) >= MAX_INT_DIGITS:
-        raise _too_long(args, flags)  # at once: the exact check below follows B_0..B_n
     printed = list(eisenstein.bernoulli_polynomial(args.n))
     if x is not None:
         printed.append(eisenstein.bernoulli_poly_eval(args.n, x))

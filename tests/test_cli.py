@@ -2,7 +2,6 @@ import argparse
 import hashlib
 import io
 import json
-import math
 import subprocess
 import sys
 import time
@@ -544,6 +543,21 @@ class TestEisCommands:
         qexp.assert_not_called()
         assert "--weight 1200 gives integers of more than %d digits" % cli.MAX_INT_DIGITS in err.getvalue()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("eis", "qexp", "--weight", "2000", "--prec", "-300"), "prec must be >= 1"),
+            (("verify", "eigen", "--weight", "2000", "--p", "-211"), "p must be prime, got -211"),
+            (("eis", "factor", "--p", "-211", "--eisenstein", "--weight", "2000"), "p must be prime, got -211"),
+        ],
+    )
+    def test_negative_flags_at_heavy_weights_get_the_library_message(self, argv, message):
+        # no report can print, so the lower bound on base^(w-1) takes no part for a base below 2
+        with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+            assert cli.main(list(argv)) == 2
+        assert out.getvalue() == ""
+        assert message in err.getvalue()
+
     def test_weight_above_bernoulli_cap_is_usage_error(self):
         # the constant term of E_w is B_w / w; the weights are even so that
         # only the cap can refuse them
@@ -668,14 +682,14 @@ class TestBernCommands:
     def test_values_beyond_str_limit_are_refused_first(self):
         # B_2000(1/2) = (2^-1999 - 1) B_2000 has a 4754-digit numerator; uncapped,
         # str() refused it after 2 s of work
-        message = refusal_message("bern", "poly", "--n", "2000", "--at", "1/2")
-        assert "--n 2000 --at 1/2 gives integers of more than %d digits" % cli.MAX_INT_DIGITS in message
+        proc = run_cli("bern", "poly", "--n", "2000", "--at", "1/2", timeout=10)
+        assert_usage_error(proc)
+        assert "--n 2000 --at 1/2 gives integers of more than %d digits" % cli.MAX_INT_DIGITS in proc.stderr
         assert run_json("bern", "poly", "--n", "1000", "--at=-7/5")["at"] == "-7/5"
 
-    def test_values_the_bound_cannot_tell_are_refused_exactly(self, monkeypatch):
-        # with the early bound blind, the exact check refuses B_1840(1/4), a 4306-digit numerator,
-        # once B_0..B_1840 are computed, and still prints B_1600(1/2), 3652 digits
-        monkeypatch.setattr(cli, "_bern_value_digits", lambda n, x: -math.inf)
+    def test_values_the_bound_cannot_tell_are_refused_exactly(self):
+        # the exact check refuses B_1840(1/4), a 4306-digit numerator, once
+        # B_0..B_1840 are computed, and prints B_1600(1/2), 3652 digits
         with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
             assert cli.main(["bern", "poly", "--n", "1840", "--at", "1/4"]) == 2
         assert out.getvalue() == ""
@@ -684,34 +698,14 @@ class TestBernCommands:
             assert cli.main(["bern", "poly", "--n", "1600", "--at", "1/2"]) == 0
         assert json.loads(out.getvalue())["value"] == str(eisenstein.bernoulli_poly_eval(1600, Fraction(1, 2)))
 
-    def test_cosine_zeros_are_refused_before_any_bernoulli_number(self, monkeypatch):
-        # at x - floor(x) = 1/4 or 3/4 the leading cosine vanishes; the k = 2 term bounds the value.
-        # B_1840(1/4) needs B_1840's own denominator too: without it the bound read 4294.7 digits
-        def unreachable(n):
-            raise AssertionError("B_0..B_%d computed for a value the bound refuses" % n)
-
-        monkeypatch.setattr(eisenstein, "bernoulli_polynomial", unreachable)
-        for n, at in ((2000, "1/4"), (2000, "3/4"), (2000, "-7/4"), (1840, "1/4")):
+    def test_values_past_str_limit_are_refused_exactly(self):
+        # numerators of 4754 digits at n = 2000 and 4306 at B_1840(1/4); B_0..B_2000 are cached after the first
+        for n, at in ((2000, "1/2"), (2000, "1/4"), (2000, "3/4"), (2000, "-7/4"), (1840, "1/4")):
             with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
                 assert cli.main(["bern", "poly", "--n", str(n), "--at", at]) == 2
             assert out.getvalue() == ""
             message = "--n %d --at %s gives integers of more than %d digits" % (n, at, cli.MAX_INT_DIGITS)
             assert message in err.getvalue()
-
-    def test_value_digit_bound_is_below_the_numerator(self):
-        # the early refusal's float bound gives up at least a digit, and cannot tell at odd n's zeros of cos
-        points = [Fraction(a, b) for a, b in ((0, 1), (1, 2), (1, 3), (3, 4), (1, 6), (-7, 5), (22, 7), (-5, 2), (31, 2))]
-        points += [Fraction(1, 4), Fraction(-7, 4), Fraction(9, 4)]
-        for n in [*range(64), 101, 300]:
-            for x in points:
-                value = eisenstein.bernoulli_poly_eval(n, x).numerator
-                bound = cli._bern_value_digits(n, x)
-                assert bound == -math.inf or value and bound < math.log10(abs(value)) - 0.9, (n, x)
-        for n in (4, 10, 64, 300):  # B_n(1/4) = 2^-n B_n(1/2) at even n, which the k = 2 term reads
-            assert eisenstein.bernoulli_poly_eval(n, Fraction(1, 4)) * 2**n == eisenstein.bernoulli_poly_eval(n, Fraction(1, 2))
-            assert cli._bern_value_digits(n, Fraction(1, 4)) > -math.inf
-        for x in (Fraction(1, 4), Fraction(3, 4), Fraction(1, 2)):
-            assert 4740 < cli._bern_value_digits(2000, x) < 4754, x
 
     def test_values_inside_str_limit_are_printed(self):
         # each was refused by an a priori bound on B_n(a/b), though str() prints it
