@@ -313,7 +313,7 @@ def _cmd_verify_bernsum(args):
 
 
 def _cmd_verify_eigen(args):
-    _, series = _series(args, False, args.prec, args.p)  # 1 + p^(w-1) is printed
+    _, series = _series(args, False, args.prec, args.p, args.p)  # 1 + p^(w-1) is printed
     eigenvalue = eisenstein.hecke_eigenvalue(series, args.p)
     expected = Fraction(1 + args.p ** (args.weight - 1))
     _check_printed(args, "--weight %d" % args.weight, [eigenvalue, expected])
@@ -343,7 +343,7 @@ def _cmd_verify_cgshape(args):
     return [case], shapes_ok and forbidden_absent
 
 
-def _series(args, cusp: bool, prec: int, base: int) -> tuple[str, "eisenstein.QExpansion"]:
+def _series(args, cusp: bool, prec: int, base: int, p: int | None = None) -> tuple[str, "eisenstein.QExpansion"]:
     """The q-expansion a modular-forms command reads, named: Delta if ``cusp``, else E_weight.
 
     The one place that caps ``prec`` and the weight and holds Delta to
@@ -351,21 +351,27 @@ def _series(args, cusp: bool, prec: int, base: int) -> tuple[str, "eisenstein.QE
     integer of at least base^(w-1), so at base >= 2 it is refused before the
     series is computed when that power has more than ``MAX_INT_DIGITS``
     digits; a smaller base, as a negative flag gives, is left to the library's
-    own checks.  Each caller then checks the rationals it prints exactly, with
-    :func:`_check_printed`.
+    own checks.  A command that applies T_p passes ``p``, which
+    ``eisenstein.check_tp_prime`` refuses here, before the series is built,
+    if T_p would refuse it as not prime.  Each caller then checks the
+    rationals it prints exactly, with :func:`_check_printed`.
     """
     _check_cap(args, "precision", prec, MAX_QEXP_PREC)
     if cusp:
         if args.weight not in (None, 12):
             raise ValueError("the cusp form Delta has weight 12; omit --weight or pass 12")
+    else:
+        if args.weight is None:
+            raise ValueError("the Eisenstein series needs --weight")
+        _check_cap(args, "--weight", args.weight, MAX_BERNOULLI_N)
+        exponent = max(args.weight - 1, 0)
+        # the bit length decides a huge base unformed: base^exponent >= 2^(4 MAX_INT_DIGITS) > 10^MAX_INT_DIGITS
+        if base >= 2 and (exponent * (base.bit_length() - 1) >= 4 * MAX_INT_DIGITS or base**exponent >= 10**MAX_INT_DIGITS):
+            raise _too_long(args, "--weight %d" % args.weight)
+    if p is not None:
+        eisenstein.check_tp_prime(p, prec)
+    if cusp:
         return "delta", eisenstein.delta_qexp(prec)
-    if args.weight is None:
-        raise ValueError("the Eisenstein series needs --weight")
-    _check_cap(args, "--weight", args.weight, MAX_BERNOULLI_N)
-    exponent = max(args.weight - 1, 0)
-    # the bit length decides a huge base unformed: base^exponent >= 2^(4 MAX_INT_DIGITS) > 10^MAX_INT_DIGITS
-    if base >= 2 and (exponent * (base.bit_length() - 1) >= 4 * MAX_INT_DIGITS or base**exponent >= 10**MAX_INT_DIGITS):
-        raise _too_long(args, "--weight %d" % args.weight)
     return "eisenstein", eisenstein.eisenstein_qexp(args.weight, prec)
 
 
@@ -381,7 +387,7 @@ def _cmd_eis_qexp(args):
 def _cmd_eis_hecke(args):
     # a_p a_n >= (pn)^(w-1) is printed for n = prec // p - 1; T_p itself refuses p < 2 and prec < 2p
     base = args.p * (args.prec // args.p - 1) if args.prec >= 2 * args.p >= 4 else 0
-    name, series = _series(args, args.delta, args.prec, base)
+    name, series = _series(args, args.delta, args.prec, base, args.p)
     eigenvalue = eisenstein.hecke_eigenvalue(series, args.p)
     out_prec = series.prec // args.p  # T_p f = a_p f was checked on exactly these coefficients
     coeffs = [eigenvalue * c for c in series.coeffs[:out_prec]]  # the constant term is (1 + p^(w-1)) a_0
@@ -400,7 +406,7 @@ def _cmd_eis_hecke(args):
 
 def _cmd_eis_factor(args):
     prec = args.prec if args.prec is not None else max(2 * args.p + 2, 16)
-    name, series = _series(args, not args.eisenstein, prec, args.p)  # a_p >= p^(w-1) is printed
+    name, series = _series(args, not args.eisenstein, prec, args.p, args.p)  # a_p >= p^(w-1) is printed
     result = eisenstein.hecke_factor(series, args.p)
     _check_printed(args, "--weight %d" % series.weight, [result.eigenvalue, result.value])
     case = {"series": name, "weight": series.weight, "p": args.p, "m": series.weight // 2 - 1}

@@ -8,7 +8,10 @@ Three layers live here because they share the Bernoulli substrate:
   from the integer triangle of tangent numbers T_k (tan x = sum T_k
   x^(2k-1)/(2k-1)!) and ``B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))``; see
   Brent and Harvey, *Fast computation of Bernoulli, tangent and secant
-  numbers* (2011).  No Fraction enters before that last division.
+  numbers* (2011).  No Fraction enters before that last division.  Values
+  B_n(a/b) come from an integer Horner pass, :func:`_bern_horner`: the
+  coefficients times the lcm d of their denominators, summed as
+  ``sum N_k a^k b^(n-k)`` and divided by d b^n once, at the end.
 
 * The coset functions phi_1, phi_2 on GL2(Z/nZ),
 
@@ -25,10 +28,10 @@ Three layers live here because they share the Bernoulli substrate:
   matrix only through its bottom row, so the chain is evaluated once per
   bottom row, the line sum once per value of its entry, and each matrix reads
   the verdict of its row.  The double sums are taken in integers, over the
-  values B_{k+2}(t/p) scaled by the lcm of their denominators, and divided by
-  it once per row.  The chain balances when the line sum reads entry d;
-  ``entry`` is a parameter so both variants can be exercised (the c-variant
-  fails, e.g. at the identity matrix).
+  integer Horner values of B_{k+2}(t/p) on their common denominator
+  d p^(k+2), and divided by it once per row.  The chain balances when the
+  line sum reads entry d; ``entry`` is a parameter so both variants can be
+  exercised (the c-variant fails, e.g. at the identity matrix).
 
 * Exact q-expansions: Eisenstein series E_w with a_0 = -B_w / w and
   a_n = sigma_{w-1}(n) (Stein, *Modular Forms: A Computational Approach*,
@@ -104,12 +107,34 @@ def bernoulli_polynomial(n: int) -> tuple[Fraction, ...]:
     return tuple(comb(n, i) * bernoulli_number(n - i) for i in range(n + 1))
 
 
+def _bern_horner(n: int, b: int, numerators: Iterable[int]) -> tuple[list[int], int]:
+    """B_n(a/b) for each a in ``numerators``, as integers over one denominator: ``(values, d b^n)``.
+
+    d is the lcm of the denominators of the coefficients c_k of
+    ``bernoulli_polynomial(n)``, so N_k = c_k d is an integer, and each value
+    is ``sum N_k a^k b^(n-k)``, summed by Horner's rule in a over the
+    integers N_k b^(n-k), which are formed once for all the points.
+    """
+    coeffs = bernoulli_polynomial(n)
+    d = lcm(*[c.denominator for c in coeffs])
+    scaled = []  # N_k b^(n-k), from k = n down to 0
+    power = 1
+    for c in reversed(coeffs):
+        scaled.append(c.numerator * (d // c.denominator) * power)
+        power *= b
+    values = []
+    for a in numerators:
+        acc = 0
+        for s in scaled:
+            acc = acc * a + s
+        values.append(acc)
+    return values, d * b**n
+
+
 @lru_cache(maxsize=1024)  # bounded: a long-lived caller meets ever new rationals x
 def _bern_value(n: int, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(bernoulli_polynomial(n)):  # Horner's rule
-        acc = acc * x + c
-    return acc
+    (value,), denominator = _bern_horner(n, x.denominator, [x.numerator])
+    return Fraction(value, denominator)
 
 
 def bernoulli_poly_eval(n: int, x) -> Fraction:
@@ -202,9 +227,7 @@ def check_bernoulli_sum_chain(k: int, p: int, entry: str = "d") -> ChainCheck:
         raise ValueError("k must be an even integer >= 2")
     if not _is_prime(p) or p == 2:
         raise ValueError("p must be an odd prime, got %r" % (p,))
-    bval = [bernoulli_poly_eval(k + 2, Fraction(t, p)) for t in range(p)]
-    scale = lcm(*(b.denominator for b in bval))
-    ival = [b.numerator * (scale // b.denominator) for b in bval]  # bval[t] * scale
+    ival, scale = _bern_horner(k + 2, p, range(p))  # B_{k+2}(t/p) = ival[t] / scale
     prefactor = Fraction(p ** (k + 1), k + 2)
     constant = Fraction(p, k + 2) * bernoulli_number(k + 2)
 
@@ -311,23 +334,33 @@ def delta_qexp(prec: int) -> QExpansion:
     return QExpansion(12, coeffs)
 
 
+def check_tp_prime(p: int, prec: int) -> None:
+    """Raise ``ValueError`` if :func:`hecke_tp` would refuse ``p`` as not prime on a series of precision ``prec``.
+
+    p < 2 is refused at once.  Primality is tested only where the output
+    precision prec // p is at least 2: below that, T_p refuses the precision
+    first, so the trial division only ever meets p <= prec/2.  Callers can
+    refuse p with this before they build the series.
+    """
+    if p < 2 or (prec // p >= 2 and not _is_prime(p)):
+        raise ValueError("p must be prime, got %r" % (p,))
+
+
 def hecke_tp(f: QExpansion, p: int) -> QExpansion:
     """T_p: a_n -> a_{np} + p^(weight-1) a_{n/p} (second term only if p | n).
 
     The output precision is floor(prec/p); it must stay >= 2 to say anything.
-    That is checked first, so the trial division for primality only ever
-    meets p <= prec/2.
+    :func:`check_tp_prime` refuses p < 2 first and tests primality only
+    where the precision passes, so a large p with a small prec is refused at
+    once, for its precision.
     """
-    if p < 2:
-        raise ValueError("p must be prime, got %r" % (p,))
+    check_tp_prime(p, f.prec)
     out_prec = f.prec // p
     if out_prec < 2:
         raise ValueError(
             "precision %d too small for T_%d (output would have %d coefficients)"
             % (f.prec, p, out_prec)
         )
-    if not _is_prime(p):
-        raise ValueError("p must be prime, got %r" % (p,))
     shift = p ** (f.weight - 1)
     coeffs = []
     for n in range(out_prec):

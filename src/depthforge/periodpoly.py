@@ -19,17 +19,19 @@ built into the candidate spanning set ``x^(2i) y^(2j) - x^(2j) y^(2i)``
 rows, one per monomial ``x^(2m-b) y^b``.  The three-term image of a
 candidate is itself antisymmetric: for f even and antisymmetric, swapping x
 and y sends f(x, y) to -f(x, y), and f(x-y, x) and f(-y, x-y) each to minus
-the other.  So row 2m - b is minus row b, the middle row is zero, and the
-solve reads only the m rows with b < m.  The code does not rely on that
-symmetry, which the tests check at every weight up to 200: the basis is
-certified against all 2m + 1 rows, and as dropping rows can only enlarge a
-kernel, a passing certificate proves it is the kernel of the full system.
+the other.  So row 2m - b is minus row b and the middle row is zero, and
+the solve reads only the odd rows b < m, m // 2 rows for (m - 1) // 2
+unknowns.  The code does not rely on these rows sufficing, which the tests
+check at every weight up to 200: the basis is certified against all 2m + 1
+rows, and as dropping rows can only enlarge a kernel, a passing certificate
+proves it is the kernel of the full system.
 :func:`is_period_poly` reads the first three identities off the
 coefficients (no monomial ``x^a y^0``, no odd exponent, ``c(b,a) = -c(a,b)``).
-The three-term relation is expanded in binomial sums on a plain ``{(a, b): c}``
-map, one expansion shared by the check, which feeds it the coefficients times
-the lcm of their denominators, and the solver, which feeds it each candidate
-with coefficients 1 and -1: both run on integers.
+The three-term relation is expanded in integer binomial sums by
+:func:`_three_term`, one expansion shared by the check, which feeds it the
+coefficients times the lcm of their denominators, and the solver, which
+feeds it each candidate with coefficients 1 and -1; it returns the sums as
+a list indexed by the power of y, whose entries are the solver's rows.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 from typing import Mapping, Sequence
 
 from .exactla import QMatrix, Vector, _integer_rref, as_fraction, certify_kernel, kernel_basis, parse_rational
@@ -174,36 +177,47 @@ def is_period_poly(f: BivarPoly) -> PeriodCheck:
         return PeriodCheck(False, "antisymmetry f(x,y) + f(y,x) = 0")
     # the relation is linear, so it holds for f iff for f times the lcm of its denominators
     scale = lcm(*(c.denominator for c in coeffs.values()))
-    if any(_three_term(f.degree, {m: c.numerator * (scale // c.denominator) for m, c in coeffs.items()}).values()):
+    if any(_three_term(f.degree, {m: c.numerator * (scale // c.denominator) for m, c in coeffs.items()})):
         return PeriodCheck(False, "three-term relation f(x,y) + f(x-y,x) + f(-y,x-y) = 0")
     return PeriodCheck(True)
 
 
 def _binomial_row(a: int) -> list[int]:
-    """C(a, 0), ..., C(a, a), each from the last as C(a, i+1) = C(a, i) (a-i) / (i+1)."""
-    row = [1]
-    for i in range(a):
-        row.append(row[-1] * (a - i) // (i + 1))
-    return row
+    """C(a, 0), ..., C(a, a): the first half by C(a, i+1) = C(a, i) (a-i) / (i+1), then mirrored."""
+    half = [1]
+    for i in range(a // 2):
+        half.append(half[-1] * (a - i) // (i + 1))
+    return half + half[-2 + a % 2 :: -1]
 
 
-def _three_term(n: int, coeffs: Mapping[Monomial, object]) -> dict[Monomial, object]:
-    """``f(x,y) + f(x-y,x) + f(-y,x-y)`` for ``f`` of degree ``n`` with ``coeffs``, expanded binomially.
+def _three_term(n: int, coeffs: Mapping[Monomial, int]) -> list[int]:
+    """``f(x,y) + f(x-y,x) + f(-y,x-y)`` for ``f`` of degree ``n`` with integer ``coeffs``, expanded binomially.
 
-    The raw sums, zeros included, in the type of the input: ints in, ints out.
+    Entry b of the list is the coefficient of ``x^(n-b) y^b``, zeros included:
+    ``c(n-b, b) + (-1)^b sum c(a, a') (C(a, b) + C(a', n-b))`` over the
+    monomials ``x^a y^a'`` of f, with C(k, j) = 0 for j > k; the first sum
+    comes from ``c (x-y)^a x^a'`` and the second from ``c (-y)^a (x-y)^a'``.
+    With v(e) = c(e, n-e), the first is ``sum v(e) C(e, b)`` and the second
+    ``sum v(n-e) C(e, n-b)``, which is minus the first at n - b plus
+    ``sum (v(e) + v(n-e)) C(e, n-b)``.  Both callers pass antisymmetric f,
+    for which every v(e) + v(n-e) is zero, so each binomial row is made once
+    and multiplied once.
     """
-    out = dict(coeffs)
-    for (a, b), c in coeffs.items():
-        signed = (c, -c)
-        # c (x-y)^a x^b = sum_i c C(a,i) (-1)^(a-i) x^(i+b) y^(a-i)
-        for i, binom in enumerate(_binomial_row(a)):
-            mono = (i + b, a - i)
-            out[mono] = out.get(mono, 0) + binom * signed[(a - i) % 2]
-        # c (-y)^a (x-y)^b = sum_j c C(b,j) (-1)^(n-j) x^j y^(n-j)
-        for j, binom in enumerate(_binomial_row(b)):
-            mono = (j, n - j)
-            out[mono] = out.get(mono, 0) + binom * signed[(n - j) % 2]
-    return out
+    v = [0] * (n + 1)
+    for (a, _), c in coeffs.items():
+        v[a] = c
+    first = [0] * (n + 1)  # sum v(e) C(e, b), by b
+    defect = [0] * (n + 1)  # sum (v(e) + v(n-e)) C(e, j), by j
+    for e, (c, d) in enumerate(zip(v, map(add, v, reversed(v)))):
+        if c or d:
+            row = _binomial_row(e)
+            if c:
+                first[: e + 1] = [s + c * binom for s, binom in zip(first, row)]
+            if d:
+                defect[: e + 1] = [s + d * binom for s, binom in zip(defect, row)]
+    out = [first[b] - first[n - b] + defect[n - b] for b in range(n + 1)]
+    out[1::2] = [-s for s in out[1::2]]
+    return list(map(add, reversed(v), out))  # c(n-b, b) = v(n-b)
 
 
 class PeriodSpace:
@@ -258,18 +272,18 @@ def pair_to_poly(m: int, vector: Sequence[Fraction]) -> BivarPoly:
 def period_space(weight: int) -> PeriodSpace:
     """Solve for a basis of the weight-``weight`` period-polynomial space.
 
-    The three-term rows of the candidates (see the module docstring) are
-    solved on the m rows ``x^(2m-b) y^b`` with b < m and certified on all
-    2m + 1; the space keeps the canonical kernel vectors, which
-    ``verify_brown_criterion`` compares with its own.
+    Row b of the matrix is entry b of each candidate's three-term image (see
+    the module docstring).  The kernel is solved on the odd rows b < m and
+    certified on all 2m + 1; the space keeps the canonical kernel vectors,
+    which ``verify_brown_criterion`` compares with its own.
     """
     if weight % 2 != 0 or weight < 4:
         raise ValueError("weight must be an even integer >= 4, got %r" % (weight,))
     m = (weight - 2) // 2
     pairs = candidate_pairs(m)
     images = [_three_term(2 * m, {(2 * i, 2 * j): 1, (2 * j, 2 * i): -1}) for i, j in pairs]
-    rows = [[img.get((2 * m - b, b), 0) for img in images] for b in range(2 * m + 1)]
-    basis = kernel_basis(QMatrix(rows[:m], cols=len(pairs)))
+    rows = list(zip(*images))  # row b holds entry b of every image
+    basis = kernel_basis(QMatrix(rows[1:m:2], cols=len(pairs)))
     certify_kernel(rows, len(pairs), basis)
     return PeriodSpace(weight, basis)
 

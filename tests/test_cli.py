@@ -498,6 +498,25 @@ class TestEisCommands:
         assert_usage_error(proc)
         assert "too small" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "eigen", "--weight", "2000", "--p", "4"),
+            ("eis", "factor", "--p", "4", "--eisenstein", "--weight", "2000"),
+            ("eis", "hecke", "--weight", "2000", "--p", "-211", "--prec", "300"),
+            ("eis", "hecke", "--delta", "--p", "9", "--prec", "60"),
+        ],
+    )
+    def test_p_that_is_not_prime_is_refused_before_the_series(self, argv):
+        # at weight 2000 the series costs B_2000 first, about a second
+        refuse = AssertionError("the series was built")
+        with mock.patch.object(eisenstein, "eisenstein_qexp", side_effect=refuse), mock.patch.object(
+            eisenstein, "delta_qexp", side_effect=refuse
+        ), redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+            assert cli.main(list(argv)) == 2
+        assert out.getvalue() == ""
+        assert "p must be prime, got %s" % argv[argv.index("--p") + 1] in err.getvalue()
+
     def test_integers_beyond_str_limit_are_refused_first(self):
         # sigma_1999(n) has at most 3990 digits for n < 100, and more than
         # CPython's 4300 from n = 142 on

@@ -6,6 +6,7 @@ from math import comb, gcd, isqrt, lcm, prod
 import pytest
 from coset_oracle import CosetFn, mat_mul, phi
 from divisor_oracle import divisor_power_sum
+from horner_oracle import fraction_horner
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -190,6 +191,22 @@ class TestBernoulli:
     def test_reflection(self, n):
         for x in (Fraction(1, 4), Fraction(2, 5)):
             assert bernoulli_poly_eval(n, 1 - x) == (-1) ** n * bernoulli_poly_eval(n, x)
+
+    @pytest.mark.parametrize("n", range(61))
+    def test_eval_matches_fraction_horner(self, n):
+        # negative x, zero, integers, and denominators up to 10^6
+        rng = random.Random(n)
+        points = [Fraction(0), Fraction(1), Fraction(-3), Fraction(7), Fraction(-1, 2)]
+        for bound in (10, 1000, 10**6):
+            for _ in range(4):
+                den = rng.randint(1, bound)
+                points.append(Fraction(rng.randint(-3 * den, 3 * den), den))
+        for x in points:
+            assert bernoulli_poly_eval(n, x) == fraction_horner(n, x), (n, x)
+
+    @pytest.mark.parametrize("x", [Fraction(1, 2), Fraction(1, 3), Fraction(-7, 5)])
+    def test_eval_matches_fraction_horner_at_2000(self, x):
+        assert bernoulli_poly_eval(2000, x) == fraction_horner(2000, x)
 
     def test_constant_term_is_bernoulli_number(self):
         for n in range(12):

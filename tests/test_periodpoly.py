@@ -174,7 +174,8 @@ class TestPeriodSpace:
             n = weight - 2
             for i, j in candidate_pairs(n // 2):
                 image = _three_term(n, {(2 * i, 2 * j): 1, (2 * j, 2 * i): -1})
-                assert all(image.get((b, a), 0) == -c for (a, b), c in image.items()), (weight, i, j)
+                assert len(image) == n + 1
+                assert all(image[n - b] == -c for b, c in enumerate(image)), (weight, i, j)
 
     def test_wrong_kernel_vector_rejected(self, monkeypatch):
         def perturbed(matrix):
@@ -185,16 +186,25 @@ class TestPeriodSpace:
         with pytest.raises(AssertionError):
             period_space(12)
 
-    def test_certificate_reads_the_rows_past_the_solved_half(self, monkeypatch):
+    @staticmethod
+    def _break_row(monkeypatch, row):
         three_term = periodpoly._three_term
 
         def broken(n, coeffs):
             image = three_term(n, coeffs)
-            image[1, n - 1] = image.get((1, n - 1), 0) + 1  # row b = n - 1, which the solve skips
+            image[row] += 1
             return image
 
         monkeypatch.setattr(periodpoly, "_three_term", broken)
+
+    def test_certificate_reads_the_rows_past_the_solved_half(self, monkeypatch):
+        self._break_row(monkeypatch, 9)  # row b = n - 1 at weight 12, which the solve skips
         with pytest.raises(AssertionError, match="fails row 9 of the matrix"):
+            period_space(12)
+
+    def test_certificate_reads_the_even_rows_the_solve_skips(self, monkeypatch):
+        self._break_row(monkeypatch, 2)  # an even row b < m: the solve reads only the odd ones
+        with pytest.raises(AssertionError, match="fails row 2 of the matrix"):
             period_space(12)
 
     def test_odd_or_small_weight_rejected(self):

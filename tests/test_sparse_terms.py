@@ -11,7 +11,7 @@ reads off the coefficients are decided through it, in the same order.
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -154,12 +154,22 @@ def o_period_verdict(f, degree):
     return True, None
 
 
+def three_term_terms(degree, f):
+    """``_three_term``'s list, entry b the coefficient of ``x^(degree-b) y^b``, as an oracle-shaped map."""
+    sums = _three_term(degree, f)
+    assert len(sums) == degree + 1 and all(type(c) is int for c in sums)
+    return {(degree - b, b): c for b, c in enumerate(sums) if c}
+
+
 @settings(deadline=None)
 @given(period_candidates())
 def test_period_identities_match_substitution_oracle(case):
     degree, f = case
     p = BivarPoly(degree, f)
-    assert nonzero(_three_term(degree, f)) == o_three_term(f, degree)
+    # _three_term takes integers, as is_period_poly feeds it: f times the lcm of its denominators
+    scale = lcm(*(Fraction(c).denominator for c in f.values()))
+    scaled = {mono: int(c * scale) for mono, c in f.items()}
+    assert three_term_terms(degree, scaled) == o_three_term(scaled, degree)
     check = is_period_poly(p)
     assert (check.ok, check.failed) == o_period_verdict(f, degree)
 
@@ -167,15 +177,12 @@ def test_period_identities_match_substitution_oracle(case):
 @settings(deadline=None)
 @given(st.data(), st.integers(0, 12))
 def test_three_term_keeps_integers_integral(data, degree):
+    # any f, not only the antisymmetric ones both callers pass
     f = data.draw(st.dictionaries(st.integers(0, degree).map(lambda a: (a, degree - a)), st.integers(-5, 5), max_size=5))
-    sums = _three_term(degree, f)
-    assert all(type(c) is int for c in sums.values())
-    assert nonzero(sums) == o_three_term(f, degree)
-    fractions = _three_term(degree, {mono: Fraction(c, 3) for mono, c in f.items()})
-    assert all(type(c) is Fraction for c in fractions.values())
+    assert three_term_terms(degree, f) == o_three_term(f, degree)
 
 
-@pytest.mark.parametrize("weight", range(4, 73, 2))
+@pytest.mark.parametrize("weight", [*range(4, 101, 2), *range(110, 201, 10)])
 def test_period_space_is_the_kernel_of_the_oracle_images(weight):
     """The canonical basis solved from o_three_term's images of the candidates."""
     m = (weight - 2) // 2
