@@ -28,8 +28,8 @@ Three layers live here because they share the Bernoulli substrate:
   matrix only through its bottom row, so the chain is evaluated once per
   bottom row, the line sum once per value of its entry, and each matrix reads
   the verdict of its row.  The double sums are taken in integers, over the
-  integer Horner values of B_{k+2}(t/p) on their common denominator
-  d p^(k+2), and divided by it once per row.  The chain balances when the
+  integer Horner values of B_{k+2}(t/p) on their least common denominator,
+  and divided by it once per row.  The chain balances when the
   line sum reads entry d; ``entry`` is a parameter so both variants can be
   exercised (the c-variant fails, e.g. at the identity matrix).
 
@@ -107,28 +107,41 @@ def bernoulli_polynomial(n: int) -> tuple[Fraction, ...]:
     return tuple(comb(n, i) * bernoulli_number(n - i) for i in range(n + 1))
 
 
-def _bern_horner(n: int, b: int, numerators: Iterable[int]) -> tuple[list[int], int]:
-    """B_n(a/b) for each a in ``numerators``, as integers over one denominator: ``(values, d b^n)``.
+@lru_cache(maxsize=2)  # bounded: the bernsum chain reads one n at b = p, and at b = 1 for the point 0
+def _bern_scaled(n: int, b: int) -> tuple[tuple[int, ...], int]:
+    """The integers N_k b^(n-k), k from n down to 0, and d b^n.
 
     d is the lcm of the denominators of the coefficients c_k of
-    ``bernoulli_polynomial(n)``, so N_k = c_k d is an integer, and each value
-    is ``sum N_k a^k b^(n-k)``, summed by Horner's rule in a over the
-    integers N_k b^(n-k), which are formed once for all the points.
+    ``bernoulli_polynomial(n)``, so N_k = c_k d is an integer.  The products
+    by powers of b are most of the cost of a value at large n, so the points
+    that share n and b share them.
     """
     coeffs = bernoulli_polynomial(n)
     d = lcm(*[c.denominator for c in coeffs])
-    scaled = []  # N_k b^(n-k), from k = n down to 0
+    scaled = []
     power = 1
     for c in reversed(coeffs):
         scaled.append(c.numerator * (d // c.denominator) * power)
         power *= b
+    return tuple(scaled), d * b**n
+
+
+def _bern_horner(n: int, b: int, numerators: Iterable[int]) -> tuple[list[int], int]:
+    """B_n(a/b) for each a in ``numerators``, as integers over their least common denominator.
+
+    Each value times d b^n (see :func:`_bern_scaled`) is ``sum N_k a^k
+    b^(n-k)``, summed by Horner's rule in a.  One gcd of d b^n with all the
+    sums then takes them to the lcm of the reduced values' denominators.
+    """
+    scaled, denominator = _bern_scaled(n, b)
     values = []
     for a in numerators:
         acc = 0
         for s in scaled:
             acc = acc * a + s
         values.append(acc)
-    return values, d * b**n
+    g = gcd(denominator, *values)
+    return [v // g for v in values], denominator // g
 
 
 @lru_cache(maxsize=1024)  # bounded: a long-lived caller meets ever new rationals x
