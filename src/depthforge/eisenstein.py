@@ -28,10 +28,12 @@ Three layers live here because they share the Bernoulli substrate:
   matrix only through its bottom row, so the chain is evaluated once per
   bottom row, the line sum once per value of its entry, and each matrix reads
   the verdict of its row.  The double sums are taken in integers, over the
-  integer Horner values of B_{k+2}(t/p) on their least common denominator,
-  and divided by it once per row.  The chain balances when the
-  line sum reads entry d; ``entry`` is a parameter so both variants can be
-  exercised (the c-variant fails, e.g. at the identity matrix).
+  integer Horner values of B_{k+2}(t/p) on their least common denominator;
+  the first two members of the chain are compared as those integers, and
+  only the first is divided by the denominator, once per row, to meet the
+  line sum.  The chain balances when the line sum reads entry d; ``entry``
+  is a parameter so both variants can be exercised (the c-variant fails,
+  e.g. at the identity matrix).
 
 * Exact q-expansions: Eisenstein series E_w with a_0 = -B_w / w and
   a_n = sigma_{w-1}(n) (Stein, *Modular Forms: A Computational Approach*,
@@ -246,24 +248,23 @@ def check_bernoulli_sum_chain(k: int, p: int, entry: str = "d") -> ChainCheck:
 
     # Every term depends on g only through its bottom row (c, d): the chain is
     # evaluated at the first g with a new row, and each g reads that verdict.
-    # The line sum reads only the entry e of that row, so it is summed once per e.
+    # The line sum reads only the entry e of that row, so the right-hand side
+    # is formed once per e.  The first two members share prefactor and scale,
+    # so they are compared as integers.
     holds: dict[tuple[int, int], bool] = {}
-    line: dict[int, Fraction] = {}
+    rhs: dict[int, Fraction] = {}
     for checked, g in enumerate(gl2_elements(p), start=1):
         c, d = g[2], g[3]
         if (c, d) not in holds:
             e = c if entry == "c" else d
-            if e not in line:
-                line[e] = phi_line_sum(k, p, g, entry)
+            if e not in rhs:
+                rhs[e] = constant + phi_line_sum(k, p, g, entry)
             restricted = sum(
                 ival[(alpha * c + beta * d) % p] for alpha in range(1, p) for beta in range(p)
             )
             full = sum(ival[(alpha * c + beta * d) % p] for alpha in range(p) for beta in range(p))
             zero_slice = sum(ival[(beta * d) % p] for beta in range(p))
-            lhs = prefactor * Fraction(restricted, scale)
-            middle = prefactor * Fraction(full - zero_slice, scale)
-            rhs = constant + line[e]
-            holds[c, d] = lhs == middle == rhs
+            holds[c, d] = restricted == full - zero_slice and prefactor * Fraction(restricted, scale) == rhs[e]
         if not holds[c, d]:
             return ChainCheck(False, checked, first_failure=g)
     return ChainCheck(True, checked)
