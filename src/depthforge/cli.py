@@ -365,7 +365,8 @@ def _series(args, cusp: bool, prec: int, base: int, p: int | None = None) -> tup
             raise ValueError("the Eisenstein series needs --weight")
         _check_cap(args, "--weight", args.weight, MAX_BERNOULLI_N)
         exponent = max(args.weight - 1, 0)
-        # the bit length decides a huge base unformed: base^exponent >= 2^(4 MAX_INT_DIGITS) > 10^MAX_INT_DIGITS
+        # the bit length decides a huge base unformed:
+        # base^exponent >= 2^(4 MAX_INT_DIGITS) > 10^MAX_INT_DIGITS
         if base >= 2 and (exponent * (base.bit_length() - 1) >= 4 * MAX_INT_DIGITS or base**exponent >= 10**MAX_INT_DIGITS):
             raise _too_long(args, "--weight %d" % args.weight)
     if p is not None:
