@@ -18,20 +18,26 @@ flags or values, 3 output could not be written.  A value past one of the
 ``MAX_*`` caps below (each says why it is there), or a report that would print
 an integer of more than ``MAX_INT_DIGITS`` digits, is exit 2 with a message
 that names the cap; README lists the caps a user meets.
+
+One table, :data:`HANDLERS`, defines every command: its handler, the statement
+its report carries, its help text and its flags.  :func:`build_parser` turns
+the table into the argparse tree.  A command line that names a command in its
+first two words gets a parser of root, that group and that command only; any
+other (a ``--help`` of the root or a group, an unknown group or command, an
+option written before the group) gets the whole tree, so every usage line,
+help text and error reads as the whole tree's.  Importing this module loads
+only the standard library: each handler, and each helper it shares, imports
+the package module it calls, so a cold command loads only its own pipeline.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
 import sys
 from fractions import Fraction
-
-from . import depthlie, eisenstein, periodpoly, repcalc
-from .exactla import parse_rational
 
 DEFAULT_MIN_WEIGHT = 6
 DEFAULT_MAX_WEIGHT = 30
@@ -47,14 +53,15 @@ MAX_PERIOD_DEGREE = 1000
 # degree 1000, 498 of 48 bits take 4.4-5.7 s (0.5-0.7 s at 2 bits).  Every
 # period basis report up to weight 200 passes: 21,244 bits at most, at weight 200
 MAX_PERIOD_HEIGHT_BITS = 24000
-# verify bernsum walks all of GL2(F_p), about p^4 matrices (892,800 at p = 31),
-# one at a time, so time grows as p^4 and memory does not: at p = 31, about 1 s
-# at k = 2 and 6-8 s at k = 1998, the cap MAX_BERNOULLI_N sets on k
+# verify bernsum checks all of GL2(F_p), about p^4 matrices (892,800 at p = 31),
+# through its p^2 - 1 bottom rows, each three sums of about p^2 residue counts,
+# so time grows as p^4 and memory does not: at p = 31, 0.24 s at k = 2 and
+# 1.8-1.9 s at k = 1998, the cap MAX_BERNOULLI_N sets on k
 MAX_BERNSUM_P = 31
 # B_n fills the cache with B_0..B_n from one O(n^2) big-int triangle (0.9-1.2 s
 # cold at n = 2000; 4.4 s at 3000), and str() refuses numerators of more than
 # 4300 digits from about n = 2080 on.  The cap bounds bern --n, the Eisenstein
-# --weight (its constant term is B_w / w) and verify bernsum's k + 2.
+# --weight (its constant term is -B_w / (2w)) and verify bernsum's k + 2.
 MAX_BERNOULLI_N = 2000
 # delta_qexp(20000) takes 0.5-0.7 s, and E_2000 to 20000 terms 2.4 s from one
 # divisor sieve (9.4 s with a trial division per coefficient); verify eigen
@@ -71,7 +78,7 @@ MAX_BERN_DIST_TERMS = 100000
 # 11 s at 16,800 (n = 20); --x 1/(1000 sevens) at n = 2000 ran past 30 s
 MAX_BERN_POINT_BITS = 8000
 # verify cgshape decomposes (s + 1)^2 (t + 1)^2 products of about s components
-# each: 2.4 s at --max-sym 30 --max-twist 8, 9 s at 40 and 10
+# each: 0.34-0.38 s at --max-sym 30 --max-twist 8 and 0.49-0.50 s at both caps
 MAX_CGSHAPE_SYM = 30
 MAX_CGSHAPE_TWIST = 10
 # rep bigrade multiplies characters in up to prod(u_i + 1) steps, and rep
@@ -85,8 +92,11 @@ MAX_INT_DIGITS = 4300
 
 
 def _brown_cells(weight: int) -> int:
-    """Entries of the bracket matrix at ``weight``: (w-1)w/2 rows by len(candidate_pairs) columns."""
-    return (weight - 1) * weight // 2 * len(periodpoly.candidate_pairs((weight - 2) // 2))
+    """Entries of the bracket matrix at ``weight`` >= 6: (w-1)w/2 rows by (m-1)//2 columns, m = (w-2)/2.
+
+    The columns are the candidate pairs (i, m - i), 1 <= i < m - i.
+    """
+    return (weight - 1) * weight // 2 * (((weight - 2) // 2 - 1) // 2)
 
 
 # a verify brown batch may not pass the cells of one run at MAX_DEPTH2_WEIGHT
@@ -106,7 +116,14 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command in :data:`HANDLERS`, or of root -> group -> ``only`` alone.
+
+    The one-command parser reads any argv that begins with the two words of
+    ``only`` as the whole tree does: same namespace, same usage lines, same
+    errors.  The root usage names no group (its metavar is ``GROUP``), and
+    the prog of a group or command is its path of words.
+    """
     parser = argparse.ArgumentParser(
         prog="depthforge",
         description="Exact verification pipelines for depth-graded Lie algebra relations, "
@@ -114,81 +131,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_output_flags(parser)
     groups = parser.add_subparsers(dest="group", required=True, metavar="GROUP")
-
-    def leaf(group_cmd, name: str, help: str) -> argparse.ArgumentParser:
-        sub = group_cmd.add_parser(name, help=help)
-        _add_output_flags(sub)
-        return sub
-
-    period = groups.add_parser("period", help="restricted even period polynomials")
-    period_cmd = period.add_subparsers(dest="command", required=True, metavar="CMD")
-    p = leaf(period_cmd, "basis", "solve for a basis at one weight")
-    p.add_argument("--weight", type=int, required=True)
-    p = leaf(period_cmd, "check", "test a polynomial given as a JSON monomial map")
-    p.add_argument("--poly", required=True, metavar="JSON", help='e.g. \'{"x^2*y^8": "1", "x^8*y^2": "-1"}\'')
-    p.add_argument("--degree", type=int, help="degree, required only for the empty map")
-
-    depth = groups.add_parser("depth", help="depth-2 bracket computations")
-    depth_cmd = depth.add_subparsers(dest="command", required=True, metavar="CMD")
-    p = leaf(depth_cmd, "matrix", "the bracket matrix at target weight 2m+2")
-    p.add_argument("--m", type=int, required=True)
-    p = leaf(depth_cmd, "relations", "kernel of the bracket matrix")
-    p.add_argument("--m", type=int, required=True)
-
-    verify = groups.add_parser("verify", help="verification pipelines")
-    verify_cmd = verify.add_subparsers(dest="command", required=True, metavar="CMD")
-    p = leaf(verify_cmd, "brown", "bracket kernel vs period space, one weight or a range")
-    p.add_argument("--weight", type=int, help="single even weight (omit for a batch run)")
-    p.add_argument("--min-weight", type=int, default=DEFAULT_MIN_WEIGHT)
-    p.add_argument("--max-weight", type=int, default=DEFAULT_MAX_WEIGHT)
-    p = leaf(verify_cmd, "bernsum", "Bernoulli double-sum chain over all of GL2(F_p)")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--entry", choices=("c", "d"), default="d", help="entry feeding the line sum")
-    p = leaf(verify_cmd, "eigen", "Eisenstein T_p eigenvalue check")
-    p.add_argument("--weight", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--prec", type=int, default=60)
-    p = leaf(verify_cmd, "cgshape", "component-shape sweep over twisted symmetric powers")
-    p.add_argument("--max-sym", type=int, default=6)
-    p.add_argument("--max-twist", type=int, default=3)
-
-    eis = groups.add_parser("eis", help="q-expansions")
-    eis_cmd = eis.add_subparsers(dest="command", required=True, metavar="CMD")
-    p = leaf(eis_cmd, "qexp", "Eisenstein series (or the discriminant form)")
-    p.add_argument("--weight", type=int)
-    p.add_argument("--delta", action="store_true", help="the weight-12 cusp form instead")
-    p.add_argument("--prec", type=int, default=10)
-    p = leaf(eis_cmd, "hecke", "apply T_p and report the eigenvalue")
-    p.add_argument("--weight", type=int)
-    p.add_argument("--delta", action="store_true")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--prec", type=int, default=60)
-    p = leaf(eis_cmd, "factor", "1 - a_p + p^(2m+1) on an eigenform")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--weight", type=int, help="Eisenstein weight (with --eisenstein)")
-    p.add_argument("--eisenstein", action="store_true", help="select E_weight instead of the cusp form Delta")
-    p.add_argument("--prec", type=int, help="q-expansion precision (default: enough for T_p)")
-
-    rep = groups.add_parser("rep", help="GL2 character calculus")
-    rep_cmd = rep.add_subparsers(dest="command", required=True, metavar="CMD")
-    p = leaf(rep_cmd, "decompose", "decompose a tensor product of irreducibles")
-    p.add_argument("--labels", required=True, metavar="LIST", help='comma-separated, e.g. "Sym2(3),Sym4(5)"')
-    p = leaf(rep_cmd, "bigrade", "bigraded dimensions of a product character")
-    p.add_argument("--labels", required=True, metavar="LIST")
-
-    bern = groups.add_parser("bern", help="Bernoulli numbers and polynomials")
-    bern_cmd = bern.add_subparsers(dest="command", required=True, metavar="CMD")
-    p = leaf(bern_cmd, "number", "B_n")
-    p.add_argument("--n", type=int, required=True)
-    p = leaf(bern_cmd, "poly", "coefficients of B_n(X), optionally evaluated")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--at", metavar="Q", help="rational point to evaluate at, e.g. 1/3")
-    p = leaf(bern_cmd, "dist", "check the distribution relation")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--x", metavar="Q", default="0", help="rational base point")
-
+    subcommands = {}  # group -> the subparsers action of its commands
+    for command, (_, _, help, flags) in HANDLERS.items():
+        if only not in (None, command):
+            continue
+        group, name = command.split(" ")
+        if group not in subcommands:
+            subcommands[group] = groups.add_parser(group, help=_GROUP_HELP[group]).add_subparsers(
+                dest="command", required=True, metavar="CMD"
+            )
+        leaf = subcommands[group].add_parser(name, help=help)
+        _add_output_flags(leaf)
+        for flag, spec in flags.items():
+            leaf.add_argument(flag, **spec)
     return parser
 
 
@@ -223,6 +178,7 @@ def _height(x: Fraction) -> int:
 
 def _bern_point(args, flag: str, text: str) -> Fraction:
     """``text`` parsed, refused when (n + 1) times its height's bits passes the cap."""
+    from .exactla import parse_rational
     x = parse_rational(text)
     bits = (max(args.n, 0) + 1) * _height(x).bit_length()
     _check_cap(args, "%s: (n + 1) x height bits =" % flag, bits, MAX_BERN_POINT_BITS)
@@ -230,11 +186,13 @@ def _bern_point(args, flag: str, text: str) -> Fraction:
 
 
 def _cmd_period_basis(args):
+    from . import periodpoly
     _check_cap(args, "--weight", args.weight, MAX_DEPTH2_WEIGHT)
     return [periodpoly.period_space(args.weight).to_json_obj()], True
 
 
 def _cmd_period_check(args):
+    from . import periodpoly
     try:
         data = json.loads(args.poly)
     except RecursionError:
@@ -253,6 +211,7 @@ def _cmd_period_check(args):
 
 
 def _cmd_depth_matrix(args):
+    from . import depthlie, periodpoly
     _check_cap(args, "--m %d: weight 2m+2 =" % args.m, 2 * args.m + 2, MAX_DEPTH2_WEIGHT)
     rows, cols = depthlie.bracket_matrix(args.m)
     case = {
@@ -268,6 +227,7 @@ def _cmd_depth_matrix(args):
 
 
 def _cmd_depth_relations(args):
+    from . import depthlie, periodpoly
     _check_cap(args, "--m %d: weight 2m+2 =" % args.m, 2 * args.m + 2, MAX_DEPTH2_WEIGHT)
     kernel = depthlie.relation_kernel(args.m)
     pairs = periodpoly.candidate_pairs(args.m)
@@ -280,6 +240,7 @@ def _cmd_depth_relations(args):
 
 
 def _cmd_verify_brown(args):
+    from . import depthlie
     if args.weight is not None:
         _check_cap(args, "--weight", args.weight, MAX_DEPTH2_WEIGHT)
         if args.weight % 2 != 0 or args.weight < 6:
@@ -298,6 +259,7 @@ def _cmd_verify_brown(args):
 
 
 def _cmd_verify_bernsum(args):
+    from . import eisenstein
     _check_cap(args, "--p", args.p, MAX_BERNSUM_P)
     _check_cap(args, "--k", args.k, MAX_BERNOULLI_N - 2)
     chain = eisenstein.check_bernoulli_sum_chain(args.k, args.p, entry=args.entry)
@@ -313,6 +275,7 @@ def _cmd_verify_bernsum(args):
 
 
 def _cmd_verify_eigen(args):
+    from . import eisenstein
     _, series = _series(args, False, args.prec, args.p, args.p)  # 1 + p^(w-1) is printed
     eigenvalue = eisenstein.hecke_eigenvalue(series, args.p)
     expected = Fraction(1 + args.p ** (args.weight - 1))
@@ -329,6 +292,7 @@ def _cmd_verify_eigen(args):
 
 
 def _cmd_verify_cgshape(args):
+    from . import repcalc
     _check_cap(args, "--max-sym", args.max_sym, MAX_CGSHAPE_SYM)
     _check_cap(args, "--max-twist", args.max_twist, MAX_CGSHAPE_TWIST)
     components, shapes_ok, forbidden_absent = repcalc.check_no_eisenstein_component(args.max_sym, args.max_twist)
@@ -356,6 +320,8 @@ def _series(args, cusp: bool, prec: int, base: int, p: int | None = None) -> tup
     if T_p would refuse it as not prime.  Each caller then checks the
     rationals it prints exactly, with :func:`_check_printed`.
     """
+    from . import eisenstein
+
     _check_cap(args, "precision", prec, MAX_QEXP_PREC)
     if cusp:
         if args.weight not in (None, 12):
@@ -386,6 +352,7 @@ def _cmd_eis_qexp(args):
 
 
 def _cmd_eis_hecke(args):
+    from . import eisenstein
     # a_p a_n >= (pn)^(w-1) is printed for n = prec // p - 1; T_p itself refuses p < 2 and prec < 2p
     base = args.p * (args.prec // args.p - 1) if args.prec >= 2 * args.p >= 4 else 0
     name, series = _series(args, args.delta, args.prec, base, args.p)
@@ -406,6 +373,7 @@ def _cmd_eis_hecke(args):
 
 
 def _cmd_eis_factor(args):
+    from . import eisenstein
     prec = args.prec if args.prec is not None else max(2 * args.p + 2, 16)
     name, series = _series(args, not args.eisenstein, prec, args.p, args.p)  # a_p >= p^(w-1) is printed
     result = eisenstein.hecke_factor(series, args.p)
@@ -419,6 +387,7 @@ def _cmd_eis_factor(args):
 
 
 def _parse_labels(args) -> list[repcalc.IrrepLabel]:
+    from . import repcalc
     labels = [repcalc.IrrepLabel.parse(part) for part in args.labels.split(",") if part.strip()]
     if not labels:
         raise ValueError("empty label list")
@@ -430,6 +399,7 @@ def _parse_labels(args) -> list[repcalc.IrrepLabel]:
 
 
 def _cmd_rep_decompose(args):
+    from . import repcalc
     labels = _parse_labels(args)
     decomp = repcalc.tensor_decompose(labels)
     case = {
@@ -441,6 +411,7 @@ def _cmd_rep_decompose(args):
 
 
 def _cmd_rep_bigrade(args):
+    from . import repcalc
     labels = _parse_labels(args)
     char = math.prod(map(repcalc.irrep_char, labels), start=repcalc.Character.one())
     dims = repcalc.bigraded_dims(char)
@@ -453,12 +424,14 @@ def _cmd_rep_bigrade(args):
 
 
 def _cmd_bern_number(args):
+    from . import eisenstein
     _check_cap(args, "--n", args.n, MAX_BERNOULLI_N)
     case = {"n": args.n, "value": str(eisenstein.bernoulli_number(args.n))}
     return [case], True
 
 
 def _cmd_bern_poly(args):
+    from . import eisenstein
     _check_cap(args, "--n", args.n, MAX_BERNOULLI_N)
     x = None if args.at is None else _bern_point(args, "--at", args.at)
     flags = "--n %d" % args.n + ("" if x is None else " --at %s" % args.at)
@@ -473,6 +446,7 @@ def _cmd_bern_poly(args):
 
 
 def _cmd_bern_dist(args):
+    from . import eisenstein
     _check_cap(args, "--n", args.n, MAX_BERNOULLI_N)
     _check_cap(args, "--m", args.m, MAX_BERN_DIST_TERMS // (max(args.n, 0) + 1))
     x = _bern_point(args, "--x", args.x)
@@ -481,25 +455,145 @@ def _cmd_bern_dist(args):
     return [case], holds
 
 
-HANDLERS = {  # command -> (handler, the statement its report carries)
-    "period basis": (_cmd_period_basis, "basis of the space of restricted even period polynomials"),
-    "period check": (_cmd_period_check, "the four defining identities of restricted even period polynomials"),
-    "depth matrix": (_cmd_depth_matrix, "depth-2 Ihara bracket matrix over canonical generator pairs"),
-    "depth relations": (_cmd_depth_relations, "kernel of the depth-2 bracket matrix (generator relations)"),
-    "verify brown": (_cmd_verify_brown, "depth-2 bracket relations match restricted even period polynomials"),
-    "verify bernsum": (_cmd_verify_bernsum, "GL2(F_p)-wide reduction of the restricted Bernoulli double sum"
-                       " to a line sum"),
-    "verify eigen": (_cmd_verify_eigen, "Eisenstein series is a T_p-eigenform with eigenvalue 1 + p^(weight-1)"),
-    "verify cgshape": (_cmd_verify_cgshape, "every component of twisted symmetric-power products is Sym^u(u+1+w)"
-                       " with w >= 1"),
-    "eis qexp": (_cmd_eis_qexp, "q-expansion coefficients"),
-    "eis hecke": (_cmd_eis_hecke, "Hecke operator T_p on a q-expansion"),
-    "eis factor": (_cmd_eis_factor, "the scalar 1 - a_p + p^(2m+1) and the Weil bound"),
-    "rep decompose": (_cmd_rep_decompose, "tensor product decomposition into irreducible characters"),
-    "rep bigrade": (_cmd_rep_bigrade, "bigraded dimensions of a character"),
-    "bern number": (_cmd_bern_number, "Bernoulli number"),
-    "bern poly": (_cmd_bern_poly, "Bernoulli polynomial"),
-    "bern dist": (_cmd_bern_dist, "Bernoulli distribution relation"),
+_GROUP_HELP = {
+    "period": "restricted even period polynomials",
+    "depth": "depth-2 bracket computations",
+    "verify": "verification pipelines",
+    "eis": "q-expansions",
+    "rep": "GL2 character calculus",
+    "bern": "Bernoulli numbers and polynomials",
+}
+
+# command -> (handler, the statement its report carries, help, flag -> add_argument
+# keywords); the groups, and the commands in each, are listed in this order
+HANDLERS = {
+    "period basis": (
+        _cmd_period_basis,
+        "basis of the space of restricted even period polynomials",
+        "solve for a basis at one weight",
+        {"--weight": dict(type=int, required=True)},
+    ),
+    "period check": (
+        _cmd_period_check,
+        "the four defining identities of restricted even period polynomials",
+        "test a polynomial given as a JSON monomial map",
+        {
+            "--poly": dict(required=True, metavar="JSON", help='e.g. \'{"x^2*y^8": "1", "x^8*y^2": "-1"}\''),
+            "--degree": dict(type=int, help="degree, required only for the empty map"),
+        },
+    ),
+    "depth matrix": (
+        _cmd_depth_matrix,
+        "depth-2 Ihara bracket matrix over canonical generator pairs",
+        "the bracket matrix at target weight 2m+2",
+        {"--m": dict(type=int, required=True)},
+    ),
+    "depth relations": (
+        _cmd_depth_relations,
+        "kernel of the depth-2 bracket matrix (generator relations)",
+        "kernel of the bracket matrix",
+        {"--m": dict(type=int, required=True)},
+    ),
+    "verify brown": (
+        _cmd_verify_brown,
+        "depth-2 bracket relations match restricted even period polynomials",
+        "bracket kernel vs period space, one weight or a range",
+        {
+            "--weight": dict(type=int, help="single even weight (omit for a batch run)"),
+            "--min-weight": dict(type=int, default=DEFAULT_MIN_WEIGHT),
+            "--max-weight": dict(type=int, default=DEFAULT_MAX_WEIGHT),
+        },
+    ),
+    "verify bernsum": (
+        _cmd_verify_bernsum,
+        "GL2(F_p)-wide reduction of the restricted Bernoulli double sum to a line sum",
+        "Bernoulli double-sum chain over all of GL2(F_p)",
+        {
+            "--k": dict(type=int, required=True),
+            "--p": dict(type=int, required=True),
+            "--entry": dict(choices=("c", "d"), default="d", help="entry feeding the line sum"),
+        },
+    ),
+    "verify eigen": (
+        _cmd_verify_eigen,
+        "Eisenstein series is a T_p-eigenform with eigenvalue 1 + p^(weight-1)",
+        "Eisenstein T_p eigenvalue check",
+        {
+            "--weight": dict(type=int, required=True),
+            "--p": dict(type=int, required=True),
+            "--prec": dict(type=int, default=60),
+        },
+    ),
+    "verify cgshape": (
+        _cmd_verify_cgshape,
+        "every component of twisted symmetric-power products is Sym^u(u+1+w) with w >= 1",
+        "component-shape sweep over twisted symmetric powers",
+        {"--max-sym": dict(type=int, default=6), "--max-twist": dict(type=int, default=3)},
+    ),
+    "eis qexp": (
+        _cmd_eis_qexp,
+        "q-expansion coefficients",
+        "Eisenstein series (or the discriminant form)",
+        {
+            "--weight": dict(type=int),
+            "--delta": dict(action="store_true", help="the weight-12 cusp form instead"),
+            "--prec": dict(type=int, default=10),
+        },
+    ),
+    "eis hecke": (
+        _cmd_eis_hecke,
+        "Hecke operator T_p on a q-expansion",
+        "apply T_p and report the eigenvalue",
+        {
+            "--weight": dict(type=int),
+            "--delta": dict(action="store_true"),
+            "--p": dict(type=int, required=True),
+            "--prec": dict(type=int, default=60),
+        },
+    ),
+    "eis factor": (
+        _cmd_eis_factor,
+        "the scalar 1 - a_p + p^(2m+1) and the Weil bound",
+        "1 - a_p + p^(2m+1) on an eigenform",
+        {
+            "--p": dict(type=int, required=True),
+            "--weight": dict(type=int, help="Eisenstein weight (with --eisenstein)"),
+            "--eisenstein": dict(action="store_true", help="select E_weight instead of the cusp form Delta"),
+            "--prec": dict(type=int, help="q-expansion precision (default: enough for T_p)"),
+        },
+    ),
+    "rep decompose": (
+        _cmd_rep_decompose,
+        "tensor product decomposition into irreducible characters",
+        "decompose a tensor product of irreducibles",
+        {"--labels": dict(required=True, metavar="LIST", help='comma-separated, e.g. "Sym2(3),Sym4(5)"')},
+    ),
+    "rep bigrade": (
+        _cmd_rep_bigrade,
+        "bigraded dimensions of a character",
+        "bigraded dimensions of a product character",
+        {"--labels": dict(required=True, metavar="LIST")},
+    ),
+    "bern number": (_cmd_bern_number, "Bernoulli number", "B_n", {"--n": dict(type=int, required=True)}),
+    "bern poly": (
+        _cmd_bern_poly,
+        "Bernoulli polynomial",
+        "coefficients of B_n(X), optionally evaluated",
+        {
+            "--n": dict(type=int, required=True),
+            "--at": dict(metavar="Q", help="rational point to evaluate at, e.g. 1/3"),
+        },
+    ),
+    "bern dist": (
+        _cmd_bern_dist,
+        "Bernoulli distribution relation",
+        "check the distribution relation",
+        {
+            "--n": dict(type=int, required=True),
+            "--m": dict(type=int, required=True),
+            "--x": dict(metavar="Q", default="0", help="rational base point"),
+        },
+    ),
 }
 
 
@@ -510,6 +604,7 @@ def _flatten(value) -> object:
 
 
 def _render_csv(cases: list[dict]) -> str:
+    import csv
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     fields = list(cases[0].keys())
@@ -526,12 +621,14 @@ def main(argv=None) -> int:
     for i in range(len(argv) - 2, -1, -1):
         if argv[i] in ("--at", "--x"):
             argv[i : i + 2] = ["%s=%s" % (argv[i], argv[i + 1])]
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # only an argv whose first two words name a command is read by that command's parser alone
+    named = " ".join(argv[:2])
+    only = named if named in HANDLERS and named.split(" ") == argv[:2] else None
+    args = build_parser(only).parse_args(argv)
     fmt = getattr(args, "format", "json")
     out_path = getattr(args, "out", None)
     command = "%s %s" % (args.group, args.command)
-    handler, statement = HANDLERS[command]
+    handler, statement, _, _ = HANDLERS[command]
     try:
         cases, ok = handler(args)
     except ValueError as exc:  # json.JSONDecodeError is a ValueError

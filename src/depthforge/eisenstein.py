@@ -22,23 +22,25 @@ Three layers live here because they share the Bernoulli substrate:
   in the test oracle ``tests/coset_oracle.py``.  :func:`phi_line_sum` is the
   companion sum of the same integrand over all F_p-multiples of one matrix
   entry, and :func:`check_bernoulli_sum_chain` verifies, for every matrix in
-  GL2(F_p), walking them one at a time as :func:`gl2_elements` makes them,
-  the rewriting of a unit-restricted double Bernoulli sum into
+  GL2(F_p), the rewriting of a unit-restricted double Bernoulli sum into
   ``p B_{k+2}/(k+2)`` plus such a line sum.  Every term depends on the
   matrix only through its bottom row, so the chain is evaluated once per
-  bottom row, the line sum once per value of its entry, and each matrix reads
-  the verdict of its row.  The double sums are taken in integers, over the
-  integer Horner values of B_{k+2}(t/p) on their least common denominator;
-  the first two members of the chain are compared as those integers, and
-  only the first is divided by the denominator, once per row, to meet the
-  line sum.  The chain balances when the line sum reads entry d; ``entry``
-  is a parameter so both variants can be exercised (the c-variant fails,
-  e.g. at the identity matrix).
+  bottom row (c, d) != (0, 0), the line sum once per value of its entry, and
+  each matrix reads the verdict of its row; the walk over the matrices stops
+  once every row is known to hold.  Each double sum counts its pairs
+  (alpha, beta) by the residue of alpha c + beta d, then takes one dot
+  product of those counts with the integer Horner values of B_{k+2}(t/p) on
+  their least common denominator; the first two members of the chain are
+  compared as those integers, and only the first is divided by the
+  denominator, once per row, to meet the line sum.  The chain balances when
+  the line sum reads entry d; ``entry`` is a parameter so both variants can
+  be exercised (the c-variant fails, e.g. at the identity matrix).
 
-* Exact q-expansions: Eisenstein series E_w with a_0 = -B_w / w and
+* Exact q-expansions: Eisenstein series E_w with a_0 = -B_w / (2w) and
   a_n = sigma_{w-1}(n) (Stein, *Modular Forms: A Computational Approach*,
-  2007, ch. 2), every a_n from one divisor sieve that raises each d^(w-1)
-  once and adds it at every multiple of d; the discriminant cusp form Delta
+  2007, ch. 2), the modular form whose a_1 is 1, every a_n from one divisor
+  sieve that raises each d^(w-1) once and adds it at every multiple of d;
+  the discriminant cusp form Delta
   as q prod (1-q^n)^24, the Hecke operator T_p, and the scalar factor
   1 - a_p + p^(2m+1) of weight-(2m+2) eigenforms together with, on cusp
   forms (a_0 = 0), the Weil bound check a_p^2 < 4 p^(2m+1) that forces it
@@ -50,10 +52,11 @@ Three layers live here because they share the Bernoulli substrate:
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, isqrt, lcm
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .exactla import as_fraction
 
@@ -179,17 +182,6 @@ def is_invertible(g: Mat, n: int) -> bool:
     return gcd(a * d - b * c, n) == 1
 
 
-def gl2_elements(n: int) -> Iterator[Mat]:
-    """The invertible 2x2 matrices over Z/nZ, in row-major tuple order, one at a time.
-
-    The level is checked when called; the matrices, about n^4 of them, are
-    made as they are read.
-    """
-    if n < 2:
-        raise ValueError("level must be >= 2")
-    return (g for g in itertools.product(range(n), repeat=4) if is_invertible(g, n))
-
-
 def _check_phi_args(k: int, n: int, g: Mat) -> None:
     if k < 2 or k % 2 != 0:
         raise ValueError("k must be an even integer >= 2, got %r" % (k,))
@@ -236,7 +228,9 @@ def check_bernoulli_sum_chain(k: int, p: int, entry: str = "d") -> ChainCheck:
     including the intermediate step (the subtracted single sum is the
     alpha = 0 slice, which runs over multiples of d).  The final rewrite
     balances for ``entry="d"``; ``entry="c"`` is accepted so the failing
-    variant can be demonstrated.
+    variant can be demonstrated.  ``checked`` counts the matrices in
+    row-major order (a, b, c, d) up to the first failure, which is reported,
+    or all (p^2 - 1)(p^2 - p) of them.
     """
     if k < 2 or k % 2 != 0:
         raise ValueError("k must be an even integer >= 2")
@@ -246,28 +240,39 @@ def check_bernoulli_sum_chain(k: int, p: int, entry: str = "d") -> ChainCheck:
     prefactor = Fraction(p ** (k + 1), k + 2)
     constant = Fraction(p, k + 2) * bernoulli_number(k + 2)
 
-    # Every term depends on g only through its bottom row (c, d): the chain is
-    # evaluated at the first g with a new row, and each g reads that verdict.
-    # The line sum reads only the entry e of that row, so the right-hand side
-    # is formed once per e.  The first two members share prefactor and scale,
-    # so they are compared as integers.
+    # Every term depends on g only through its bottom row (c, d) != (0, 0): the
+    # chain is evaluated at the first g with a new row, and each g reads that
+    # verdict.  All p^2 - 1 rows are met among the first p^3 + p of the p^4
+    # tuples, the last at (1, 0, 0, p - 1), and once each holds, so does every
+    # later matrix.  Each of the three sums counts its own pairs by the residue
+    # t of alpha c + beta d, in small ints, and meets ival in one dot product.
+    # The line sum reads only the entry e of the row, so the right-hand side is
+    # formed once per e.  The first two members share prefactor and scale, so
+    # they are compared as integers.
+    def dot(residues: list[int]) -> int:
+        return sum(ival[t] * n for t, n in Counter(residues).items())
+
     holds: dict[tuple[int, int], bool] = {}
     rhs: dict[int, Fraction] = {}
-    for checked, g in enumerate(gl2_elements(p), start=1):
-        c, d = g[2], g[3]
+    checked = 0
+    for g in itertools.product(range(p), repeat=4):
+        a, b, c, d = g
+        if (a * d - b * c) % p == 0:
+            continue
+        checked += 1
         if (c, d) not in holds:
             e = c if entry == "c" else d
             if e not in rhs:
                 rhs[e] = constant + phi_line_sum(k, p, g, entry)
-            restricted = sum(
-                ival[(alpha * c + beta * d) % p] for alpha in range(1, p) for beta in range(p)
-            )
-            full = sum(ival[(alpha * c + beta * d) % p] for alpha in range(p) for beta in range(p))
-            zero_slice = sum(ival[(beta * d) % p] for beta in range(p))
+            restricted = dot([(alpha * c + beta * d) % p for alpha in range(1, p) for beta in range(p)])
+            full = dot([(alpha * c + beta * d) % p for alpha in range(p) for beta in range(p)])
+            zero_slice = dot([beta * d % p for beta in range(p)])
             holds[c, d] = restricted == full - zero_slice and prefactor * Fraction(restricted, scale) == rhs[e]
         if not holds[c, d]:
             return ChainCheck(False, checked, first_failure=g)
-    return ChainCheck(True, checked)
+        if len(holds) == p * p - 1:
+            break
+    return ChainCheck(True, (p * p - 1) * (p * p - p))  # every matrix of GL2(F_p)
 
 
 # -- q-expansions and the Hecke operator ------------------------------------
@@ -296,7 +301,10 @@ class QExpansion:
 
 
 def eisenstein_qexp(weight: int, prec: int) -> QExpansion:
-    """E_weight with a_0 = -B_weight/weight and a_n = sigma_{weight-1}(n).
+    """E_weight with a_0 = -B_weight/(2 weight) and a_n = sigma_{weight-1}(n).
+
+    This a_0 makes the series a modular form: divided by their a_0, for one,
+    E_4^2 = E_8.
 
     The a_n come from one divisor sieve: each d^(weight-1), 0 < d < prec, is
     raised once and added to the coefficient of every multiple of d.
@@ -305,7 +313,7 @@ def eisenstein_qexp(weight: int, prec: int) -> QExpansion:
         raise ValueError("weight must be an even integer >= 4, got %r" % (weight,))
     if prec < 1:
         raise ValueError("prec must be >= 1")
-    coeffs = [-bernoulli_number(weight) / weight] + [0] * (prec - 1)
+    coeffs = [-bernoulli_number(weight) / (2 * weight)] + [0] * (prec - 1)
     for d in range(1, prec):
         power = d ** (weight - 1)
         for n in range(d, prec, d):

@@ -21,9 +21,11 @@ t1^a t2^b always has a >= b and belongs to Sym^(a-b)(V)(-b); subtract and
 repeat.  Peeling is the independent oracle the fold is tested against, and
 both list components by descending highest weight (a, b) = (u - v, -v).
 :func:`check_no_eisenstein_component` folds the twisted products
-Sym^n1(V)(n1+1+r1) tensor Sym^n2(V)(n2+1+r2) over a grid of n_i and r_i, the
-sweep that ``verify cgshape`` reports: no component is the Eisenstein
-Sym^(2n)(V)(2n+1), and every one is Sym^u(V)(u+1+w) with w >= 1.
+Sym^n1(V)(n1+1+r1) tensor Sym^n2(V)(n2+1+r2) over a grid of n_i and r_i by
+the same rule, reading each product as (u, v) -> multiplicity pairs with no
+label object made.  That is the sweep ``verify cgshape`` reports: no
+component is the Eisenstein Sym^(2n)(V)(2n+1), and every one is
+Sym^u(V)(u+1+w) with w >= 1.
 
 The bigrading view relabels a monomial t1^a t2^b as the pair (2b, a+b)
 (twice the lower-triangular grading, total weight), used for dimension
@@ -156,26 +158,34 @@ def irrep_char(label: IrrepLabel) -> Character:
     return Character({(u - i - v, i - v): 1 for i in range(u + 1)})
 
 
+def _fold(parts: dict[tuple[int, int], int], l: int, b: int) -> dict[tuple[int, int], int]:
+    """The product of the components (u, v) -> multiplicity in ``parts`` with Sym^l(V)(b).
+
+    Each Sym^k(V)(a) tensor Sym^l(V)(b) is the sum of Sym^(k+l-2i)(V)(a+b-i)
+    over i = 0..min(k, l), the twisted Clebsch-Gordan rule.
+    """
+    folded: dict[tuple[int, int], int] = {}
+    for (k, a), mult in parts.items():
+        for i in range(min(k, l) + 1):
+            key = (k + l - 2 * i, a + b - i)
+            folded[key] = folded.get(key, 0) + mult
+    return folded
+
+
 def tensor_decompose(labels: Sequence[IrrepLabel]) -> list[IrrepLabel]:
     """Decompose a tensor product of irreducibles into irreducibles.
 
     Returns the multiset as a list (repeats allowed) by descending highest
     weight, the order :func:`character_decompose` peels in.  The factors are
-    folded pairwise by the twisted Clebsch-Gordan rule (module docstring),
-    with the partial product kept as (u, v) -> multiplicity.
+    folded pairwise by :func:`_fold`, with the partial product kept as
+    (u, v) -> multiplicity.
     """
     if not labels:
         raise ValueError("tensor_decompose needs at least one factor")
     first, *rest = labels
     parts = {(first.u, first.v): 1}
     for label in rest:
-        l, b = label.u, label.v
-        folded: dict[tuple[int, int], int] = {}
-        for (k, a), mult in parts.items():
-            for i in range(min(k, l) + 1):
-                key = (k + l - 2 * i, a + b - i)
-                folded[key] = folded.get(key, 0) + mult
-        parts = folded
+        parts = _fold(parts, label.u, label.v)
     # every component has the same total degree u - 2v, so descending (u, v)
     # is descending highest weight (u - v, -v)
     out: list[IrrepLabel] = []
@@ -217,14 +227,14 @@ def check_no_eisenstein_component(max_sym: int, max_twist: int) -> tuple[int, bo
     """
     if max_sym < 0 or max_twist < 0:
         raise ValueError("max_sym and max_twist must be >= 0, got %r and %r" % (max_sym, max_twist))
-    forbidden = {IrrepLabel(2 * n, 2 * n + 1) for n in range(1, max_sym + 1)}
+    forbidden = {(2 * n, 2 * n + 1) for n in range(1, max_sym + 1)}
     components = 0
     shapes_ok = forbidden_absent = True
     for n1, r1, n2, r2 in itertools.product(range(max_sym + 1), range(max_twist + 1), repeat=2):
-        decomp = tensor_decompose([IrrepLabel(n1, n1 + 1 + r1), IrrepLabel(n2, n2 + 1 + r2)])
-        components += len(decomp)
-        shapes_ok = shapes_ok and all(c.v - c.u - 1 >= 1 for c in decomp)
-        forbidden_absent = forbidden_absent and forbidden.isdisjoint(decomp)
+        parts = _fold({(n1, n1 + 1 + r1): 1}, n2, n2 + 1 + r2)
+        components += sum(parts.values())
+        shapes_ok = shapes_ok and all(v - u - 1 >= 1 for u, v in parts)
+        forbidden_absent = forbidden_absent and forbidden.isdisjoint(parts)
     return components, shapes_ok, forbidden_absent
 
 

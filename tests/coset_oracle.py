@@ -4,15 +4,30 @@ They descend from the quotient by +-P (P = upper triangular with bottom row
 (0 1)).  :class:`CosetFn` stores every value, so that the invariance is a
 property the tests check by enumeration rather than a chosen representative.
 No command of the package needs the tables; the acceptance and unit tests do.
+:func:`gl2_elements` enumerates the group for them, and for the matrix-by-matrix
+oracle of the Bernoulli sum chain.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import Iterator
 
-from depthforge.eisenstein import Mat, _check_phi_args, bernoulli_poly_eval, gl2_elements
+from depthforge.eisenstein import Mat, _check_phi_args, bernoulli_poly_eval, is_invertible
+
+
+def gl2_elements(n: int) -> Iterator[Mat]:
+    """The invertible 2x2 matrices over Z/nZ, in row-major tuple order, one at a time.
+
+    The level is checked when called; the matrices, about n^4 of them, are
+    made as they are read.
+    """
+    if n < 2:
+        raise ValueError("level must be >= 2")
+    return (g for g in itertools.product(range(n), repeat=4) if is_invertible(g, n))
 
 
 def phi(k: int, n: int, which: int, g: Mat) -> Fraction:

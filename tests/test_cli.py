@@ -270,7 +270,7 @@ class TestBrownBatchBudget:
         # in process, with the per-weight check stubbed out: only the budget is measured
         argv = ["verify", "brown", "--min-weight", str(low), "--max-weight", str(high)]
         report = mock.Mock(to_json_obj=lambda: {"match": True})
-        with mock.patch.object(cli.depthlie, "verify_brown_criterion", return_value=report):
+        with mock.patch.object(depthlie, "verify_brown_criterion", return_value=report):
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
                 return cli.main(argv), err.getvalue()
 
@@ -376,7 +376,7 @@ class TestEisCommands:
     def test_qexp_eisenstein(self):
         report = run_json("eis", "qexp", "--weight", "4", "--prec", "4")
         assert report["series"] == "eisenstein"
-        assert report["coeffs"] == ["1/120", "1", "9", "28"]
+        assert report["coeffs"] == ["1/240", "1", "9", "28"]
 
     def test_qexp_delta(self):
         report = run_json("eis", "qexp", "--delta", "--prec", "8")
@@ -578,7 +578,7 @@ class TestEisCommands:
         assert message in err.getvalue()
 
     def test_weight_above_bernoulli_cap_is_usage_error(self):
-        # the constant term of E_w is B_w / w; the weights are even so that
+        # the constant term of E_w is -B_w / (2w); the weights are even so that
         # only the cap can refuse them
         for weight in (str(cli.MAX_BERNOULLI_N + 2), "1000000004"):
             for argv in (
@@ -871,14 +871,31 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     assert not added & {"dataclasses", "inspect"}
 
 
+def test_import_loads_no_pipeline_module():
+    # each handler imports the module it calls, so importing the command line loads none of them
+    code = "import sys, depthforge.cli; print(*sorted(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    pipelines = {"depthforge.%s" % name for name in ("depthlie", "periodpoly", "eisenstein", "repcalc", "ncalg")}
+    assert not set(proc.stdout.split()) & (pipelines | {"csv"})
+
+
+def test_brown_cells_is_rows_times_candidate_pairs():
+    for w in range(6, 201, 2):
+        rows, cols = (w - 1) * w // 2, len(periodpoly.candidate_pairs((w - 2) // 2))
+        assert cli._brown_cells(w) == rows * cols, w
+
+
 def test_fuzz_table_covers_every_command():
-    assert set(FLAGS) == set(cli.HANDLERS)
+    # every command, and every flag of each
+    assert {command: set(flags) for command, flags in FLAGS.items()} == {
+        command: set(entry[3]) for command, entry in cli.HANDLERS.items()
+    }
 
 
-@pytest.mark.parametrize("command", sorted(FLAGS), ids=lambda command: command.replace(" ", "-"))
-@settings(deadline=None, max_examples=25)
-@given(data=st.data())
-def test_fuzzed_arguments_exit_0_to_3_without_traceback(command, data):
+def draw_argv(command, data):
+    """An argument list for ``command`` with a value drawn for each flag; it may be
+    cut short, have one token spoiled, or end in a good or bad --format."""
     argv = command.split()
     for flag, values in FLAGS[command].items():
         if values is None:  # a switch
@@ -890,7 +907,64 @@ def test_fuzzed_arguments_exit_0_to_3_without_traceback(command, data):
         argv = argv[: data.draw(st.integers(2, len(argv)))]
     elif damage == "spoil" and len(argv) > 2:
         argv[data.draw(st.integers(2, len(argv) - 1))] = data.draw(MALFORMED)
-    argv += data.draw(st.sampled_from([[], ["--format", "csv"], ["--format", "xml"]]))
+    return argv + data.draw(st.sampled_from([[], ["--format", "csv"], ["--format", "xml"]]))
+
+
+def parse_outcome(parser, argv):
+    """The namespace ``parser`` reads from ``argv``, or its exit status, with what it printed."""
+    with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+        try:
+            result = parser.parse_args(argv)
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS), ids=lambda command: command.replace(" ", "-"))
+@settings(deadline=None, max_examples=25)
+@given(data=st.data())
+def test_one_command_parser_reads_as_the_whole_tree(command, data):
+    # the same namespace, or the same exit status and stderr bytes for a malformed value
+    argv = draw_argv(command, data)
+    assert parse_outcome(cli.build_parser(command), argv) == parse_outcome(cli.build_parser(), argv)
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS), ids=lambda command: command.replace(" ", "-"))
+def test_one_command_parser_prints_the_whole_trees_help(command):
+    for argv in ([*command.split(), "--help"], [*command.split(), "-h", "--bogus"], [*command.split(), "extra"]):
+        outcome = parse_outcome(cli.build_parser(command), argv)
+        assert outcome[0] in (0, 2) and outcome == parse_outcome(cli.build_parser(), argv), argv
+
+
+@pytest.mark.parametrize(
+    "argv, only",
+    [
+        (["eis", "factor", "--p", "-3"], "eis factor"),
+        (["verify", "brown", "--help"], "verify brown"),
+        (["--format", "csv", "eis", "factor", "--p", "-3"], None),  # an option before the group
+        (["verify", "--help"], None),
+        (["--help"], None),
+        ([], None),
+        (["verify", "nope"], None),
+        (["verify brown"], None),  # one word that holds a space names no command
+        (["verify", "brown extra"], None),
+    ],
+)
+def test_main_builds_one_command_only_when_the_first_two_words_name_it(argv, only):
+    with mock.patch.object(cli, "build_parser", wraps=cli.build_parser) as build:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            try:
+                cli.main(argv)
+            except SystemExit:
+                pass
+    build.assert_called_once_with(only)
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS), ids=lambda command: command.replace(" ", "-"))
+@settings(deadline=None, max_examples=25)
+@given(data=st.data())
+def test_fuzzed_arguments_exit_0_to_3_without_traceback(command, data):
+    argv = draw_argv(command, data)
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         try:
             status = cli.main(argv)

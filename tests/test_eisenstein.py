@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import comb, gcd, isqrt, lcm, prod
 
 import pytest
-from coset_oracle import CosetFn, mat_mul, phi
+from coset_oracle import CosetFn, gl2_elements, mat_mul, phi
 from divisor_oracle import divisor_power_sum
 from horner_oracle import fraction_horner
 from hypothesis import example, given
@@ -22,7 +22,6 @@ from depthforge.eisenstein import (
     delta_qexp,
     distribution_check,
     eisenstein_qexp,
-    gl2_elements,
     hecke_eigenvalue,
     hecke_factor,
     hecke_tp,
@@ -100,6 +99,17 @@ def theta_octic_delta(prec):
                     nxt[i + j] += ci * theta[j]
         power = nxt
     return [0] + power[: prec - 1]  # multiply by q
+
+
+def normalised(series):
+    """The coefficients of a q-expansion divided by its constant term."""
+    return [c / series.coeffs[0] for c in series.coeffs]
+
+
+def series_mul(a, b):
+    """The product of two truncated series, to the shorter precision."""
+    prec = min(len(a), len(b))
+    return [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(prec)]
 
 
 def chain_by_matrix(k, p, entry):
@@ -422,12 +432,12 @@ class TestQExpansion:
 class TestEisensteinSeries:
     def test_weight4_head(self):
         e4 = eisenstein_qexp(4, 8)
-        assert e4.coeffs[0] == Fraction(1, 120)
+        assert e4.coeffs[0] == Fraction(1, 240)
         assert e4.coeffs[1:] == (1, 9, 28, 73, 126, 252, 344)
 
     def test_weight12_head(self):
         e12 = eisenstein_qexp(12, 4)
-        assert e12.coeffs[0] == Fraction(691, 32760)
+        assert e12.coeffs[0] == Fraction(691, 65520)
         assert e12.coeffs[1] == 1
         assert e12.coeffs[2] == 2049
         assert e12.coeffs[3] == 177148
@@ -435,8 +445,18 @@ class TestEisensteinSeries:
     @pytest.mark.parametrize("weight, prec", [*((w, 300) for w in range(4, 41, 2)), (200, 150), (1200, 150), (2000, 150)])
     def test_sieve_matches_trial_division(self, weight, prec):
         coeffs = eisenstein_qexp(weight, prec).coeffs
-        assert coeffs[0] == -bernoulli_number(weight) / weight
+        assert coeffs[0] == -bernoulli_number(weight) / (2 * weight)
         assert coeffs[1:] == tuple(divisor_power_sum(n, weight - 1) for n in range(1, prec))
+
+    def test_normalised_series_satisfy_the_weight_identities(self):
+        # dim M_8 = dim M_10 = 1, and M_12 is spanned by E_4^3 and Delta, so with
+        # a_0 = 1 these hold exactly; only the constant term -B_w / (2w) makes them hold
+        prec = 12
+        e4, e6, e8, e10 = (normalised(eisenstein_qexp(w, prec)) for w in (4, 6, 8, 10))
+        assert series_mul(e4, e4) == e8
+        assert series_mul(e4, e6) == e10
+        cube, square = series_mul(series_mul(e4, e4), e4), series_mul(e6, e6)
+        assert [x - y for x, y in zip(cube, square)] == [1728 * c for c in delta_qexp(prec).coeffs]
 
     def test_bad_weight(self):
         with pytest.raises(ValueError):
@@ -445,7 +465,7 @@ class TestEisensteinSeries:
             eisenstein_qexp(7, 10)
 
     def test_bad_prec(self):
-        assert eisenstein_qexp(4, 1).coeffs == (Fraction(1, 120),)
+        assert eisenstein_qexp(4, 1).coeffs == (Fraction(1, 240),)
         for prec in (0, -3):
             with pytest.raises(ValueError, match="prec must be >= 1"):
                 eisenstein_qexp(4, prec)

@@ -212,19 +212,18 @@ class TestNoEisensteinComponent:
         assert check_no_eisenstein_component(4, 1)[1:] == (True, True)
 
     def test_exhaustive_small_grid(self):
-        # the sweep against each of its products decomposed on its own
-        for max_sym in range(5):
-            for max_twist in range(3):
-                forbidden = {IrrepLabel(2 * n, 2 * n + 1) for n in range(1, max_sym + 1)}
-                components, shapes_ok, forbidden_absent = 0, True, True
-                for n1, r1, n2, r2 in itertools.product(range(max_sym + 1), range(max_twist + 1), repeat=2):
-                    decomp = tensor_decompose([IrrepLabel(n1, n1 + 1 + r1), IrrepLabel(n2, n2 + 1 + r2)])
-                    components += len(decomp)
-                    shapes_ok = shapes_ok and all(c.v - c.u - 1 >= 1 for c in decomp)
-                    forbidden_absent = forbidden_absent and not forbidden & set(decomp)
-                expected = (components, shapes_ok, forbidden_absent)
-                assert expected[1:] == (True, True)
-                assert check_no_eisenstein_component(max_sym, max_twist) == expected, (max_sym, max_twist)
+        # the sweep against each of its products decomposed on its own, into labels
+        for max_sym, max_twist in [*itertools.product(range(5), range(3)), (10, 3), (12, 5)]:
+            forbidden = {IrrepLabel(2 * n, 2 * n + 1) for n in range(1, max_sym + 1)}
+            components, shapes_ok, forbidden_absent = 0, True, True
+            for n1, r1, n2, r2 in itertools.product(range(max_sym + 1), range(max_twist + 1), repeat=2):
+                decomp = tensor_decompose([IrrepLabel(n1, n1 + 1 + r1), IrrepLabel(n2, n2 + 1 + r2)])
+                components += len(decomp)
+                shapes_ok = shapes_ok and all(c.v - c.u - 1 >= 1 for c in decomp)
+                forbidden_absent = forbidden_absent and not forbidden & set(decomp)
+            expected = (components, shapes_ok, forbidden_absent)
+            assert expected[1:] == (True, True)
+            assert check_no_eisenstein_component(max_sym, max_twist) == expected, (max_sym, max_twist)
 
     def test_negative_bounds_rejected(self):
         for max_sym, max_twist in ((-1, 0), (0, -1), (-2, -2)):
@@ -233,8 +232,8 @@ class TestNoEisensteinComponent:
 
     def test_an_eisenstein_component_clears_both_flags(self, monkeypatch):
         # Sym^2(V)(3) is the forbidden label for n = 1, and its shift w = 0 is not >= 1
-        decompose = repcalc.tensor_decompose
-        monkeypatch.setattr(repcalc, "tensor_decompose", lambda labels: decompose(labels) + [IrrepLabel(2, 3)])
+        fold = repcalc._fold
+        monkeypatch.setattr(repcalc, "_fold", lambda parts, l, b: {**fold(parts, l, b), (2, 3): 1})
         assert check_no_eisenstein_component(1, 0) == (9, False, False)
         with redirect_stdout(io.StringIO()) as out:
             assert cli.main(["verify", "cgshape", "--max-sym", "1", "--max-twist", "0"]) == 1
