@@ -28,21 +28,24 @@ reference the tests compare this against.  The matrix is returned as
 :func:`depthforge.exactla.certify_kernel` and the tests' ``rref`` oracle take.
 
 :func:`relation_kernel` solves for the kernel on m+1 rows only, the words
-``e1 e0^b e1 e0^(2m-b)`` with b >= m.  A depth-2 Lie element is determined
-by its coefficients at y0 = 0, which are exactly the 2m+1 words that begin
-with ``e1`` (a = 0) (Brown, *Depth-graded motivic multiple zeta values*,
-arXiv:1301.3053), and the rows of ``e1 e0^b e1 e0^(2m-b)`` and
-``e1 e0^(2m-b) e1 e0^b`` are equal or opposite (the tests check m <= 40),
-so the m+1 rows with b >= m carry the whole kernel.  The code relies on
-neither fact.  Reversing a word,
-``e0^a e1 e0^b e1 e0^c -> e0^c e1 e0^b e1 e0^a``, negates its row: that is
-checked on every row by comparing tuples, with no products, and then
-``M v = 0`` is checked in integers on the rows with a < c only.  A vector
-kills a row exactly when it kills its negative, and a row with a = c is its
-own negative, hence zero, so the two checks prove ``M v = 0`` on every row
-of the full matrix.  Dropping rows can only enlarge a kernel, so a passing
-certificate proves the two kernels equal, and since the canonical basis
-depends only on the kernel, it is the basis the full matrix would give.
+``e1 e0^b e1 e0^(2m-b)`` with b >= m, and certifies it on the full matrix
+with no theorem assumed.  Read e0^a e1 e0^b e1 e0^c as y0^a y1^b y2^c.
+Every bracket column G is translation invariant, (d0 + d1 + d2) G = 0
+(Brown, *Depth-graded motivic multiple zeta values*, arXiv:1301.3053,
+section 6); on the coefficients, for all a + b + c = 2m - 1,
+
+    (a+1) G[a+1][b] + (b+1) G[a][b+1] + (c+1) G[a][b] = 0,
+
+which is checked in integers on every cell of every column.  A translation
+invariant H satisfies H(y0, y1, y2) = H(0, y1 - y0, y2 - y0), so
+H = sum_c v_c G_c vanishes once its coefficients with a = 0 do, and
+``M v = 0`` is checked in integers on those 2m+1 rows, the words that begin
+with ``e1``: the two checks prove ``M v = 0`` on every row.  The rows of
+``e1 e0^b e1 e0^(2m-b)`` and ``e1 e0^(2m-b) e1 e0^b`` are equal or opposite
+(the tests check m <= 40), which is why the m+1 rows carry the whole kernel.
+Dropping rows can only enlarge a kernel, so a passing certificate proves the
+two kernels equal, and since the canonical basis depends only on the kernel,
+it is the basis the full matrix would give.
 
 Writing the brackets as the columns of a matrix, a rational vector (a_ij)
 over ``candidate_pairs(m)`` gives a relation
@@ -65,7 +68,6 @@ between, and a ``True`` trusts neither solver.
 from __future__ import annotations
 
 from math import comb
-from operator import add
 
 from . import periodpoly
 from .exactla import QMatrix, Vector, certify_kernel, kernel_basis
@@ -119,6 +121,13 @@ def _depth2_bracket(i: int, j: int) -> list[list[int]]:
     return out
 
 
+def _bracket_columns(m: int) -> list[list[list[int]]]:
+    """The :func:`_depth2_bracket` square of every pair in ``candidate_pairs(m)``, in order."""
+    if m < 2:
+        raise ValueError("bracket matrix needs m >= 2, got %r" % (m,))
+    return [_depth2_bracket(i, j) for i, j in candidate_pairs(m)]
+
+
 def bracket_matrix(m: int) -> tuple[list[tuple[int, ...]], int]:
     """The depth-2 bracket matrix at weight 2m+2, as integer rows and a column count.
 
@@ -127,9 +136,7 @@ def bracket_matrix(m: int) -> tuple[list[tuple[int, ...]], int]:
     the depth-2 component of the Ihara bracket {f_{2i+1}, f_{2j+1}},
     computed in closed form (see the module docstring).
     """
-    if m < 2:
-        raise ValueError("bracket matrix needs m >= 2, got %r" % (m,))
-    columns = [_depth2_bracket(i, j) for i, j in candidate_pairs(m)]
+    columns = _bracket_columns(m)
     # each row is built at its final length (see exactla.kernel_basis on resized tuples)
     rows = [tuple([col[a][b] for col in columns]) for a, b in _depth2_indices(2 * m + 2)]
     return rows, len(columns)
@@ -138,37 +145,28 @@ def bracket_matrix(m: int) -> tuple[list[tuple[int, ...]], int]:
 def relation_kernel(m: int) -> list[Vector]:
     """Canonical kernel basis of :func:`bracket_matrix`, over ``candidate_pairs(m)``.
 
-    Solved on the m+1 rows ``e1 e0^b e1 e0^(2m-b)`` with b >= m and certified
-    on every row of the full matrix (see the module docstring); a failed check
-    raises ``AssertionError`` naming a row of the full matrix.
+    Solved on the m+1 rows ``e1 e0^b e1 e0^(2m-b)`` with b >= m and proved on
+    the full matrix by translation invariance (see the module docstring); a
+    failed check raises ``AssertionError`` naming the column's pair (i, j) and
+    cell (a, b), or the row among the 2m+1 with a = 0 (b = 2m first).
     """
-    rows, cols = bracket_matrix(m)
-    basis = kernel_basis(QMatrix(rows[-(2 * m + 1) : -m], cols=cols))
-    certify_kernel(rows, cols, basis, _reversal_half(m, rows))
-    return basis
-
-
-def _reversal_half(m: int, rows: list[tuple[int, ...]]) -> list[int]:
-    """Indices of the bracket rows with a < c, once reversal is seen to negate every row.
-
-    Row (a, b) sits at index T(2m - a) + c, with T(k) = k(k+1)/2 and
-    c = 2m - a - b (:func:`_depth2_indices`), so its reversal (c, b) sits at
-    T(2m - c) + a.  Raises ``AssertionError`` naming the (a, b) of the first
-    pair whose rows are not opposite.
-    """
+    columns = _bracket_columns(m)
     n = 2 * m
-    half = []
-    for i, (a, b) in enumerate(_depth2_indices(n + 2)):
-        c = n - a - b
-        if a > c:
-            continue
-        if any(map(add, rows[i], rows[(n - c) * (n - c + 1) // 2 + a])):
-            raise AssertionError(
-                "the bracket row of (a, b) = (%d, %d) is not minus the row of its reversal (%d, %d)" % (a, b, c, b)
-            )
-        if a < c:
-            half.append(i)
-    return half
+    for (i, j), g in zip(candidate_pairs(m), columns):
+        # cell (a, b) is checked against the cells (a+1, b) and (a, b+1) after it,
+        # so a wrong cell with c >= 1 is the first one named
+        for a in range(n - 1, -1, -1):
+            row, up = g[a], g[a + 1]
+            for b in range(n - 1 - a, -1, -1):
+                if (a + 1) * up[b] + (b + 1) * row[b + 1] + (n - a - b) * row[b]:
+                    raise AssertionError(
+                        "the bracket column of (i, j) = (%d, %d) is not translation invariant at (a, b) = (%d, %d)"
+                        % (i, j, a, b)
+                    )
+    rows = [tuple([col[0][b] for col in columns]) for b in range(n, -1, -1)]
+    basis = kernel_basis(QMatrix(rows[: m + 1], cols=len(columns)))
+    certify_kernel(rows, len(columns), basis)
+    return basis
 
 
 class BrownReport:

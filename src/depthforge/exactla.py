@@ -194,26 +194,18 @@ def kernel_basis(m: QMatrix) -> list[Vector]:
     return basis
 
 
-def certify_kernel(
-    rows: Sequence[Sequence[int]],
-    cols: int,
-    basis: Sequence[Sequence[Fraction]],
-    checked: Sequence[int] | None = None,
-) -> None:
-    """Raise ``AssertionError`` unless ``row . v == 0`` for every checked row and every ``v`` in ``basis``.
+def certify_kernel(rows: Sequence[Sequence[int]], cols: int, basis: Sequence[Sequence[Fraction]]) -> None:
+    """Raise ``AssertionError`` unless ``row . v == 0`` for every row in ``rows`` and every ``v`` in ``basis``.
 
-    ``rows`` are the integer rows of a matrix with ``cols`` columns, and
-    ``checked`` the indices of the rows to multiply out (all rows if omitted);
-    a failure names the row by its index in ``rows``.  Each vector is scaled
-    by the lcm of its denominators, which does not change whether a product
-    is zero, so every product is taken in integers.
+    ``rows`` are the integer rows of a matrix with ``cols`` columns; a
+    failure names the row by its index within ``rows``.  Each vector is
+    scaled by the lcm of its denominators, which does not change whether a
+    product is zero, so every product is taken in integers.
     """
     if not basis:
         return
     if any(len(v) != cols for v in basis):
         raise AssertionError("a kernel vector's length differs from cols %d" % cols)
-    if checked is None:
-        checked = range(len(rows))
     vectors = []
     for v in basis:
         scale = lcm(*[x.denominator for x in v])
@@ -221,9 +213,9 @@ def certify_kernel(
     # Pack the vectors side by side, ``bits`` apart, into one integer per
     # column: row . packed is sum_k (row . v_k) 2^(k bits), and as every
     # |row . v_k| < 2^(bits-1), it is zero only if every row . v_k is.
-    biggest = max(map(abs, chain.from_iterable(map(rows.__getitem__, checked))), default=0)
+    biggest = max(map(abs, chain.from_iterable(rows)), default=0)
     bits = (biggest * max(sum(map(abs, v)) for v in vectors)).bit_length() + 1
     packed = [sum(v[c] << (k * bits) for k, v in enumerate(vectors)) for c in range(cols)]
-    failed = next((i for i in checked if sum(map(mul, rows[i], packed))), None)
+    failed = next((i for i, row in enumerate(rows) if sum(map(mul, row, packed))), None)
     if failed is not None:
         raise AssertionError("the kernel basis fails row %d of the matrix" % failed)

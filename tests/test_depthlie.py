@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -37,11 +38,6 @@ def oracle_bracket_rows(m):
         br = ihara_bracket(sigma_leading(i), sigma_leading(j)).depth_component(2)
         columns.append([br.coefficient(w) for w in words])
     return [tuple(col[r] for col in columns) for r in range(len(words))]
-
-
-def a_below_c(word):
-    # e0^a e1 e0^b e1 e0^c with a < c: the rows whose certificate products are taken
-    return word.index("1") < len(word) - 1 - word.rindex("1")
 
 
 class TestSigmaLeading:
@@ -118,8 +114,9 @@ class TestBracketMatrix:
                 assert row == twin or row == tuple(-x for x in twin), "m=%d" % m
 
     def test_m_below_two_rejected(self):
-        with pytest.raises(ValueError):
-            bracket_matrix(1)
+        for call, m in ((bracket_matrix, 1), (relation_kernel, 1), (relation_kernel, 0)):
+            with pytest.raises(ValueError):
+                call(m)
 
 
 class TestRelationKernel:
@@ -145,35 +142,50 @@ class TestRelationKernel:
         with pytest.raises(AssertionError):
             relation_kernel(5)
 
-    @pytest.mark.parametrize("a, b", [(3, 1), (6, 1), (2, 6), (0, 10), (10, 0)])
-    def test_broken_reversal_pairing_is_named(self, monkeypatch, a, b):
-        rows, cols = bracket_matrix(5)
-        r = depth2_word_basis(12).index("0" * a + "1" + "0" * b + "1" + "0" * (10 - a - b))
-        rows[r] = (rows[r][0] + 1,) + rows[r][1:]
-        monkeypatch.setattr(depthlie, "bracket_matrix", lambda m: (rows, cols))
-        with pytest.raises(AssertionError, match=r"\(%d, %d\)" % (a, b)):
-            relation_kernel(5)
+    @staticmethod
+    def perturbed_columns(monkeypatch, m):
+        # relation_kernel reads these squares; the caller changes one cell of them
+        columns = depthlie._bracket_columns(m)
+        monkeypatch.setattr(depthlie, "_bracket_columns", lambda _: columns)
+        return columns
 
-    def test_certificate_failure_names_a_full_matrix_row(self, monkeypatch):
+    # cells with c >= 1, so each is the first cell its defect reaches (see relation_kernel)
+    @pytest.mark.parametrize(
+        "m, col, a, b",
+        [(5, 0, 3, 1), (5, 1, 6, 2), (5, 0, 1, 8), (5, 1, 0, 4), (5, 0, 0, 0), (12, 4, 0, 23), (12, 2, 9, 7)],
+    )
+    def test_broken_translation_invariance_is_named(self, monkeypatch, m, col, a, b):
+        columns = self.perturbed_columns(monkeypatch, m)
+        columns[col][a][b] += 1
+        i, j = candidate_pairs(m)[col]
+        with pytest.raises(AssertionError, match=r"\(i, j\) = \(%d, %d\) .* \(a, b\) = \(%d, %d\)$" % (i, j, a, b)):
+            relation_kernel(m)
+
+    @pytest.mark.parametrize("m", [5, 12, 30])
+    def test_every_single_cell_perturbation_is_caught(self, monkeypatch, m):
+        columns = self.perturbed_columns(monkeypatch, m)
+        rng = random.Random(2700 + m)
+        for _ in range(200):
+            col, a = rng.randrange(len(columns)), rng.randrange(2 * m + 1)
+            b, delta = rng.randrange(2 * m + 1 - a), rng.choice([-1, 1]) * rng.randint(1, 2**40)
+            columns[col][a][b] += delta
+            i, j = candidate_pairs(m)[col]
+            with pytest.raises(AssertionError, match=r"\(i, j\) = \(%d, %d\) " % (i, j)):
+                relation_kernel(m)
+            columns[col][a][b] -= delta
+        assert relation_kernel(m) == rref_kernel(*bracket_matrix(m))
+
+    def test_certificate_failure_names_an_e1_row(self, monkeypatch):
         m = 11
         good = relation_kernel(m)[0]
         bad = good[:-1] + (good[-1] + 1,)
         monkeypatch.setattr(depthlie, "kernel_basis", lambda matrix: [bad])
         rows, _ = bracket_matrix(m)
-        words = depth2_word_basis(2 * m + 2)
-        # the first checked row that bad fails is named
-        checked = [r for r, w in enumerate(words) if a_below_c(w)]
-        first = next(r for r in checked if sum(x * y for x, y in zip(rows[r], bad)))
-        assert checked.index(first) != first  # an index into the checked rows would read differently
+        e1_rows = rows[-(2 * m + 1) :]  # b = 2m, ..., 0
+        first = next(r for r, row in enumerate(e1_rows) if sum(x * y for x, y in zip(row, bad)))
+        assert first != len(rows) - len(e1_rows) + first  # an index into the full matrix would read differently
         with pytest.raises(AssertionError, match="fails row %d of the matrix$" % first):
             relation_kernel(m)
-
-    def test_checked_half_is_the_rows_with_a_below_c(self):
-        for m in range(2, 31):
-            rows, _ = bracket_matrix(m)
-            words = depth2_word_basis(2 * m + 2)
-            expected = [r for r, w in enumerate(words) if a_below_c(w)]
-            assert depthlie._reversal_half(m, rows) == expected, "m=%d" % m
 
     @pytest.mark.parametrize("m", range(2, 9))
     def test_kernel_annihilates_matrix(self, m):

@@ -190,13 +190,6 @@ class TestKernel:
         with pytest.raises(AssertionError, match=r"fails row 2 of"):
             certify_kernel(self.CHAIN, 4, [good, bad])
 
-    def test_certify_checks_only_the_given_rows_and_names_them_in_full(self):
-        bad = (F(2), F(1), F(1), F(1))  # fails row 0 only
-        certify_kernel(self.CHAIN, 4, [bad], checked=[1, 2])
-        wrong_last = (F(1), F(1), F(1), F(2))  # fails row 2 only
-        with pytest.raises(AssertionError, match=r"fails row 2 of"):
-            certify_kernel(self.CHAIN, 4, [wrong_last], checked=[2])
-
     def test_canonical_form_free_coordinates(self):
         # each kernel vector has a 1 in "its" free column and 0 in the others
         m = QMatrix([[1, 2, 0, 3], [0, 0, 1, -1]])
