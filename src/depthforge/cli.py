@@ -42,7 +42,7 @@ from fractions import Fraction
 DEFAULT_MIN_WEIGHT = 6
 DEFAULT_MAX_WEIGHT = 30
 # the weight of verify brown --weight|--max-weight, period basis --weight and
-# depth matrix|relations (as 2m+2 from --m).  At 200: verify brown 0.8 s and 70 MB,
+# depth matrix|relations (as 2m+2 from --m).  At 200: verify brown 0.6-0.65 s and 70 MB,
 # depth matrix 1.5-1.7 s and 281 MB for a 50 MB report, period basis 0.3 s; a
 # verify brown batch runs each even weight, 230 s for 6..200
 MAX_DEPTH2_WEIGHT = 200
