@@ -37,12 +37,11 @@ import io
 import json
 import math
 import sys
-from fractions import Fraction
 
 DEFAULT_MIN_WEIGHT = 6
 DEFAULT_MAX_WEIGHT = 30
 # the weight of verify brown --weight|--max-weight, period basis --weight and
-# depth matrix|relations (as 2m+2 from --m).  At 200: verify brown 0.6-0.65 s and 70 MB,
+# depth matrix|relations (as 2m+2 from --m).  At 200: verify brown 0.65-0.72 s and 21 MB,
 # depth matrix 1.5-1.7 s and 281 MB for a 50 MB report, period basis 0.3 s; a
 # verify brown batch runs each even weight, 230 s for 6..200
 MAX_DEPTH2_WEIGHT = 200
@@ -56,7 +55,7 @@ MAX_PERIOD_HEIGHT_BITS = 24000
 # verify bernsum checks all of GL2(F_p), about p^4 matrices (892,800 at p = 31),
 # through its p^2 - 1 bottom rows, each three sums of about p^2 residue counts,
 # so time grows as p^4 and memory does not: at p = 31, 0.24 s at k = 2 and
-# 1.8-1.9 s at k = 1998, the cap MAX_BERNOULLI_N sets on k
+# 1.7-1.85 s at k = 1998, the cap MAX_BERNOULLI_N sets on k
 MAX_BERNSUM_P = 31
 # B_n fills the cache with B_0..B_n from one O(n^2) big-int triangle (0.9-1.2 s
 # cold at n = 2000; 4.4 s at 3000), and str() refuses numerators of more than
@@ -65,7 +64,7 @@ MAX_BERNSUM_P = 31
 MAX_BERNOULLI_N = 2000
 # delta_qexp(20000) takes 0.5-0.7 s, and E_2000 to 20000 terms 2.4 s from one
 # divisor sieve (9.4 s with a trial division per coefficient); verify eigen
-# --weight 2000 --p 2 --prec 20000 takes 5.0-5.2 s and 110 MB (10.3-10.7 s and
+# --weight 2000 --p 2 --prec 20000 takes 3.2-3.4 s and 110 MB (10.3-10.7 s and
 # 101 MB by trial division).  The cap also bounds eis factor's derived
 # precision max(2p + 2, 16)
 MAX_QEXP_PREC = 20000
@@ -172,11 +171,11 @@ def _check_printed(args, flags: str, values) -> None:
         raise _too_long(args, flags)
 
 
-def _height(x: Fraction) -> int:
+def _height(x: "Fraction") -> int:
     return max(abs(x.numerator), x.denominator)
 
 
-def _bern_point(args, flag: str, text: str) -> Fraction:
+def _bern_point(args, flag: str, text: str) -> "Fraction":
     """``text`` parsed, refused when (n + 1) times its height's bits passes the cap."""
     from .exactla import parse_rational
     x = parse_rational(text)
@@ -278,7 +277,7 @@ def _cmd_verify_eigen(args):
     from . import eisenstein
     _, series = _series(args, False, args.prec, args.p, args.p)  # 1 + p^(w-1) is printed
     eigenvalue = eisenstein.hecke_eigenvalue(series, args.p)
-    expected = Fraction(1 + args.p ** (args.weight - 1))
+    expected = 1 + args.p ** (args.weight - 1)
     _check_printed(args, "--weight %d" % args.weight, [eigenvalue, expected])
     case = {
         "weight": args.weight,

@@ -68,6 +68,7 @@ between, and a ``True`` trusts neither solver.
 from __future__ import annotations
 
 from math import comb
+from typing import Iterator
 
 from . import periodpoly
 from .exactla import QMatrix, Vector, certify_kernel, kernel_basis
@@ -99,7 +100,7 @@ def depth2_word_basis(weight: int) -> list[str]:
 
 
 def _depth2_bracket(i: int, j: int) -> list[list[int]]:
-    """{f_{2i+1}, f_{2j+1}} as ``out[a][b]``, the coefficient of e0^a e1 e0^b e1 e0^c.
+    """{f_{2i+1}, f_{2j+1}} as the triangle ``out[a][b]``, a + b <= 2(i+j), the coefficient of e0^a e1 e0^b e1 e0^c.
 
     X = f_{2i+1} has x_a = (-1)^a C(2i, a) on e0^a e1 e0^(2i-a), Y likewise;
     each comment names the term of a(X)Y or of a(Y)X (which enters with a
@@ -107,7 +108,7 @@ def _depth2_bracket(i: int, j: int) -> list[list[int]]:
     """
     n, k = 2 * i, 2 * j
     y = [(-1) ** b * comb(k, b) for b in range(k + 1)]
-    out = [[0] * (n + k + 1) for _ in range(n + k + 1)]
+    out = [[0] * (n + k + 1 - a) for a in range(n + k + 1)]
     for a in range(n + 1):
         xa = (-1) ** a * comb(n, a)
         for b, yb in enumerate(y):
@@ -121,11 +122,11 @@ def _depth2_bracket(i: int, j: int) -> list[list[int]]:
     return out
 
 
-def _bracket_columns(m: int) -> list[list[list[int]]]:
-    """The :func:`_depth2_bracket` square of every pair in ``candidate_pairs(m)``, in order."""
+def _bracket_columns(m: int) -> Iterator[list[list[int]]]:
+    """The :func:`_depth2_bracket` triangle of every pair in ``candidate_pairs(m)``, in order, one at a time."""
     if m < 2:
         raise ValueError("bracket matrix needs m >= 2, got %r" % (m,))
-    return [_depth2_bracket(i, j) for i, j in candidate_pairs(m)]
+    return (_depth2_bracket(i, j) for i, j in candidate_pairs(m))  # not a generator function: m is checked here
 
 
 def bracket_matrix(m: int) -> tuple[list[tuple[int, ...]], int]:
@@ -136,7 +137,7 @@ def bracket_matrix(m: int) -> tuple[list[tuple[int, ...]], int]:
     the depth-2 component of the Ihara bracket {f_{2i+1}, f_{2j+1}},
     computed in closed form (see the module docstring).
     """
-    columns = _bracket_columns(m)
+    columns = list(_bracket_columns(m))
     # each row is built at its final length (see exactla.kernel_basis on resized tuples)
     rows = [tuple([col[a][b] for col in columns]) for a, b in _depth2_indices(2 * m + 2)]
     return rows, len(columns)
@@ -150,9 +151,9 @@ def relation_kernel(m: int) -> list[Vector]:
     failed check raises ``AssertionError`` naming the column's pair (i, j) and
     cell (a, b), or the row among the 2m+1 with a = 0 (b = 2m first).
     """
-    columns = _bracket_columns(m)
+    firsts = []  # each column's row a = 0; the rest of it is dropped once checked
     n = 2 * m
-    for (i, j), g in zip(candidate_pairs(m), columns):
+    for (i, j), g in zip(candidate_pairs(m), _bracket_columns(m)):
         # cell (a, b) is checked against the cells (a+1, b) and (a, b+1) after it,
         # so a wrong cell with c >= 1 is the first one named
         for a in range(n - 1, -1, -1):
@@ -163,9 +164,10 @@ def relation_kernel(m: int) -> list[Vector]:
                         "the bracket column of (i, j) = (%d, %d) is not translation invariant at (a, b) = (%d, %d)"
                         % (i, j, a, b)
                     )
-    rows = [tuple([col[0][b] for col in columns]) for b in range(n, -1, -1)]
-    basis = kernel_basis(QMatrix(rows[: m + 1], cols=len(columns)))
-    certify_kernel(rows, len(columns), basis)
+        firsts.append(g[0])
+    rows = [tuple([first[b] for first in firsts]) for b in range(n, -1, -1)]
+    basis = kernel_basis(QMatrix(rows[: m + 1], cols=len(firsts)))
+    certify_kernel(rows, len(firsts), basis)
     return basis
 
 

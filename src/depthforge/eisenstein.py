@@ -31,8 +31,8 @@ Three layers live here because they share the Bernoulli substrate:
   (alpha, beta) by the residue of alpha c + beta d, then takes one dot
   product of those counts with the integer Horner values of B_{k+2}(t/p) on
   their least common denominator; the first two members of the chain are
-  compared as those integers, and only the first is divided by the
-  denominator, once per row, to meet the line sum.  The chain balances when
+  compared as those integers, and the last, once per entry value, is brought
+  to their scale to meet the first as an integer.  The chain balances when
   the line sum reads entry d; ``entry`` is a parameter so both variants can
   be exercised (the c-variant fails, e.g. at the identity matrix).
 
@@ -247,8 +247,8 @@ def check_bernoulli_sum_chain(k: int, p: int, entry: str = "d") -> ChainCheck:
     # later matrix.  Each of the three sums counts its own pairs by the residue
     # t of alpha c + beta d, in small ints, and meets ival in one dot product.
     # The line sum reads only the entry e of the row, so the right-hand side is
-    # formed once per e.  The first two members share prefactor and scale, so
-    # they are compared as integers.
+    # formed once per e and brought to the scale of the sums; the first two
+    # members share prefactor and scale, so they are compared as integers.
     def dot(residues: list[int]) -> int:
         return sum(ival[t] * n for t, n in Counter(residues).items())
 
@@ -263,11 +263,11 @@ def check_bernoulli_sum_chain(k: int, p: int, entry: str = "d") -> ChainCheck:
         if (c, d) not in holds:
             e = c if entry == "c" else d
             if e not in rhs:
-                rhs[e] = constant + phi_line_sum(k, p, g, entry)
+                rhs[e] = (constant + phi_line_sum(k, p, g, entry)) * scale / prefactor
             restricted = dot([(alpha * c + beta * d) % p for alpha in range(1, p) for beta in range(p)])
             full = dot([(alpha * c + beta * d) % p for alpha in range(p) for beta in range(p)])
             zero_slice = dot([beta * d % p for beta in range(p)])
-            holds[c, d] = restricted == full - zero_slice and prefactor * Fraction(restricted, scale) == rhs[e]
+            holds[c, d] = restricted == full - zero_slice and restricted == rhs[e]
         if not holds[c, d]:
             return ChainCheck(False, checked, first_failure=g)
         if len(holds) == p * p - 1:
@@ -279,13 +279,13 @@ def check_bernoulli_sum_chain(k: int, p: int, entry: str = "d") -> ChainCheck:
 
 
 class QExpansion:
-    """Truncated q-series a_0 + a_1 q + ... + a_{prec-1} q^(prec-1), prec = len(coeffs)."""
+    """Truncated q-series sum a_n q^n, n < prec = len(coeffs), each a_n kept as the int or Fraction given."""
 
     __slots__ = ("weight", "prec", "coeffs")
 
-    def __init__(self, weight: int, coeffs: Iterable[Fraction]):
+    def __init__(self, weight: int, coeffs: Iterable[int | Fraction]):
         self.weight = weight
-        self.coeffs = tuple(as_fraction(c) for c in coeffs)
+        self.coeffs = tuple(c if type(c) is int else as_fraction(c) for c in coeffs)
         self.prec = len(self.coeffs)
 
     def __eq__(self, other) -> bool:
@@ -352,8 +352,7 @@ def delta_qexp(prec: int) -> QExpansion:
         k += 1
     for _ in range(3):
         series = _kronecker_square(series)[:n_terms]
-    coeffs = [Fraction(0)] + [Fraction(c) for c in series]
-    return QExpansion(12, coeffs)
+    return QExpansion(12, [0] + series)
 
 
 def check_tp_prime(p: int, prec: int) -> None:
@@ -393,8 +392,8 @@ def hecke_tp(f: QExpansion, p: int) -> QExpansion:
     return QExpansion(f.weight, coeffs)
 
 
-def hecke_eigenvalue(f: QExpansion, p: int) -> Fraction:
-    """The T_p-eigenvalue a_p of a normalized (a_1 = 1) eigenform.
+def hecke_eigenvalue(f: QExpansion, p: int) -> int | Fraction:
+    """The T_p-eigenvalue a_p of a normalized (a_1 = 1) eigenform, as f holds it.
 
     T_p f is compared with a_p f on each of its prec // p coefficients.
     Raises ValueError if :func:`hecke_tp` refuses (p is not prime, or
@@ -414,11 +413,11 @@ def hecke_eigenvalue(f: QExpansion, p: int) -> Fraction:
 
 
 class HeckeFactorResult:
-    """The scalar 1 - a_p + p^(w-1) with the Weil-bound side check."""
+    """The scalar 1 - a_p + p^(w-1) with the Weil-bound side check, ints for an int a_p."""
 
     __slots__ = ("eigenvalue", "value", "weil_ok")
 
-    def __init__(self, eigenvalue: Fraction, value: Fraction, weil_ok: bool | None):
+    def __init__(self, eigenvalue: int | Fraction, value: int | Fraction, weil_ok: bool | None):
         self.eigenvalue = eigenvalue
         self.value = value
         self.weil_ok = weil_ok  # None when the Weil bound does not apply (a_0 != 0)

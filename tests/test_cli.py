@@ -868,7 +868,7 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     assert proc.returncode == 0, proc.stderr
     added = set(proc.stdout.split())
     assert "depthforge.cli" in added
-    assert not added & {"dataclasses", "inspect"}
+    assert not added & {"dataclasses", "inspect", "fractions", "decimal"}
 
 
 def test_import_loads_no_pipeline_module():

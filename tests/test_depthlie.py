@@ -144,8 +144,8 @@ class TestRelationKernel:
 
     @staticmethod
     def perturbed_columns(monkeypatch, m):
-        # relation_kernel reads these squares; the caller changes one cell of them
-        columns = depthlie._bracket_columns(m)
+        # relation_kernel reads these triangles; the caller changes one cell of them
+        columns = list(depthlie._bracket_columns(m))
         monkeypatch.setattr(depthlie, "_bracket_columns", lambda _: columns)
         return columns
 

@@ -420,6 +420,21 @@ class TestQExpansion:
         assert obj == {"weight": 12, "prec": 3, "coeffs": ["691/32760", "1", "2049"]}
         assert QExpansion(obj["weight"], map(Fraction, obj["coeffs"])) == f
 
+    def test_integer_coefficients_stay_ints(self):
+        # every a_n of Delta and every a_n, n >= 1, of E_w is an integer, and is held as an int
+        assert all(type(c) is int for c in delta_qexp(60).coeffs)
+        for w in (4, 12, 24):
+            e = eisenstein_qexp(w, 40)
+            assert type(e.coeffs[0]) is Fraction
+            assert all(type(c) is int for c in e.coeffs[1:])
+        d, e12 = delta_qexp(60), eisenstein_qexp(12, 40)
+        for f, p, lam in ((d, 2, -24), (d, 3, 252), (e12, 2, 2049)):
+            value = hecke_eigenvalue(f, p)
+            assert type(value) is int and value == lam
+        t2 = hecke_tp(e12, 2)
+        assert type(t2.coeffs[0]) is Fraction and t2.coeffs[0] == 2049 * e12.coeffs[0]
+        assert all(type(c) is int for c in t2.coeffs[1:])
+
     def test_equality_compares_every_field(self):
         f = QExpansion(12, (0, 1))
         assert f == QExpansion(12, (Fraction(0), Fraction(1)))
@@ -572,7 +587,7 @@ class TestHecke:
 
     def test_eigenvalue_rejects_non_eigenform(self):
         pairs = zip(eisenstein_qexp(12, 40).coeffs, delta_qexp(40).coeffs)
-        mix = QExpansion(12, [(e + d) / 2 for e, d in pairs])
+        mix = QExpansion(12, [Fraction(e + d, 2) for e, d in pairs])
         assert mix.coeffs[1] == 1
         with pytest.raises(ValueError):
             hecke_eigenvalue(mix, 2)
