@@ -69,12 +69,13 @@ MAX_BERNOULLI_N = 2000
 # precision max(2p + 2, 16)
 MAX_QEXP_PREC = 20000
 # bern dist evaluates B_n(X), n + 1 terms, at m points, and each term grows
-# with n: m (n + 1) = 200,000 took 2.5 s at n = 2, 10 s at n = 20 and 12 s at
-# n = 2000, so m is capped at MAX_BERN_DIST_TERMS // (n + 1)
+# with n, so m is capped at MAX_BERN_DIST_TERMS // (n + 1).  At the cap the
+# command takes 0.23-0.28 s at n = 2 and at n = 20, and 1.1-1.3 s at n = 2000,
+# most of it building B_2000
 MAX_BERN_DIST_TERMS = 100000
 # Horner's rule on B_n at a rational of height h meets about n log2(h) bits:
-# bern dist at its --m cap took 2.8-5.6 s at (n + 1) bits(h) = 8000, n = 0..600, and
-# 11 s at 16,800 (n = 20); --x 1/(1000 sevens) at n = 2000 ran past 30 s
+# bern dist at its --m cap took 0.3-0.35 s at (n + 1) bits(h) = 8000, n = 0..600;
+# --x 1/(1000 sevens) at n = 2000 ran past 30 s
 MAX_BERN_POINT_BITS = 8000
 # verify cgshape decomposes (s + 1)^2 (t + 1)^2 products of about s components
 # each: 0.34-0.38 s at --max-sym 30 --max-twist 8 and 0.49-0.50 s at both caps

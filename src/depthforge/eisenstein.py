@@ -165,12 +165,22 @@ def bernoulli_poly_eval(n: int, x) -> Fraction:
 
 
 def distribution_check(n: int, m: int, x) -> bool:
-    """Verify sum_{a=0}^{m-1} B_n(x + a/m) = m^(1-n) B_n(m x) exactly."""
+    """Verify sum_{a=0}^{m-1} B_n(x + a/m) = m^(1-n) B_n(m x) exactly.
+
+    With x = u/v, the m points (u m + a v) / (v m) share one denominator, so
+    one :func:`_bern_horner` pass gives the left side as an integer sum over
+    one denominator, and a second gives B_n(m u / v); the two sides are
+    compared as integers, multiplied out.
+    """
     if m < 1:
         raise ValueError("m must be >= 1")
     t = as_fraction(x)
-    lhs = sum(bernoulli_poly_eval(n, t + Fraction(a, m)) for a in range(m))
-    rhs = Fraction(m) ** (1 - n) * bernoulli_poly_eval(n, m * t)
+    u, v = t.numerator, t.denominator
+    values, lhs_denominator = _bern_horner(n, v * m, (u * m + a * v for a in range(m)))
+    (value,), rhs_denominator = _bern_horner(n, v, [m * u])
+    # sum(values) / lhs_denominator = m^(1-n) value / rhs_denominator, multiplied out
+    lhs = sum(values) * rhs_denominator * m ** max(n - 1, 0)
+    rhs = value * lhs_denominator * m ** max(1 - n, 0)
     return lhs == rhs
 
 
@@ -203,7 +213,11 @@ def phi_line_sum(k: int, p: int, g: Mat, entry: str) -> Fraction:
         raise ValueError("p must be prime, got %r" % (p,))
     _check_phi_args(k, p, g)
     e = g[2] if entry == "c" else g[3]
-    total = sum(bernoulli_poly_eval(k + 2, Fraction((alpha * e) % p, p)) for alpha in range(p))
+    # the cached values, summed as integers over their lcm denominator: a Fraction
+    # sum would reduce each of the p - 1 partial sums by a gcd
+    values = [bernoulli_poly_eval(k + 2, Fraction((alpha * e) % p, p)) for alpha in range(p)]
+    denominator = lcm(*[b.denominator for b in values])
+    total = Fraction(sum(b.numerator * (denominator // b.denominator) for b in values), denominator)
     return -Fraction(p ** (k + 1), k + 2) * total
 
 

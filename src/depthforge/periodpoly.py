@@ -25,13 +25,21 @@ unknowns.  The code does not rely on these rows sufficing, which the tests
 check at every weight up to 200: the basis is certified against all 2m + 1
 rows, and as dropping rows can only enlarge a kernel, a passing certificate
 proves it is the kernel of the full system.
+
+The solver writes each candidate's image straight from its closed form
+(:func:`_period_columns`): for the candidate (i, j), the coefficient of
+``x^(2m-b) y^b`` is ``(-1)^b (C(2i, b) - C(2j, b) - C(2i, 2m-b) +
+C(2j, 2m-b)) + [b = 2j] - [b = 2i]``.
+
 :func:`is_period_poly` reads the first three identities off the
 coefficients (no monomial ``x^a y^0``, no odd exponent, ``c(b,a) = -c(a,b)``).
-The three-term relation is expanded in integer binomial sums by
-:func:`_three_term`, one expansion shared by the check, which feeds it the
-coefficients times the lcm of their denominators, and the solver, which
-feeds it each candidate with coefficients 1 and -1; it returns the sums as
-a list indexed by the power of y, whose entries are the solver's rows.
+It expands the three-term relation in integer binomial sums by
+:func:`_three_term`, fed the coefficients times the lcm of their
+denominators; on a candidate, the expansion gives the closed form above,
+which the tests check at every weight up to 200.  The solver and
+:func:`_three_term` read their binomial rows from one Pascal table,
+:func:`_binomial_row`, which keeps the rows of degree up to 200 and builds
+longer ones per call.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
+from operator import add, sub
 from typing import Mapping, Sequence
 
 from .exactla import QMatrix, Vector, _integer_rref, as_fraction, certify_kernel, kernel_basis, parse_rational
@@ -182,8 +190,27 @@ def is_period_poly(f: BivarPoly) -> PeriodCheck:
     return PeriodCheck(True)
 
 
+# The table keeps the rows of degree <= 200, which covers the weight cap of
+# ``verify brown`` and ``period basis`` (degree w - 2 <= 198).  Its 20,301
+# integers take 0.9 MB; a cache of the last 128 rows of any degree would hold
+# the rows of a degree-1000 ``period check`` too, 7.3 MB more peak RSS there.
+_PASCAL_DEGREE = 200
+_PASCAL: list[list[int]] = [[1]]
+
+
 def _binomial_row(a: int) -> list[int]:
-    """C(a, 0), ..., C(a, a): the first half by C(a, i+1) = C(a, i) (a-i) / (i+1), then mirrored."""
+    """C(a, 0), ..., C(a, a); the caller must not change the list.
+
+    Rows of degree up to ``_PASCAL_DEGREE`` are read from one Pascal table,
+    grown on demand by C(a+1, i) = C(a, i-1) + C(a, i) and shared by every
+    call.  A longer row is built per call: the first half by C(a, i+1) =
+    C(a, i) (a-i) / (i+1), then mirrored.
+    """
+    if a <= _PASCAL_DEGREE:
+        while len(_PASCAL) <= a:
+            last = _PASCAL[-1]
+            _PASCAL.append([1, *map(add, last, last[1:]), 1])
+        return _PASCAL[a]
     half = [1]
     for i in range(a // 2):
         half.append(half[-1] * (a - i) // (i + 1))
@@ -199,9 +226,9 @@ def _three_term(n: int, coeffs: Mapping[Monomial, int]) -> list[int]:
     comes from ``c (x-y)^a x^a'`` and the second from ``c (-y)^a (x-y)^a'``.
     With v(e) = c(e, n-e), the first is ``sum v(e) C(e, b)`` and the second
     ``sum v(n-e) C(e, n-b)``, which is minus the first at n - b plus
-    ``sum (v(e) + v(n-e)) C(e, n-b)``.  Both callers pass antisymmetric f,
-    for which every v(e) + v(n-e) is zero, so each binomial row is made once
-    and multiplied once.
+    ``sum (v(e) + v(n-e)) C(e, n-b)``.  :func:`is_period_poly` passes
+    antisymmetric f, for which every v(e) + v(n-e) is zero, so each binomial
+    row is read once and multiplied once.
     """
     v = [0] * (n + 1)
     for (a, _), c in coeffs.items():
@@ -269,22 +296,49 @@ def pair_to_poly(m: int, vector: Sequence[Fraction]) -> BivarPoly:
     return BivarPoly(2 * m, coeffs)
 
 
+def _period_columns(m: int) -> list[list[int]]:
+    """The three-term image of each candidate of ``candidate_pairs(m)``, written out in closed form.
+
+    Entry b of a column is the coefficient of ``x^(n-b) y^b``, n = 2m.  For
+    the candidate (i, j) it is ``(-1)^b (C(2i, b) - C(2j, b) - C(2i, n-b) +
+    C(2j, n-b)) + [b = 2j] - [b = 2i]``, which is what :func:`_three_term`
+    gives for ``{(2i, 2j): 1, (2j, 2i): -1}``.  The part that depends on one
+    exponent 2e, ``(-1)^b (C(2e, b) - C(2e, n-b))``, is made once per e from
+    the Pascal table and shared by the candidates that hold e.
+    """
+    n = 2 * m
+    signed: list[list[int]] = [[]]  # indexed by e; e = 0 is no exponent of a candidate
+    for e in range(1, m):
+        row = _binomial_row(2 * e)
+        pad = [0] * (n - 2 * e)
+        part = list(map(sub, row + pad, pad + row))  # C(2e, n-b) = C(2e, b - (n - 2e)) by symmetry
+        part[1::2] = [-c for c in part[1::2]]
+        signed.append(part)
+    columns = []
+    for i, j in candidate_pairs(m):
+        column = list(map(sub, signed[i], signed[j]))
+        column[2 * j] += 1
+        column[2 * i] -= 1
+        columns.append(column)
+    return columns
+
+
 def period_space(weight: int) -> PeriodSpace:
     """Solve for a basis of the weight-``weight`` period-polynomial space.
 
-    Row b of the matrix is entry b of each candidate's three-term image (see
-    the module docstring).  The kernel is solved on the odd rows b < m and
-    certified on all 2m + 1; the space keeps the canonical kernel vectors,
-    which ``verify_brown_criterion`` compares with its own.
+    Column k of the matrix is the closed-form three-term image of candidate
+    k (see :func:`_period_columns`), so row b holds the coefficient of
+    ``x^(2m-b) y^b`` in every image.  The kernel is solved on the odd rows
+    b < m and certified on all 2m + 1; the space keeps the canonical kernel
+    vectors, which ``verify_brown_criterion`` compares with its own.
     """
     if weight % 2 != 0 or weight < 4:
         raise ValueError("weight must be an even integer >= 4, got %r" % (weight,))
     m = (weight - 2) // 2
-    pairs = candidate_pairs(m)
-    images = [_three_term(2 * m, {(2 * i, 2 * j): 1, (2 * j, 2 * i): -1}) for i, j in pairs]
-    rows = list(zip(*images))  # row b holds entry b of every image
-    basis = kernel_basis(QMatrix(rows[1:m:2], cols=len(pairs)))
-    certify_kernel(rows, len(pairs), basis)
+    columns = _period_columns(m)
+    rows = list(zip(*columns))
+    basis = kernel_basis(QMatrix(rows[1:m:2], cols=len(columns)))
+    certify_kernel(rows, len(columns), basis)
     return PeriodSpace(weight, basis)
 
 

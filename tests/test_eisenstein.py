@@ -262,6 +262,34 @@ class TestFracAndDistribution:
         with pytest.raises(ValueError):
             distribution_check(2, 0, Fraction(0))
 
+    @staticmethod
+    def _fraction_distribution(n, m, x):
+        """Both sides of the relation as Fraction sums of ``fraction_horner`` values."""
+        lhs = sum(fraction_horner(n, x + Fraction(a, m)) for a in range(m))
+        return lhs == Fraction(m) ** (1 - n) * fraction_horner(n, m * x)
+
+    @pytest.mark.parametrize("n", range(31))
+    def test_distribution_equals_the_fraction_sums(self, n):
+        rng = random.Random("distribution %d" % n)
+        points = [Fraction(0), Fraction(3), Fraction(-1, 2), Fraction(2, 7)]
+        points += [Fraction(rng.randint(-60, 60), rng.randint(1, 60)) for _ in range(3)]
+        for m in range(1, 9):
+            for x in points:
+                assert distribution_check(n, m, x) == self._fraction_distribution(n, m, x), (m, x)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 21])
+    def test_distribution_fails_for_a_perturbed_polynomial(self, n, monkeypatch):
+        # B_n + 1 adds m on the left and m^(1-n) on the right, which differ for n >= 1 and m >= 2
+        perturbed = (bernoulli_polynomial(n)[0] + 1,) + bernoulli_polynomial(n)[1:]
+        monkeypatch.setattr(eisenstein, "bernoulli_polynomial", lambda k: perturbed if k == n else bernoulli_polynomial(k))
+        eisenstein._bern_scaled.cache_clear()  # it keeps the scaled coefficients of the last two (n, b)
+        try:
+            for m in (2, 3, 5):
+                for x in (Fraction(0), Fraction(1, 3), Fraction(-7, 4)):
+                    assert distribution_check(n, m, x) is False, (m, x)
+        finally:
+            eisenstein._bern_scaled.cache_clear()
+
 
 # ---------------------------------------------------------------------------
 # GL2 coset functions
@@ -339,6 +367,13 @@ class TestPhiLineSum:
         assert len(nonzero) == 1
         assert len(zero) == 1
         assert nonzero != zero
+
+    @pytest.mark.parametrize("k,p", [(2, 3), (4, 7), (10, 13), (38, 31), (200, 11)])
+    def test_equals_the_fraction_sum(self, k, p):
+        for e in (0, 1, p - 1):
+            g = (1, 0, 0, 1) if e == 0 else (0, 1, e, 0)
+            total = sum(fraction_horner(k + 2, Fraction(alpha * e % p, p)) for alpha in range(p))
+            assert phi_line_sum(k, p, g, "c") == -Fraction(p ** (k + 1), k + 2) * total, e
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 import pytest
 from rref_oracle import rref_kernel
 
-from depthforge.exactla import QMatrix, as_fraction, certify_kernel, kernel_basis, parse_rational, rref
+from depthforge.exactla import QMatrix, _integer_rref, as_fraction, certify_kernel, kernel_basis, parse_rational, rref
 
 
 def F(x):
@@ -235,6 +236,25 @@ class TestKernelOracle:
             basis = kernel_basis(QMatrix(entries, cols=cols))
             assert basis == rref_kernel(entries, cols), (kind, trial, entries)
             assert all(type(x) is Fraction for v in basis for x in v)
+
+    def test_unit_pivots_reduce_as_rref(self):
+        # rows with a leading 1 in each column, mixed by small combinations: most pivots, divided by
+        # their gcd with the entry below, are 1, where _integer_rref skips multiplying the row by them
+        rng = random.Random("unit pivots")
+        for trial in range(300):
+            cols = rng.randint(1, 9)
+            leads = sorted(rng.sample(range(cols), rng.randint(1, cols)))
+            echelon = [[0] * c + [1] + [rng.randint(-4, 4) for _ in range(cols - c - 1)] for c in leads]
+            entries = [[sum(rng.randint(-2, 2) * row[k] for row in echelon) for k in range(cols)] for _ in range(rng.randint(0, 3))]
+            entries += echelon
+            rng.shuffle(entries)
+            reduced, pivots = _integer_rref(entries, cols)
+            oracle, oracle_pivots = rref(entries, cols)
+            assert tuple(pivots) == oracle_pivots, (trial, entries)
+            for row, exact, c in zip(reduced, oracle, pivots):
+                assert [Fraction(x, row[c]) for x in row] == exact, (trial, entries)
+            assert not any(chain.from_iterable(reduced[len(pivots) :]))
+            assert kernel_basis(QMatrix(entries, cols=cols)) == rref_kernel(entries, cols), (trial, entries)
 
 
 def _random_matrix(rng, rows, cols):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from rref_oracle import rref_spans_equal
@@ -177,6 +178,17 @@ class TestPeriodSpace:
                 assert len(image) == n + 1
                 assert all(image[n - b] == -c for b, c in enumerate(image)), (weight, i, j)
 
+    def test_binomial_rows_past_the_table_are_not_kept(self):
+        for a in [*range(0, 206), 999, 1000]:
+            assert periodpoly._binomial_row(a) == [comb(a, i) for i in range(a + 1)], a
+        assert len(periodpoly._PASCAL) == periodpoly._PASCAL_DEGREE + 1
+
+    def test_closed_form_columns_are_the_three_term_images(self):
+        for weight in range(4, 201, 2):
+            m = weight // 2 - 1
+            images = [_three_term(2 * m, {(2 * i, 2 * j): 1, (2 * j, 2 * i): -1}) for i, j in candidate_pairs(m)]
+            assert periodpoly._period_columns(m) == images, weight
+
     def test_wrong_kernel_vector_rejected(self, monkeypatch):
         def perturbed(matrix):
             basis = kernel_basis(matrix)
@@ -188,14 +200,15 @@ class TestPeriodSpace:
 
     @staticmethod
     def _break_row(monkeypatch, row):
-        three_term = periodpoly._three_term
+        period_columns = periodpoly._period_columns
 
-        def broken(n, coeffs):
-            image = three_term(n, coeffs)
-            image[row] += 1
-            return image
+        def broken(m):
+            columns = period_columns(m)
+            for column in columns:
+                column[row] += 1
+            return columns
 
-        monkeypatch.setattr(periodpoly, "_three_term", broken)
+        monkeypatch.setattr(periodpoly, "_period_columns", broken)
 
     def test_certificate_reads_the_rows_past_the_solved_half(self, monkeypatch):
         self._break_row(monkeypatch, 9)  # row b = n - 1 at weight 12, which the solve skips
