@@ -112,7 +112,12 @@ def bernoulli_polynomial(n: int) -> tuple[Fraction, ...]:
     return tuple(comb(n, i) * bernoulli_number(n - i) for i in range(n + 1))
 
 
-@lru_cache(maxsize=2)  # bounded: the bernsum chain reads one n at b = p, and at b = 1 for the point 0
+# Bounded at two keys.  The bernsum chain reads one n at b = p, and at b = 1
+# for the point 0; distribution_check reads one n at b = v m for its m points
+# and at b = v for m x, x = u/v.  Neither runs inside the other, so each call
+# finds its own keys.  The largest table a ``bern dist`` inside its caps leaves
+# behind is n = 2000 at b = 7 * 49: 2001 integers of up to 31 kbit, 2.2 MB.
+@lru_cache(maxsize=2)
 def _bern_scaled(n: int, b: int) -> tuple[tuple[int, ...], int]:
     """The integers N_k b^(n-k), k from n down to 0, and d b^n.
 

@@ -132,10 +132,10 @@ def _integer_rref(rows: Iterable[Sequence], cols: int) -> tuple[list[list[int]],
     Each row is scaled by the lcm of its denominators, then reduced with the
     pivot policy of :func:`rref`: a row with f in the pivot column c of
     pivot row r (p there), both divided by their gcd, becomes ``p row - f
-    row_r`` (``row - f row_r`` when p is 1), divided by its gcd.  Row r is
-    zero left of column c, so one pass over the whole row scales the entries
-    there by p.  The first ``len(pivots)`` rows are their :func:`rref` rows
-    times a nonzero integer, and the rest are zero.
+    row_r``, divided by its gcd.  Row r is zero left of column c, so one
+    pass over the whole row scales the entries there by p.  The first
+    ``len(pivots)`` rows are their :func:`rref` rows times a nonzero
+    integer, and the rest are zero.
     """
     work = []
     for row in rows:
@@ -155,10 +155,7 @@ def _integer_rref(rows: Iterable[Sequence], cols: int) -> tuple[list[list[int]],
             if i != r and row[c]:
                 g = gcd(pivot[c], row[c])
                 p, f = pivot[c] // g, row[c] // g
-                if p == 1:
-                    row = [x - f * y for x, y in zip(row, pivot)]
-                else:
-                    row = [p * x - f * y for x, y in zip(row, pivot)]
+                row = [p * x - f * y for x, y in zip(row, pivot)]
                 g = gcd(*row)
                 work[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)

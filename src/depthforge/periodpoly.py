@@ -194,6 +194,9 @@ def is_period_poly(f: BivarPoly) -> PeriodCheck:
 # ``verify brown`` and ``period basis`` (degree w - 2 <= 198).  Its 20,301
 # integers take 0.9 MB; a cache of the last 128 rows of any degree would hold
 # the rows of a degree-1000 ``period check`` too, 7.3 MB more peak RSS there.
+# A long-lived caller gains from the sharing: with the rows made per call,
+# Pascal's rule in _period_columns and the loop below in _three_term, the
+# benchmark's warm library workload took 5% longer.
 _PASCAL_DEGREE = 200
 _PASCAL: list[list[int]] = [[1]]
 

@@ -239,7 +239,7 @@ class TestKernelOracle:
 
     def test_unit_pivots_reduce_as_rref(self):
         # rows with a leading 1 in each column, mixed by small combinations: most pivots, divided by
-        # their gcd with the entry below, are 1, where _integer_rref skips multiplying the row by them
+        # their gcd with the entry below, are 1, so the row combinations subtract multiples of the pivot row
         rng = random.Random("unit pivots")
         for trial in range(300):
             cols = rng.randint(1, 9)
