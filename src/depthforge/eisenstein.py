@@ -10,8 +10,8 @@ Three layers live here because they share the Bernoulli substrate:
   Brent and Harvey, *Fast computation of Bernoulli, tangent and secant
   numbers* (2011).  No Fraction enters before that last division.  Values
   B_n(a/b) come from an integer Horner pass, :func:`_bern_horner`: the
-  coefficients times the lcm d of their denominators, summed as
-  ``sum N_k a^k b^(n-k)`` and divided by d b^n once, at the end.
+  coefficients over their common denominator d (``exactla._integers``),
+  summed as ``sum N_k a^k b^(n-k)`` and divided by d b^n once, at the end.
 
 * The coset functions phi_1, phi_2 on GL2(Z/nZ),
 
@@ -55,10 +55,10 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, isqrt, lcm
+from math import comb, gcd, isqrt
 from typing import Iterable
 
-from .exactla import as_fraction
+from .exactla import _integers, as_fraction
 
 Mat = tuple[int, int, int, int]
 
@@ -104,7 +104,11 @@ def bernoulli_number(n: int) -> Fraction:
     return _BERNOULLI[n]
 
 
-@lru_cache(maxsize=None)
+# Bounded: a long-lived caller meets ever new n, and near n = 2000 each
+# polynomial holds about 0.87 MB, so the 64 kept there take about 56 MB.
+# The cache itself stays, as the benchmark's warm library workload reads the
+# same few polynomials again and again.
+@lru_cache(maxsize=64)
 def bernoulli_polynomial(n: int) -> tuple[Fraction, ...]:
     """The coefficients of B_n(X) = sum_k C(n,k) B_k X^(n-k), by ascending power."""
     if n < 0:
@@ -121,17 +125,16 @@ def bernoulli_polynomial(n: int) -> tuple[Fraction, ...]:
 def _bern_scaled(n: int, b: int) -> tuple[tuple[int, ...], int]:
     """The integers N_k b^(n-k), k from n down to 0, and d b^n.
 
-    d is the lcm of the denominators of the coefficients c_k of
-    ``bernoulli_polynomial(n)``, so N_k = c_k d is an integer.  The products
-    by powers of b are most of the cost of a value at large n, so the points
-    that share n and b share them.
+    ``exactla._integers`` gives the N_k = c_k d for the coefficients c_k of
+    ``bernoulli_polynomial(n)`` and d, the lcm of their denominators.  The
+    products by powers of b are most of the cost of a value at large n, so
+    the points that share n and b share them.
     """
-    coeffs = bernoulli_polynomial(n)
-    d = lcm(*[c.denominator for c in coeffs])
+    numerators, d = _integers(bernoulli_polynomial(n))
     scaled = []
     power = 1
-    for c in reversed(coeffs):
-        scaled.append(c.numerator * (d // c.denominator) * power)
+    for numerator in reversed(numerators):
+        scaled.append(numerator * power)
         power *= b
     return tuple(scaled), d * b**n
 
@@ -211,6 +214,9 @@ def phi_line_sum(k: int, p: int, g: Mat, entry: str) -> Fraction:
 
     ``e`` is the matrix entry named by ``entry`` ("c" or "d").  The value
     depends only on whether e vanishes mod p, by the distribution relation.
+    The p cached values are summed as integers over their common
+    denominator (``exactla._integers``), and one Fraction is built: a
+    Fraction sum would reduce each of the p - 1 partial sums by a gcd.
     """
     if entry not in ("c", "d"):
         raise ValueError("entry must be 'c' or 'd'")
@@ -218,12 +224,9 @@ def phi_line_sum(k: int, p: int, g: Mat, entry: str) -> Fraction:
         raise ValueError("p must be prime, got %r" % (p,))
     _check_phi_args(k, p, g)
     e = g[2] if entry == "c" else g[3]
-    # the cached values, summed as integers over their lcm denominator: a Fraction
-    # sum would reduce each of the p - 1 partial sums by a gcd
     values = [bernoulli_poly_eval(k + 2, Fraction((alpha * e) % p, p)) for alpha in range(p)]
-    denominator = lcm(*[b.denominator for b in values])
-    total = Fraction(sum(b.numerator * (denominator // b.denominator) for b in values), denominator)
-    return -Fraction(p ** (k + 1), k + 2) * total
+    numerators, denominator = _integers(values)
+    return -Fraction(p ** (k + 1), k + 2) * Fraction(sum(numerators), denominator)
 
 
 class ChainCheck:

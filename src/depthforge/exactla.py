@@ -19,6 +19,12 @@ rely on (kernel vectors are compared against frozen expected values and
 emitted byte-identically in reports).  :func:`rref` has no caller in the package:
 it is the tests' oracle, and it stays here only because the benchmark's
 tracer (``perfbench/tracing.py``) wraps ``exactla.rref`` by name.
+
+Rationals become integers over a common denominator in one place,
+:func:`_integers`: the rows :func:`_integer_rref` reduces, the vectors
+:func:`certify_kernel` multiplies out, the coefficients
+``periodpoly.is_period_poly`` expands, and the Bernoulli coefficients and
+values that ``eisenstein`` sums.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
 
@@ -126,23 +132,31 @@ def rref(rows: Sequence[Sequence], cols: int) -> tuple[list[list[Fraction]], tup
     return work, tuple(pivots)
 
 
+def _integers(values: Collection) -> tuple[list[int], int]:
+    """The ints ``d x`` for each x in ``values`` (ints and Fractions), and d, the lcm of their denominators.
+
+    Each ``d x`` is ``x.numerator * (d // x.denominator)``: the division is
+    exact, and taking it first keeps the product small.  No values give
+    ``([], 1)``.
+    """
+    # lists, not generators: tuple() resizes a generator's tuple, and CPython
+    # keeps every resized tuple on a free list, so a long-lived caller grows
+    d = lcm(*[x.denominator for x in values])
+    return [x.numerator * (d // x.denominator) for x in values], d
+
+
 def _integer_rref(rows: Iterable[Sequence], cols: int) -> tuple[list[list[int]], list[int]]:
     """Gauss-Jordan in integers: the reduced rows of ``rows`` (``cols`` wide) and their pivot columns.
 
-    Each row is scaled by the lcm of its denominators, then reduced with the
-    pivot policy of :func:`rref`: a row with f in the pivot column c of
-    pivot row r (p there), both divided by their gcd, becomes ``p row - f
-    row_r``, divided by its gcd.  Row r is zero left of column c, so one
-    pass over the whole row scales the entries there by p.  The first
-    ``len(pivots)`` rows are their :func:`rref` rows times a nonzero
+    Each row is cleared of its denominators by :func:`_integers`, then
+    reduced with the pivot policy of :func:`rref`: a row with f in the pivot
+    column c of pivot row r (p there), both divided by their gcd, becomes
+    ``p row - f row_r``, divided by its gcd.  Row r is zero left of column
+    c, so one pass over the whole row scales the entries there by p.  The
+    first ``len(pivots)`` rows are their :func:`rref` rows times a nonzero
     integer, and the rest are zero.
     """
-    work = []
-    for row in rows:
-        # a list, not a generator: tuple() resizes a generator's tuple, and CPython
-        # keeps every resized tuple on a free list, so a long-lived caller grows
-        scale = lcm(*[x.denominator for x in row])
-        work.append([x.numerator * (scale // x.denominator) for x in row])
+    work = [_integers(row)[0] for row in rows]
     pivots: list[int] = []
     r = 0
     for c in range(cols):
@@ -198,17 +212,14 @@ def certify_kernel(rows: Sequence[Sequence[int]], cols: int, basis: Sequence[Seq
 
     ``rows`` are the integer rows of a matrix with ``cols`` columns; a
     failure names the row by its index within ``rows``.  Each vector is
-    scaled by the lcm of its denominators, which does not change whether a
-    product is zero, so every product is taken in integers.
+    cleared of its denominators by :func:`_integers`, which does not change
+    whether a product is zero, so every product is taken in integers.
     """
     if not basis:
         return
     if any(len(v) != cols for v in basis):
         raise AssertionError("a kernel vector's length differs from cols %d" % cols)
-    vectors = []
-    for v in basis:
-        scale = lcm(*[x.denominator for x in v])
-        vectors.append([x.numerator * scale // x.denominator for x in v])
+    vectors = [_integers(v)[0] for v in basis]
     # Pack the vectors side by side, ``bits`` apart, into one integer per
     # column: row . packed is sum_k (row . v_k) 2^(k bits), and as every
     # |row . v_k| < 2^(bits-1), it is zero only if every row . v_k is.

@@ -33,24 +33,25 @@ C(2j, 2m-b)) + [b = 2j] - [b = 2i]``.
 
 :func:`is_period_poly` reads the first three identities off the
 coefficients (no monomial ``x^a y^0``, no odd exponent, ``c(b,a) = -c(a,b)``).
-It expands the three-term relation in integer binomial sums by
-:func:`_three_term`, fed the coefficients times the lcm of their
-denominators; on a candidate, the expansion gives the closed form above,
-which the tests check at every weight up to 200.  The solver and
-:func:`_three_term` read their binomial rows from one Pascal table,
-:func:`_binomial_row`, which keeps the rows of degree up to 200 and builds
-longer ones per call.
+Only an f that passes them reaches the three-term relation, which
+:func:`_three_term` expands in integer binomial sums on the coefficients
+cleared of denominators by ``exactla._integers``; it relies on f being
+antisymmetric, so it needs one binomial sum, not two.  On a candidate, the
+expansion gives the closed form above, which the tests check at every
+weight up to 200.  The solver and :func:`_three_term` read their binomial
+rows from one Pascal table, :func:`_binomial_row`, which keeps the rows of
+degree up to 200 and builds longer ones per call.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import add, sub
 from typing import Mapping, Sequence
 
-from .exactla import QMatrix, Vector, _integer_rref, as_fraction, certify_kernel, kernel_basis, parse_rational
+from .exactla import QMatrix, Vector, _integer_rref, _integers, as_fraction, certify_kernel, kernel_basis, parse_rational
 
 Monomial = tuple[int, int]
 
@@ -183,9 +184,9 @@ def is_period_poly(f: BivarPoly) -> PeriodCheck:
     # a partner missing from the map reads None, which is never -c
     if any(coeffs.get((b, a)) != -c for (a, b), c in coeffs.items()):
         return PeriodCheck(False, "antisymmetry f(x,y) + f(y,x) = 0")
-    # the relation is linear, so it holds for f iff for f times the lcm of its denominators
-    scale = lcm(*(c.denominator for c in coeffs.values()))
-    if any(_three_term(f.degree, {m: c.numerator * (scale // c.denominator) for m, c in coeffs.items()})):
+    # the relation is linear, so it holds for f iff for f cleared of its denominators
+    scaled = _integers(coeffs.values())[0]
+    if any(_three_term(f.degree, dict(zip(coeffs, scaled)))):
         return PeriodCheck(False, "three-term relation f(x,y) + f(x-y,x) + f(-y,x-y) = 0")
     return PeriodCheck(True)
 
@@ -221,31 +222,24 @@ def _binomial_row(a: int) -> list[int]:
 
 
 def _three_term(n: int, coeffs: Mapping[Monomial, int]) -> list[int]:
-    """``f(x,y) + f(x-y,x) + f(-y,x-y)`` for ``f`` of degree ``n`` with integer ``coeffs``, expanded binomially.
+    """``f(x,y) + f(x-y,x) + f(-y,x-y)`` for antisymmetric ``f`` of degree ``n``, integer ``coeffs``, expanded binomially.
 
-    Entry b of the list is the coefficient of ``x^(n-b) y^b``, zeros included:
-    ``c(n-b, b) + (-1)^b sum c(a, a') (C(a, b) + C(a', n-b))`` over the
-    monomials ``x^a y^a'`` of f, with C(k, j) = 0 for j > k; the first sum
-    comes from ``c (x-y)^a x^a'`` and the second from ``c (-y)^a (x-y)^a'``.
-    With v(e) = c(e, n-e), the first is ``sum v(e) C(e, b)`` and the second
-    ``sum v(n-e) C(e, n-b)``, which is minus the first at n - b plus
-    ``sum (v(e) + v(n-e)) C(e, n-b)``.  :func:`is_period_poly` passes
-    antisymmetric f, for which every v(e) + v(n-e) is zero, so each binomial
-    row is read once and multiplied once.
+    Entry b of the list is the coefficient of ``x^(n-b) y^b``, zeros included.
+    With v(e) = c(e, n-e) and ``s(b) = sum v(e) C(e, b)`` (C(e, b) = 0 for
+    b > e), the term ``f(x-y, x)`` gives ``(-1)^b s(b)``, and ``f(-y, x-y)``
+    gives ``(-1)^b sum v(n-e) C(e, n-b)``, which is ``-(-1)^b s(n-b)`` when
+    f is antisymmetric, v(n-e) = -v(e).  So entry b is ``v(n-b) + (-1)^b
+    (s(b) - s(n-b))``.  For any other f the list is not the relation;
+    :func:`is_period_poly` passes f only once antisymmetry holds.
     """
     v = [0] * (n + 1)
     for (a, _), c in coeffs.items():
         v[a] = c
-    first = [0] * (n + 1)  # sum v(e) C(e, b), by b
-    defect = [0] * (n + 1)  # sum (v(e) + v(n-e)) C(e, j), by j
-    for e, (c, d) in enumerate(zip(v, map(add, v, reversed(v)))):
-        if c or d:
-            row = _binomial_row(e)
-            if c:
-                first[: e + 1] = [s + c * binom for s, binom in zip(first, row)]
-            if d:
-                defect[: e + 1] = [s + d * binom for s, binom in zip(defect, row)]
-    out = [first[b] - first[n - b] + defect[n - b] for b in range(n + 1)]
+    first = [0] * (n + 1)  # s(b), by b
+    for e, c in enumerate(v):
+        if c:
+            first[: e + 1] = [s + c * binom for s, binom in zip(first, _binomial_row(e))]
+    out = [first[b] - first[n - b] for b in range(n + 1)]
     out[1::2] = [-s for s in out[1::2]]
     return list(map(add, reversed(v), out))  # c(n-b, b) = v(n-b)
 

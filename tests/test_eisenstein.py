@@ -168,6 +168,14 @@ class TestBernoulli:
         # B_2(X) = X^2 - X + 1/6, ascending order
         assert bernoulli_polynomial(2) == (Fraction(1, 6), Fraction(-1), Fraction(1))
 
+    def test_polynomial_cache_is_bounded(self):
+        # a long-lived caller meets ever new n, and near n = 2000 each polynomial holds about 0.87 MB
+        bound = bernoulli_polynomial.cache_info().maxsize
+        assert bound is not None
+        for n in range(bound + 10):
+            assert bernoulli_polynomial(n)[0] == bernoulli_number(n)
+        assert bernoulli_polynomial.cache_info().currsize <= bound
+
     def test_poly_eval(self):
         assert bernoulli_poly_eval(4, Fraction(1, 5)) == Fraction(-29, 3750)
         assert bernoulli_poly_eval(4, 0) == Fraction(-1, 30)

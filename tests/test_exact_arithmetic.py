@@ -4,6 +4,9 @@ Each module is parsed, and a float (or complex) literal, a call to ``float``,
 or a ``math`` function outside the integer ones in ``INTEGER_MATH`` is named
 with its file and line, whether it is reached as ``math.x``, through an alias
 of ``math`` or by ``from math import x``.
+
+Rationals become integers over a common denominator in one place,
+``exactla._integers``, so no other module names ``lcm``.
 """
 
 import ast
@@ -49,3 +52,27 @@ def test_the_check_sees_each_form():
         "math.pi",
         "literal 2j",
     ]
+
+
+def _names_lcm(tree: ast.AST) -> list[int]:
+    """The lines that name ``lcm``: as a name, an attribute or an import."""
+    return sorted(
+        {
+            node.lineno
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.Name) and node.id == "lcm")
+            or (isinstance(node, ast.Attribute) and node.attr == "lcm")
+            or (isinstance(node, (ast.Import, ast.ImportFrom)) and any(a.name.rpartition(".")[2] == "lcm" for a in node.names))
+        }
+    )
+
+
+def test_only_exactla_names_lcm():
+    names = {path.name: _names_lcm(ast.parse(path.read_text(), str(path))) for path in sorted(PACKAGE.glob("*.py"))}
+    assert names.pop("exactla.py")  # the one place, so the check below is not vacuous
+    assert ["%s:%d" % (name, line) for name, lines in names.items() for line in lines] == []
+
+
+def test_the_lcm_check_sees_each_form():
+    source = "import math as m\nfrom math import lcm as l\nx = m.lcm(2, 3)\ny = lcm(4)\nz = 'lcm'\n"
+    assert _names_lcm(ast.parse(source)) == [2, 3, 4]

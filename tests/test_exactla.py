@@ -6,7 +6,16 @@ from math import lcm
 import pytest
 from rref_oracle import rref_kernel
 
-from depthforge.exactla import QMatrix, _integer_rref, as_fraction, certify_kernel, kernel_basis, parse_rational, rref
+from depthforge.exactla import (
+    QMatrix,
+    _integer_rref,
+    _integers,
+    as_fraction,
+    certify_kernel,
+    kernel_basis,
+    parse_rational,
+    rref,
+)
 
 
 def F(x):
@@ -82,6 +91,45 @@ class TestParseRational:
     def test_rejects_with_value_error(self, bad):
         with pytest.raises(ValueError):
             parse_rational(bad)
+
+
+class TestIntegers:
+    """``_integers`` against a Fraction oracle: d is the least positive integer that makes every d x whole."""
+
+    @staticmethod
+    def oracle(values):
+        exact = [Fraction(x) for x in values]
+        d = next(d for d in range(1, 10**6) if all((d * x).denominator == 1 for x in exact))
+        return [int(d * x) for x in exact], d
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [F("1/2"), F("-2/3"), F("5/6")],
+            [4, F("-1/6"), 0, F("7/10"), -9],
+            [F("-3/4"), F("-3/4")],
+            [F("-1/7"), 3, F("2/21"), F(0)],
+        ],
+    )
+    def test_fractions_and_mixed(self, values):
+        ints, d = _integers(values)
+        assert (ints, d) == self.oracle(values)
+        assert all(type(x) is int for x in ints) and type(d) is int
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_values(self, seed):
+        rng = random.Random(seed)
+        values = [Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for _ in range(rng.randint(1, 8))]
+        values += [rng.randint(-9, 9) for _ in range(rng.randint(0, 2))]
+        rng.shuffle(values)
+        assert _integers(values) == self.oracle(values)
+
+    def test_no_values(self):
+        assert _integers([]) == ([], 1)
+
+    def test_integers_stay_as_they_are(self):
+        values = [3, -7, 0, 2**70, F(5)]
+        assert _integers(values) == (values, 1)
 
 
 class TestRref:
