@@ -41,9 +41,10 @@ import sys
 DEFAULT_MIN_WEIGHT = 6
 DEFAULT_MAX_WEIGHT = 30
 # the weight of verify brown --weight|--max-weight, period basis --weight and
-# depth matrix|relations (as 2m+2 from --m).  At 200: verify brown 0.65-0.72 s and 21 MB,
-# depth matrix 1.5-1.7 s and 281 MB for a 50 MB report, period basis 0.3 s; a
-# verify brown batch runs each even weight, 230 s for 6..200
+# depth matrix|relations (as 2m+2 from --m).  At 200: verify brown 0.23-0.46 s and 17 MB,
+# depth matrix 1.3-2.9 s and 278 MB for a 50 MB report, period basis 0.2 s (child peak
+# RSS, 2-vCPU VM under varying load); a verify brown batch runs each even weight, 230 s
+# for 6..200 when the bracket was built in full
 MAX_DEPTH2_WEIGHT = 200
 # period check expands the three-term relation in O(degree^2) binomial terms
 MAX_PERIOD_DEGREE = 1000

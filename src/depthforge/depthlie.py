@@ -12,40 +12,39 @@ i < j, i + j = m land in the depth-2, weight-(2m+2) word space spanned by
 as a ``"01"`` string.
 
 :func:`bracket_matrix` computes those brackets in closed form over ``int``.
-For a depth-1 element X the Leibniz sum of ``a(X)`` over the e0 letters of
-a depth-1 word telescopes:
+Read e0^a e1 e0^b e1 e0^c as y0^a y1^b y2^c.  With n = 2i, k = 2j the
+bracket is six products of powers of differences (Brown, *Depth-graded
+motivic multiple zeta values*, arXiv:1301.3053, section 6):
 
-    a(X)(e0^b e1 e0^d) = e0^b X e1 e0^d - X e0^b e1 e0^d
-                         + e0^b e1 e0^d X - e0^b e1 X e0^d,
+    G = (y1-y0)^n (y2-y0)^k + (y2-y1)^n (y1-y0)^k - (y2-y1)^n (y2-y0)^k
+      - (y2-y0)^n (y1-y0)^k - (y1-y0)^n (y2-y1)^k + (y2-y0)^n (y2-y1)^k.
 
-and ``{X, Y} = a(X)(Y) - a(Y)(X) + XY - YX``.  With X = sum_a x_a e0^a e1
-e0^(n-a) and Y = sum_b y_b e0^b e1 e0^(k-b), the terms ``-X e0^b ...`` and
-``XY`` cancel (likewise for Y), leaving six integer terms per product
-x_a y_b, so each column is an O(w^2) sum.  The generic word algebra in
-:mod:`depthforge.ncalg` (``ihara_bracket`` on :func:`sigma_leading`) is the
-reference the tests compare this against.  The matrix is returned as
-``(rows, cols)``, integer row tuples and a column count, the form that
-:func:`depthforge.exactla.certify_kernel` and the tests' ``rref`` oracle take.
+Each factor holds a variable the other lacks, so each term puts a single
+product x_p y_q on y0^a y1^b y2^c, with x_t = (-1)^t C(n, t),
+y_t = (-1)^t C(k, t) and p != q two of a, b, c; with their signs the six
+terms give the 3x3 determinant of rows (1, 1, 1), x and y at (a, b, c):
+
+    G[a][b] = x_a (y_b - y_c) + x_b (y_c - y_a) + x_c (y_a - y_b),
+
+c = 2m - a - b, where x_t = 0 for t > n and y_t = 0 for t > k.  The tests
+compare it with ``ihara_bracket`` (:mod:`depthforge.ncalg`) on
+:func:`sigma_leading` and with the bracket scattered term by term.  The
+matrix is returned as ``(rows, cols)``, integer row tuples and a column
+count, the form :func:`depthforge.exactla.certify_kernel` and the tests'
+``rref`` oracle take.
 
 :func:`relation_kernel` solves for the kernel on m+1 rows only, the words
 ``e1 e0^b e1 e0^(2m-b)`` with b >= m, and certifies it on the full matrix
-with no theorem assumed.  Read e0^a e1 e0^b e1 e0^c as y0^a y1^b y2^c.
-Every bracket column G is translation invariant, (d0 + d1 + d2) G = 0
-(Brown, *Depth-graded motivic multiple zeta values*, arXiv:1301.3053,
-section 6); on the coefficients, for all a + b + c = 2m - 1,
-
-    (a+1) G[a+1][b] + (b+1) G[a][b+1] + (c+1) G[a][b] = 0,
-
-which is checked in integers on every cell of every column.  A translation
-invariant H satisfies H(y0, y1, y2) = H(0, y1 - y0, y2 - y0), so
-H = sum_c v_c G_c vanishes once its coefficients with a = 0 do, and
-``M v = 0`` is checked in integers on those 2m+1 rows, the words that begin
-with ``e1``: the two checks prove ``M v = 0`` on every row.  The rows of
-``e1 e0^b e1 e0^(2m-b)`` and ``e1 e0^(2m-b) e1 e0^b`` are equal or opposite
-(the tests check m <= 40), which is why the m+1 rows carry the whole kernel.
-Dropping rows can only enlarge a kernel, so a passing certificate proves the
-two kernels equal, and since the canonical basis depends only on the kernel,
-it is the basis the full matrix would give.
+with no theorem assumed.  Each term of G is unchanged by y_t -> y_t + s, so
+each column is translation invariant, (d0 + d1 + d2) G = 0, by algebra, and
+so is H = sum_c v_c G_c: H(y0, y1, y2) = H(0, y1 - y0, y2 - y0) vanishes
+once its coefficients with a = 0 do.  ``M v = 0`` is checked in integers on
+those 2m+1 rows, the words that begin with ``e1``, which proves it on every
+row.  Swapping b and c swaps two columns of the determinant, so the e1
+rows b and 2m - b are opposite, which is why the m+1 rows carry the whole
+kernel.  Dropping rows can only enlarge a kernel, so a passing certificate
+proves the two kernels equal, and since the canonical basis depends only on
+the kernel, it is the basis the full matrix would give.
 
 Writing the brackets as the columns of a matrix, a rational vector (a_ij)
 over ``candidate_pairs(m)`` gives a relation
@@ -68,7 +67,6 @@ between, and a ``True`` trusts neither solver.
 from __future__ import annotations
 
 from math import comb
-from typing import Iterator
 
 from . import periodpoly
 from .exactla import QMatrix, Vector, certify_kernel, kernel_basis
@@ -99,34 +97,27 @@ def depth2_word_basis(weight: int) -> list[str]:
     return ["0" * a + "1" + "0" * b + "1" + "0" * (n - a - b) for a, b in _depth2_indices(weight)]
 
 
-def _depth2_bracket(i: int, j: int) -> list[list[int]]:
-    """{f_{2i+1}, f_{2j+1}} as the triangle ``out[a][b]``, a + b <= 2(i+j), the coefficient of e0^a e1 e0^b e1 e0^c.
+def _bracket_rows(m: int, cells: list[tuple[int, int]]) -> tuple[list[tuple[int, ...]], int]:
+    """The bracket matrix's rows (a, b) at weight 2m+2, one per cell of ``cells``, and its column count.
 
-    X = f_{2i+1} has x_a = (-1)^a C(2i, a) on e0^a e1 e0^(2i-a), Y likewise;
-    each comment names the term of a(X)Y or of a(Y)X (which enters with a
-    minus sign) that the product x_a y_b lands on.
+    Column (i, j) of row (a, b) is the determinant of the module docstring,
+    read from x_t = (-1)^t C(2i, t) and y_t = (-1)^t C(2j, t), t <= 2m
+    (``comb`` is 0 past 2i or 2j).
     """
-    n, k = 2 * i, 2 * j
-    y = [(-1) ** b * comb(k, b) for b in range(k + 1)]
-    out = [[0] * (n + k + 1 - a) for a in range(n + k + 1)]
-    for a in range(n + 1):
-        xa = (-1) ** a * comb(n, a)
-        for b, yb in enumerate(y):
-            xy = xa * yb
-            out[a + b][n - a] += xy  # a(X)Y: e0^b X e1 e0^(k-b)
-            out[b][k - b + a] += xy  # a(X)Y: e0^b e1 e0^(k-b) X
-            out[b][a] -= xy  # a(X)Y: -e0^b e1 X e0^(k-b)
-            out[a + b][k - b] -= xy  # a(Y)X: e0^a Y e1 e0^(n-a)
-            out[a][n - a + b] -= xy  # a(Y)X: e0^a e1 e0^(n-a) Y
-            out[a][b] += xy  # a(Y)X: -e0^a e1 Y e0^(n-a)
-    return out
-
-
-def _bracket_columns(m: int) -> Iterator[list[list[int]]]:
-    """The :func:`_depth2_bracket` triangle of every pair in ``candidate_pairs(m)``, in order, one at a time."""
     if m < 2:
         raise ValueError("bracket matrix needs m >= 2, got %r" % (m,))
-    return (_depth2_bracket(i, j) for i, j in candidate_pairs(m))  # not a generator function: m is checked here
+    n = 2 * m
+
+    def signed(k: int) -> list[int]:
+        return [(-1) ** t * comb(k, t) for t in range(n + 1)]
+
+    columns = [(signed(2 * i), signed(2 * j)) for i, j in candidate_pairs(m)]
+    # each row is built at its final length (see exactla.kernel_basis on resized tuples)
+    rows = [
+        tuple([x[a] * (y[b] - y[c]) + x[b] * (y[c] - y[a]) + x[c] * (y[a] - y[b]) for x, y in columns])
+        for a, b, c in ((a, b, n - a - b) for a, b in cells)
+    ]
+    return rows, len(columns)
 
 
 def bracket_matrix(m: int) -> tuple[list[tuple[int, ...]], int]:
@@ -137,10 +128,7 @@ def bracket_matrix(m: int) -> tuple[list[tuple[int, ...]], int]:
     the depth-2 component of the Ihara bracket {f_{2i+1}, f_{2j+1}},
     computed in closed form (see the module docstring).
     """
-    columns = list(_bracket_columns(m))
-    # each row is built at its final length (see exactla.kernel_basis on resized tuples)
-    rows = [tuple([col[a][b] for col in columns]) for a, b in _depth2_indices(2 * m + 2)]
-    return rows, len(columns)
+    return _bracket_rows(m, _depth2_indices(2 * m + 2))
 
 
 def relation_kernel(m: int) -> list[Vector]:
@@ -148,26 +136,12 @@ def relation_kernel(m: int) -> list[Vector]:
 
     Solved on the m+1 rows ``e1 e0^b e1 e0^(2m-b)`` with b >= m and proved on
     the full matrix by translation invariance (see the module docstring); a
-    failed check raises ``AssertionError`` naming the column's pair (i, j) and
-    cell (a, b), or the row among the 2m+1 with a = 0 (b = 2m first).
+    failed certificate raises ``AssertionError`` naming the row among the
+    2m+1 with a = 0 (b = 2m first).
     """
-    firsts = []  # each column's row a = 0; the rest of it is dropped once checked
-    n = 2 * m
-    for (i, j), g in zip(candidate_pairs(m), _bracket_columns(m)):
-        # cell (a, b) is checked against the cells (a+1, b) and (a, b+1) after it,
-        # so a wrong cell with c >= 1 is the first one named
-        for a in range(n - 1, -1, -1):
-            row, up = g[a], g[a + 1]
-            for b in range(n - 1 - a, -1, -1):
-                if (a + 1) * up[b] + (b + 1) * row[b + 1] + (n - a - b) * row[b]:
-                    raise AssertionError(
-                        "the bracket column of (i, j) = (%d, %d) is not translation invariant at (a, b) = (%d, %d)"
-                        % (i, j, a, b)
-                    )
-        firsts.append(g[0])
-    rows = [tuple([first[b] for first in firsts]) for b in range(n, -1, -1)]
-    basis = kernel_basis(QMatrix(rows[: m + 1], cols=len(firsts)))
-    certify_kernel(rows, len(firsts), basis)
+    rows, cols = _bracket_rows(m, [(0, b) for b in range(2 * m, -1, -1)])
+    basis = kernel_basis(QMatrix(rows[: m + 1], cols=cols))
+    certify_kernel(rows, cols, basis)
     return basis
 
 

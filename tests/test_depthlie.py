@@ -4,6 +4,7 @@ from functools import lru_cache
 from math import comb
 
 import pytest
+from bracket_oracle import _depth2_bracket
 from rref_oracle import rref_kernel, rref_spans_equal
 
 from depthforge import depthlie, periodpoly
@@ -38,6 +39,20 @@ def oracle_bracket_rows(m):
         br = ihara_bracket(sigma_leading(i), sigma_leading(j)).depth_component(2)
         columns.append([br.coefficient(w) for w in words])
     return [tuple(col[r] for col in columns) for r in range(len(words))]
+
+
+def oracle_triangles(m):
+    # the scatter-form triangle of every column, out[a][b] the coefficient of e0^a e1 e0^b e1 e0^(2m-a-b)
+    return [_depth2_bracket(i, j) for i, j in candidate_pairs(m)]
+
+
+def word_cells(m):
+    # (a, b) of each word of depth2_word_basis(2m+2), read off the word itself
+    cells = []
+    for word in depth2_word_basis(2 * m + 2):
+        a = word.index("1")
+        cells.append((a, word.index("1", a + 1) - a - 1))
+    return cells
 
 
 class TestSigmaLeading:
@@ -113,6 +128,41 @@ class TestBracketMatrix:
             for row, twin in zip(e1_rows, reversed(e1_rows)):
                 assert row == twin or row == tuple(-x for x in twin), "m=%d" % m
 
+    def test_cells_match_the_scatter_oracle(self):
+        for m in range(2, 41):
+            triangles = oracle_triangles(m)
+            rows = [tuple(t[a][b] for t in triangles) for a, b in word_cells(m)]
+            assert bracket_matrix(m) == (rows, len(triangles)), "m=%d" % m
+
+    def test_e1_rows_match_the_oracle_row_a0(self, monkeypatch):
+        # the rows relation_kernel reads are the matrix's last 2m+1 rows and the oracle's row a = 0, b = 2m first
+        read = []
+        rows_of = depthlie._bracket_rows
+
+        def spy(m, cells):
+            read.append(rows_of(m, cells))
+            return read[-1]
+
+        monkeypatch.setattr(depthlie, "_bracket_rows", spy)
+        for m in range(2, 61):
+            triangles = oracle_triangles(m)
+            expected = [tuple(t[0][b] for t in triangles) for b in range(2 * m, -1, -1)]
+            read.clear()
+            relation_kernel(m)
+            assert read == [(expected, len(triangles))], "m=%d" % m
+            assert bracket_matrix(m)[0][-(2 * m + 1) :] == expected, "m=%d" % m
+
+    def test_every_cell_is_translation_invariant(self):
+        # (d0 + d1 + d2) G = 0 on the coefficients of each column, for all a + b + c = 2m - 1
+        for m in range(2, 31):
+            rows, _ = bracket_matrix(m)
+            cell = dict(zip(word_cells(m), rows))
+            for a in range(2 * m):
+                for b in range(2 * m - a):
+                    c = 2 * m - 1 - a - b
+                    combined = zip(cell[a + 1, b], cell[a, b + 1], cell[a, b])
+                    assert all((a + 1) * up + (b + 1) * right + (c + 1) * g == 0 for up, right, g in combined), (m, a, b)
+
     def test_m_below_two_rejected(self):
         for call, m in ((bracket_matrix, 1), (relation_kernel, 1), (relation_kernel, 0)):
             with pytest.raises(ValueError):
@@ -142,39 +192,6 @@ class TestRelationKernel:
         with pytest.raises(AssertionError):
             relation_kernel(5)
 
-    @staticmethod
-    def perturbed_columns(monkeypatch, m):
-        # relation_kernel reads these triangles; the caller changes one cell of them
-        columns = list(depthlie._bracket_columns(m))
-        monkeypatch.setattr(depthlie, "_bracket_columns", lambda _: columns)
-        return columns
-
-    # cells with c >= 1, so each is the first cell its defect reaches (see relation_kernel)
-    @pytest.mark.parametrize(
-        "m, col, a, b",
-        [(5, 0, 3, 1), (5, 1, 6, 2), (5, 0, 1, 8), (5, 1, 0, 4), (5, 0, 0, 0), (12, 4, 0, 23), (12, 2, 9, 7)],
-    )
-    def test_broken_translation_invariance_is_named(self, monkeypatch, m, col, a, b):
-        columns = self.perturbed_columns(monkeypatch, m)
-        columns[col][a][b] += 1
-        i, j = candidate_pairs(m)[col]
-        with pytest.raises(AssertionError, match=r"\(i, j\) = \(%d, %d\) .* \(a, b\) = \(%d, %d\)$" % (i, j, a, b)):
-            relation_kernel(m)
-
-    @pytest.mark.parametrize("m", [5, 12, 30])
-    def test_every_single_cell_perturbation_is_caught(self, monkeypatch, m):
-        columns = self.perturbed_columns(monkeypatch, m)
-        rng = random.Random(m)
-        for _ in range(200):
-            col, a = rng.randrange(len(columns)), rng.randrange(2 * m + 1)
-            b, delta = rng.randrange(2 * m + 1 - a), rng.choice([-1, 1]) * rng.randint(1, 2**40)
-            columns[col][a][b] += delta
-            i, j = candidate_pairs(m)[col]
-            with pytest.raises(AssertionError, match=r"\(i, j\) = \(%d, %d\) " % (i, j)):
-                relation_kernel(m)
-            columns[col][a][b] -= delta
-        assert relation_kernel(m) == rref_kernel(*bracket_matrix(m))
-
     def test_certificate_failure_names_an_e1_row(self, monkeypatch):
         m = 11
         good = relation_kernel(m)[0]
@@ -186,6 +203,28 @@ class TestRelationKernel:
         first = next(r for r, row in enumerate(e1_rows) if sum(x * y for x, y in zip(row, bad)))
         with pytest.raises(AssertionError, match="fails row %d of the matrix$" % first):
             relation_kernel(m)
+
+    @pytest.mark.parametrize("m", [11, 23, 30])
+    def test_perturbed_unsolved_e1_row_is_named(self, monkeypatch, m):
+        # rows b < m are not solved on, only certified: a changed entry there must be named by its row
+        kernel = relation_kernel(m)
+        live = [col for col in range(len(candidate_pairs(m))) if any(v[col] for v in kernel)]
+        rows_of = depthlie._bracket_rows
+        rng = random.Random(m)
+        for _ in range(20):
+            r, col = rng.randrange(m + 1, 2 * m + 1), rng.choice(live)
+            delta = rng.choice([-1, 1]) * rng.randint(1, 2**40)
+
+            def perturbed(m, cells, r=r, col=col, delta=delta):
+                rows, cols = rows_of(m, cells)
+                rows[r] = rows[r][:col] + (rows[r][col] + delta,) + rows[r][col + 1 :]
+                return rows, cols
+
+            monkeypatch.setattr(depthlie, "_bracket_rows", perturbed)
+            with pytest.raises(AssertionError, match="fails row %d of the matrix$" % r):
+                relation_kernel(m)
+        monkeypatch.undo()
+        assert relation_kernel(m) == kernel
 
     @pytest.mark.parametrize("m", range(2, 9))
     def test_kernel_annihilates_matrix(self, m):
